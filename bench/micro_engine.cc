@@ -15,6 +15,7 @@
 #include "env/env.h"
 #include "txn/lock_manager.h"
 #include "util/crc32c.h"
+#include "util/crc32c_internal.h"
 #include "util/random.h"
 #include "wal/log_manager.h"
 #include "wal/log_record.h"
@@ -29,27 +30,35 @@ EngineOptions BenchOptions(Algorithm a = Algorithm::kFuzzyCopy) {
   return opt;
 }
 
-// The production kernel (slice-by-8) and the byte-at-a-time reference it
-// replaced, side by side: the bytes/second ratio is the satellite win the
-// WAL frame path (one CRC per appended record) inherits.
-void BM_Crc32c(benchmark::State& state) {
+// CRC32C through the public API (labelled with the kernel it dispatches
+// to), the portable slice-by-8 kernel, and the byte-at-a-time reference,
+// at a WAL frame, a page and a backup segment: the bytes/second ratios
+// are the kernel wins every CRC call site inherits.
+void CrcLoop(benchmark::State& state, crc32c::internal::ExtendFn extend,
+             const char* label) {
   std::string data(state.range(0), 'x');
   for (auto _ : state) {
-    benchmark::DoNotOptimize(crc32c::Value(data));
+    benchmark::DoNotOptimize(extend(0, data.data(), data.size()));
   }
   state.SetBytesProcessed(state.iterations() * state.range(0));
-  state.SetLabel("slice_by_8");
+  state.SetLabel(label);
+}
+
+void BM_Crc32c(benchmark::State& state) {
+  CrcLoop(state, crc32c::Extend, crc32c::internal::Dispatched().name);
 }
 BENCHMARK(BM_Crc32c)->Arg(128)->Arg(4096)->Arg(32768);
 
+void BM_Crc32cSliceBy8(benchmark::State& state) {
+  // The portable kernel comes last in dispatch order.
+  const crc32c::internal::Kernel& portable =
+      crc32c::internal::Kernels().back();
+  CrcLoop(state, portable.extend, portable.name);
+}
+BENCHMARK(BM_Crc32cSliceBy8)->Arg(128)->Arg(4096)->Arg(32768);
+
 void BM_Crc32cBytewise(benchmark::State& state) {
-  std::string data(state.range(0), 'x');
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        crc32c::ExtendBytewise(0, data.data(), data.size()));
-  }
-  state.SetBytesProcessed(state.iterations() * state.range(0));
-  state.SetLabel("bytewise_reference");
+  CrcLoop(state, crc32c::internal::ExtendBytewise, "bytewise_reference");
 }
 BENCHMARK(BM_Crc32cBytewise)->Arg(128)->Arg(4096)->Arg(32768);
 

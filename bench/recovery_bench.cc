@@ -28,12 +28,14 @@
 // don't steal each other's cores; the check.sh gate runs --jobs=2 and
 // ignores wall fields.
 //
-// Baseline regeneration (the committed bench/baselines/recovery.json):
-//   MMDB_TRACE_CAPACITY=64 MMDB_METRICS_SIDECAR=bench/baselines/recovery.json \
+// Baseline regeneration (the committed bench/baselines/recovery.json), as
+// one command line:
+//   MMDB_TRACE_CAPACITY=64 MMDB_METRICS_SIDECAR=bench/baselines/recovery.json
 //       ./build/bench/recovery_bench --jobs=2 > /dev/null
 // (MMDB_RECOVERY_THREADS must be UNSET: it would override every point's
 // per-point thread count.)
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -195,24 +197,29 @@ int Run(int argc, char** argv) {
     std::printf("\n%s (%llu words, %.2fs workload)\n", size.name,
                 static_cast<unsigned long long>(size.db_words),
                 size.workload_seconds);
-    std::printf("%-10s %12s %12s %12s %12s %10s %10s %9s %12s %12s %11s\n",
-                "point", "total_s", "backup_s", "log_s", "replay_s",
+    std::size_t label_width = std::strlen("point");
+    for (const std::string& label : labels) {
+      label_width = std::max(label_width, label.size());
+    }
+    const int lw = static_cast<int>(label_width);
+    std::printf("%-*s %12s %12s %12s %12s %10s %10s %9s %12s %12s %14s\n",
+                lw, "point", "total_s", "backup_s", "log_s", "replay_s",
                 "segments", "updates", "txns", "t_first_s", "t_full_s",
-                "recwait_p99");
+                "recwait_p99_ms");
     const RecoveryPoint* first_ok = nullptr;
     double t1_wall = 0.0;
     for (std::size_t i = 0; i < results.size(); ++i) {
       const bool is_instant = i >= thread_counts.size();
       if (!results[i].ok()) {
         runner.NoteFailure(labels[i].c_str(), results[i].status(), &sidecar);
-        std::printf("%-10s %12s\n", labels[i].c_str(), "ERR");
+        std::printf("%-*s %12s\n", lw, labels[i].c_str(), "ERR");
         continue;
       }
       const RecoveryPoint& p = *results[i];
       const RecoveryStats& s = p.stats;
-      std::printf("%-10s %12.6f %12.6f %12.6f %12.6f %10llu %10llu %9llu "
-                  "%12.6f %12.6f %11.4f\n",
-                  labels[i].c_str(), s.total_seconds, s.backup_read_seconds,
+      std::printf("%-*s %12.6f %12.6f %12.6f %12.6f %10llu %10llu %9llu "
+                  "%12.6f %12.6f %14.4f\n",
+                  lw, labels[i].c_str(), s.total_seconds, s.backup_read_seconds,
                   s.log_read_seconds, s.replay_cpu_seconds,
                   static_cast<unsigned long long>(s.segments_loaded),
                   static_cast<unsigned long long>(s.updates_applied),

@@ -74,20 +74,21 @@ void InstantRecovery::StartClock(double now) {
   }
 }
 
-SegmentId InstantRecovery::PickNextPending() const {
-  SegmentId best = num_segments_;
-  uint64_t best_touches = 0;
-  for (SegmentId s = 0; s < num_segments_; ++s) {
-    if (availability_[s] >= 0.0) continue;  // already submitted
-    if (best == num_segments_ || touch_count_[s] > best_touches) {
-      best = s;
-      best_touches = touch_count_[s];
-    }
+SegmentId InstantRecovery::PickNextPending() {
+  // Any touched pending segment outranks every untouched one.
+  if (!touched_pending_.empty()) return touched_pending_.begin()->second;
+  // Segments only ever leave the untouched pending set, so its lowest id
+  // never decreases and the cursor sweeps each segment once per restart.
+  while (untouched_cursor_ < num_segments_ &&
+         (availability_[untouched_cursor_] >= 0.0 ||
+          touch_count_[untouched_cursor_] > 0)) {
+    ++untouched_cursor_;
   }
-  return best;
+  return untouched_cursor_;
 }
 
 void InstantRecovery::SubmitSegment(SegmentId s, double at) {
+  if (touch_count_[s] > 0) touched_pending_.erase({touch_count_[s], s});
   availability_[s] = disks_.Submit(at, params_.db.segment_words);
   submit_time_[s] = at;
   if (availability_[s] > last_completion_) {
@@ -113,8 +114,14 @@ void InstantRecovery::AdvanceScheduleTo(double t) {
 
 double InstantRecovery::Touch(SegmentId s, double now) {
   AdvanceScheduleTo(now);
-  if (s < num_segments_) ++touch_count_[s];
-  if (s >= num_segments_ || loaded_[s]) return now;
+  if (s >= num_segments_) return now;
+  if (availability_[s] < 0.0) {
+    // Still pending: re-rank it under its new touch count.
+    if (touch_count_[s] > 0) touched_pending_.erase({touch_count_[s], s});
+    touched_pending_.insert({touch_count_[s] + 1, s});
+  }
+  ++touch_count_[s];
+  if (loaded_[s]) return now;
   if (availability_[s] < 0.0) {
     // The schedule had not reached this segment: jump it to the front
     // (the earliest-available device picks it up next).

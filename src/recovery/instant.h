@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <queue>
+#include <set>
 #include <unordered_set>
 #include <utility>
 #include <vector>
@@ -127,8 +128,8 @@ class InstantRecovery {
   // Submits segment `s`'s backup read at `at`; records its availability.
   void SubmitSegment(SegmentId s, double at);
   // Highest-priority unsubmitted segment (touch count desc, id asc), or
-  // num_segments_ when none remain.
-  SegmentId PickNextPending() const;
+  // num_segments_ when none remain. O(log N) amortized.
+  SegmentId PickNextPending();
 
   // First newest-copy failure: locate the previous checkpoint's begin
   // marker, scan/validate the extension frames into per-segment buckets,
@@ -175,6 +176,20 @@ class InstantRecovery {
   std::vector<bool> loaded_;
   SegmentId loaded_count_ = 0;
   uint64_t unsubmitted_ = 0;
+
+  // The pending (unsubmitted) segments, split for PickNextPending: those
+  // touched at least once, hottest first (touch count desc, id asc), and
+  // a cursor at the lowest untouched one. A touched segment can still be
+  // pending when a raw read or a full-reload fallback materialized it
+  // before its read was scheduled.
+  struct HotterFirst {
+    bool operator()(const std::pair<uint64_t, SegmentId>& a,
+                    const std::pair<uint64_t, SegmentId>& b) const {
+      return a.first != b.first ? a.first > b.first : a.second < b.second;
+    }
+  };
+  std::set<std::pair<uint64_t, SegmentId>, HotterFirst> touched_pending_;
+  SegmentId untouched_cursor_ = 0;
 
   // Min-heap of (completion time, segment) for in-flight reloads.
   using Inflight = std::pair<double, SegmentId>;

@@ -195,7 +195,6 @@ StatusOr<RecoveryManager::RestorePlan> RecoveryManager::BuildRestorePlan(
   // newer checkpoint IS complete (its segment writes all finished before
   // its end marker was cut), so the log wins. Metadata NEWER than the
   // log's last end marker is corruption.
-  db->Clear();
   MMDB_ASSIGN_OR_RETURN(
       LogReader reader,
       LogReader::OpenStreams(env_, log_paths, &result->stream_valid_bytes));
@@ -292,6 +291,12 @@ StatusOr<RecoveryManager::RestorePlan> RecoveryManager::BuildRestorePlan(
     return CorruptionError(
         "checkpoint metadata names a checkpoint but the log has no "
         "completed checkpoint");
+  } else {
+    // Cold start: REDO rebuilds the database from zeros, and the primary
+    // may still hold a crashed incarnation's bytes. A warm restart needs
+    // no clear: every restart path overwrites each segment from a backup
+    // copy before replaying into it.
+    db->Clear();
   }
   if (audit_ != nullptr) {
     audit_->Record("recovery.plan", now, [&](JsonWriter& w) {

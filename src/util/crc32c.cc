@@ -1,7 +1,19 @@
 #include "util/crc32c.h"
 
+#include <algorithm>
 #include <array>
 #include <cstring>
+
+#include "util/crc32c_internal.h"
+
+#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
+// The hardware kernel is compiled with a per-function target attribute, so
+// the rest of the binary keeps the baseline ISA and still runs on CPUs
+// without SSE4.2; dispatch only calls the kernel on CPUs that have it.
+#define MMDB_CRC32C_HW 1
+#define MMDB_CRC32C_HW_TARGET __attribute__((target("sse4.2,pclmul")))
+#include <immintrin.h>
+#endif
 
 namespace mmdb {
 namespace crc32c {
@@ -52,9 +64,7 @@ inline uint32_t LoadLE32(const char* p) {
          (static_cast<uint32_t>(u[3]) << 24);
 }
 
-}  // namespace
-
-uint32_t Extend(uint32_t init_crc, const char* data, size_t n) {
+uint32_t ExtendSliceBy8(uint32_t init_crc, const char* data, size_t n) {
   const Tables& tables = SlicedTables();
   const auto& t = tables.t;
   uint32_t crc = init_crc ^ 0xffffffffu;
@@ -76,6 +86,108 @@ uint32_t Extend(uint32_t init_crc, const char* data, size_t n) {
   return crc ^ 0xffffffffu;
 }
 
+#ifdef MMDB_CRC32C_HW
+
+// x^n mod P, reflected (bit 31 - i holds the coefficient of x^i).
+constexpr uint32_t XPowModP(size_t n) {
+  uint32_t v = 0x80000000u;  // x^0
+  for (size_t i = 0; i < n; ++i) v = (v & 1) ? (v >> 1) ^ kPoly : v >> 1;
+  return v;
+}
+
+// The multiplier that advances a CRC register past `bytes` more bytes,
+// S -> S * x^(8 bytes) mod P. Read as a reflected 64-bit value, the
+// carry-less product of two reflected 32-bit values is their product
+// times x, and crc32 of a 64-bit word from a zero register multiplies it
+// by x^32 mod P, so the constant is x^(8 bytes - 33).
+constexpr uint32_t ShiftConstant(size_t bytes) {
+  return XPowModP(8 * bytes - 33);
+}
+
+inline uint64_t Load64(const char* p) {
+  uint64_t v;
+  std::memcpy(&v, p, sizeof(v));
+  return v;
+}
+
+MMDB_CRC32C_HW_TARGET inline uint64_t ClMul(uint64_t a, uint32_t b) {
+  const __m128i product = _mm_clmulepi64_si128(
+      _mm_cvtsi64_si128(static_cast<long long>(a)),
+      _mm_cvtsi32_si128(static_cast<int>(b)), 0x00);
+  return static_cast<uint64_t>(_mm_cvtsi128_si64(product));
+}
+
+// One block of three kLane-byte lanes. crc32 has a latency of three cycles
+// and a throughput of one, so three independent chains keep the unit
+// busy. Lanes 1 and 2 start from zero; lane 0's register is then shifted
+// past the two lanes after it and lane 1's past one, each with a single
+// carry-less multiply, and the products fold into lane 2 (CRC is linear).
+template <size_t kLane>
+MMDB_CRC32C_HW_TARGET inline uint64_t ThreeLaneBlock(uint64_t crc,
+                                                     const char* p) {
+  static_assert(kLane % 8 == 0 && 8 * kLane > 33);
+  constexpr uint32_t kPastOneLane = ShiftConstant(kLane);
+  constexpr uint32_t kPastTwoLanes = ShiftConstant(2 * kLane);
+  uint64_t crc1 = 0;
+  uint64_t crc2 = 0;
+  for (size_t i = 0; i < kLane; i += 8) {
+    crc = _mm_crc32_u64(crc, Load64(p + i));
+    crc1 = _mm_crc32_u64(crc1, Load64(p + kLane + i));
+    crc2 = _mm_crc32_u64(crc2, Load64(p + 2 * kLane + i));
+  }
+  return _mm_crc32_u64(0, ClMul(crc, kPastTwoLanes) ^
+                              ClMul(crc1, kPastOneLane)) ^
+         crc2;
+}
+
+MMDB_CRC32C_HW_TARGET uint32_t ExtendSse42(uint32_t init_crc,
+                                           const char* data, size_t n) {
+  constexpr size_t kLong = internal::kHwLongBlock / 3;
+  constexpr size_t kShort = internal::kHwShortBlock / 3;
+  uint64_t crc = init_crc ^ 0xffffffffu;
+  for (; n >= 3 * kLong; n -= 3 * kLong, data += 3 * kLong) {
+    crc = ThreeLaneBlock<kLong>(crc, data);
+  }
+  for (; n >= 3 * kShort; n -= 3 * kShort, data += 3 * kShort) {
+    crc = ThreeLaneBlock<kShort>(crc, data);
+  }
+  // Short inputs and tails: a single lane, eight bytes at a time.
+  for (; n >= 8; n -= 8, data += 8) crc = _mm_crc32_u64(crc, Load64(data));
+  uint32_t tail = static_cast<uint32_t>(crc);
+  for (; n > 0; --n, ++data) {
+    tail = _mm_crc32_u8(tail, static_cast<unsigned char>(*data));
+  }
+  return tail ^ 0xffffffffu;
+}
+
+bool CpuHasSse42Clmul() {
+  __builtin_cpu_init();
+  return __builtin_cpu_supports("sse4.2") && __builtin_cpu_supports("pclmul");
+}
+
+#endif  // MMDB_CRC32C_HW
+
+}  // namespace
+
+namespace internal {
+
+std::span<const Kernel> Kernels() {
+  static const Kernel kernels[] = {
+#ifdef MMDB_CRC32C_HW
+      {"sse42_clmul", ExtendSse42, CpuHasSse42Clmul()},
+#endif
+      {"slice_by_8", ExtendSliceBy8, true},
+  };
+  return kernels;
+}
+
+const Kernel& Dispatched() {
+  // slice_by_8 comes last and runs anywhere, so the search always hits.
+  static const Kernel& chosen =
+      *std::ranges::find_if(Kernels(), &Kernel::supported);
+  return chosen;
+}
+
 uint32_t ExtendBytewise(uint32_t init_crc, const char* data, size_t n) {
   const auto& table = SlicedTables().t[0];
   uint32_t crc = init_crc ^ 0xffffffffu;
@@ -84,6 +196,13 @@ uint32_t ExtendBytewise(uint32_t init_crc, const char* data, size_t n) {
           (crc >> 8);
   }
   return crc ^ 0xffffffffu;
+}
+
+}  // namespace internal
+
+uint32_t Extend(uint32_t init_crc, const char* data, size_t n) {
+  static const internal::ExtendFn extend = internal::Dispatched().extend;
+  return extend(init_crc, data, n);
 }
 
 }  // namespace crc32c

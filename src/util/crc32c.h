@@ -10,15 +10,11 @@ namespace crc32c {
 
 // Returns the CRC-32C (Castagnoli) of data[0..n-1], continuing from
 // `init_crc` (the CRC of a preceding byte stretch, or 0 to start fresh).
-// Implemented with an 8-way sliced table kernel (slicing-by-8): ~4-6x the
-// throughput of the byte-at-a-time loop on long inputs, bit-identical
-// results.
+// Runs the fastest kernel this CPU supports, chosen once at first use:
+// SSE4.2 `crc32` over three interleaved lanes combined with PCLMULQDQ on
+// x86-64, otherwise a slice-by-8 table loop. Every kernel returns the same
+// value (util/crc32c_internal.h lists them).
 uint32_t Extend(uint32_t init_crc, const char* data, size_t n);
-
-// The classic byte-at-a-time table loop. Kept as the reference the sliced
-// kernel is verified against (util_test) and benchmarked beside
-// (micro_engine); not for production call sites.
-uint32_t ExtendBytewise(uint32_t init_crc, const char* data, size_t n);
 
 inline uint32_t Value(const char* data, size_t n) { return Extend(0, data, n); }
 inline uint32_t Value(std::string_view s) { return Extend(0, s.data(), s.size()); }

@@ -1,9 +1,12 @@
 // RecoveryManager-focused tests: marker location, metadata cross-checks,
-// REDO filtering of uncommitted transactions, timing accounting, and
-// corruption handling.
+// REDO filtering of uncommitted transactions, timing accounting,
+// corruption handling, what each restart path does with non-durable
+// writes, and the instant-recovery schedule's pick order.
 
+#include <map>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "gtest/gtest.h"
 #include "recovery/recovery_manager.h"
@@ -187,6 +190,141 @@ TEST_F(RecoveryTest, RecoveryClockAdvancesByModeledTime) {
     EXPECT_NEAR(engine_->now() - before, stats->total_seconds, 1e-12);
   }
   EXPECT_GT(stats->backup_read_seconds, 0.0);
+}
+
+// An in-process Crash() leaves the primary holding commits that never
+// became durable. Every restart path must leave each record holding its
+// last durable committed image, or zeros: a warm restart overwrites every
+// segment from the backup before replaying, a cold one (no checkpoint)
+// starts from a cleared primary.
+TEST_F(RecoveryTest, EveryRestartPathDropsNonDurableWrites) {
+  struct Path {
+    const char* name;
+    bool checkpoint;
+    bool instant;
+  };
+  for (const Path& path : {Path{"warm blocking", true, false},
+                           Path{"warm instant", true, true},
+                           Path{"cold", false, false}}) {
+    SCOPED_TRACE(path.name);
+    EngineOptions opt = TinyOptions();
+    opt.instant_recovery = path.instant;
+    Open(opt);
+    const uint32_t rps = engine_->params().db.records_per_segment();
+    const SegmentId nsegs = engine_->db().num_segments();
+    std::map<RecordId, std::string> durable;
+    auto put = [&](RecordId r, uint64_t marker) {
+      MMDB_ASSERT_OK(engine_->Apply({{r, Image(r, marker)}}).status());
+    };
+    for (SegmentId s = 0; s < nsegs; s += 2) {
+      put(s * rps, 1);
+      durable[s * rps] = Image(s * rps, 1);
+    }
+    if (path.checkpoint) {
+      MMDB_ASSERT_OK(engine_->RunCheckpointToCompletion());
+    }
+    for (SegmentId s = 0; s < nsegs; s += 3) {
+      put(s * rps + 1, 2);
+      durable[s * rps + 1] = Image(s * rps + 1, 2);
+    }
+    MMDB_ASSERT_OK(engine_->FlushLog());
+    MMDB_ASSERT_OK(engine_->AdvanceTime(1.0));
+    // Committed but never flushed: over durable records and over records
+    // that were never durably written.
+    for (SegmentId s = 0; s < nsegs; s += 4) {
+      MMDB_ASSERT_OK(engine_->Apply({{s * rps, Image(s * rps, 3)},
+                                     {s * rps + 5, Image(s * rps + 5, 3)}})
+                         .status());
+    }
+    ASSERT_EQ(engine_->ReadRecordRaw(5), std::string_view(Image(5, 3)));
+
+    MMDB_ASSERT_OK(engine_->Crash());
+    MMDB_ASSERT_OK(engine_->Recover());
+    MMDB_ASSERT_OK(engine_->DrainRecovery());
+    EXPECT_FALSE(engine_->recovery_pending());
+    const std::string zeros(engine_->db().record_bytes(), '\0');
+    for (RecordId r = 0; r < engine_->db().num_records(); ++r) {
+      auto it = durable.find(r);
+      ASSERT_EQ(engine_->ReadRecordRaw(r),
+                std::string_view(it != durable.end() ? it->second : zeros))
+          << "record " << r;
+    }
+  }
+}
+
+// The instant-recovery background schedule (DESIGN.md §19) refills each
+// free backup disk with the pending segment touched most often, lowest id
+// first. Touch counts steer that pick only for segments materialized
+// before their read was scheduled, so the script force-loads two segments
+// beyond the first window of reads with raw reads, touches the higher one
+// once and the lower one twice, then probes the schedule with one
+// transaction per small clock step. The journaled materialization order
+// is pinned: the pick may get faster, never different.
+TEST_F(RecoveryTest, InstantScheduleJournalsPinnedOrder) {
+  EngineOptions opt = TinyOptions();
+  opt.instant_recovery = true;
+  Open(opt);
+  ASSERT_TRUE(engine_->instant_recovery_enabled());
+  const uint32_t rps = engine_->params().db.records_per_segment();
+  const SegmentId nsegs = engine_->db().num_segments();
+  ASSERT_EQ(nsegs, 64u);
+  for (SegmentId s = 0; s < nsegs; ++s) {
+    MMDB_ASSERT_OK(engine_->Apply({{s * rps, Image(s * rps, 1)}}).status());
+  }
+  MMDB_ASSERT_OK(engine_->RunCheckpointToCompletion());
+  for (SegmentId s = 0; s < nsegs; s += 3) {
+    MMDB_ASSERT_OK(
+        engine_->Apply({{s * rps + 1, Image(s * rps + 1, 2)}}).status());
+  }
+  MMDB_ASSERT_OK(engine_->FlushLog());
+  MMDB_ASSERT_OK(engine_->AdvanceTime(1.0));
+  MMDB_ASSERT_OK(engine_->Crash());
+  MMDB_ASSERT_OK(engine_->Recover());
+  ASSERT_TRUE(engine_->recovery_pending());
+
+  auto touch = [&](SegmentId s, uint64_t marker) {
+    const RecordId r = s * rps + 2;
+    MMDB_ASSERT_OK(engine_->Apply({{r, Image(r, marker)}}).status());
+  };
+  EXPECT_EQ(engine_->ReadRecordRaw(50 * rps), Image(50 * rps, 1));
+  EXPECT_EQ(engine_->ReadRecordRaw(41 * rps), Image(41 * rps, 1));
+  touch(50, 3);
+  touch(41, 3);
+  touch(41, 4);
+  // A third of a segment read per step (seek + transfer of 1024 words).
+  const double step = (0.03 + 1024 * 3e-6) / 3;
+  for (SegmentId s : {38u, 21u, 63u, 39u, 22u, 45u, 40u, 23u, 60u, 57u}) {
+    MMDB_ASSERT_OK(engine_->AdvanceTime(step));
+    touch(s, 5);
+  }
+  MMDB_ASSERT_OK(engine_->DrainRecovery());
+
+  std::string text;
+  MMDB_ASSERT_OK(env_->ReadFileToString(engine_->AuditLogPath(), &text));
+  auto entries = ParseAuditJournal(text);
+  MMDB_ASSERT_OK(entries);
+  std::vector<uint64_t> order;
+  std::string triggers;
+  for (const AuditEntry& e : *entries) {
+    if (e.event != "recovery.segment_on_demand") continue;
+    order.push_back(
+        static_cast<uint64_t>(e.object.Find("segment")->number_value()));
+    triggers += e.object.Find("trigger")->string_value()[0];
+  }
+  // Recorded from the original linear-scan pick. A pick that ignores the
+  // touch counts schedules 41 and 50 last and journals 37, 39, 63 instead.
+  std::vector<uint64_t> golden_order = {50, 41, 38};
+  for (uint64_t s = 0; s <= 36; ++s) golden_order.push_back(s);
+  for (uint64_t s : {63, 37, 39, 40}) golden_order.push_back(s);
+  for (uint64_t s = 42; s <= 62; ++s) {
+    if (s != 50) golden_order.push_back(s);
+  }
+  // f = force (raw read), t = touch (transaction), b = background.
+  const std::string golden_triggers =
+      "fft" + std::string(37, 'b') + "t" + std::string(23, 'b');
+  EXPECT_EQ(order, golden_order) << testing::PrintToString(order);
+  EXPECT_EQ(triggers, golden_triggers);
+  VerifyAuditTrail(engine_.get());
 }
 
 }  // namespace

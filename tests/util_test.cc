@@ -14,6 +14,7 @@
 #include "gtest/gtest.h"
 #include "util/coding.h"
 #include "util/crc32c.h"
+#include "util/crc32c_internal.h"
 #include "util/histogram.h"
 #include "util/json.h"
 #include "util/random.h"
@@ -171,33 +172,69 @@ TEST(Crc32cTest, Rfc3720Vectors) {
             0xd9963a56u);
 }
 
-TEST(Crc32cTest, SlicedKernelMatchesBytewiseReference) {
-  // The slice-by-8 production kernel must agree with the byte-at-a-time
-  // reference on every length (covering the 8-byte block boundary), every
-  // alignment, and under arbitrary init_crc continuation.
-  Random rng(301);
-  std::string data;
-  for (int i = 0; i < 4096; ++i) {
-    data.push_back(static_cast<char>(rng.Uniform(256)));
+// Each compiled kernel, called directly: Extend runs only the one this CPU
+// dispatches to, so each must match the byte-at-a-time reference on its
+// own — at every length around its word, lane and block boundaries, every
+// alignment, and under arbitrary init_crc continuation.
+class Crc32cKernelTest
+    : public testing::TestWithParam<crc32c::internal::Kernel> {};
+
+TEST_P(Crc32cKernelTest, MatchesBytewiseReference) {
+  const crc32c::internal::Kernel& kernel = GetParam();
+  if (!kernel.supported) {
+    GTEST_SKIP() << kernel.name << " needs instructions this CPU lacks";
   }
-  for (size_t len : {size_t{0}, size_t{1}, size_t{7}, size_t{8}, size_t{9},
-                     size_t{15}, size_t{16}, size_t{63}, size_t{64},
-                     size_t{100}, size_t{1000}, size_t{4096}}) {
-    for (size_t offset : {size_t{0}, size_t{1}, size_t{3}, size_t{5}}) {
-      if (offset + len > data.size()) continue;
-      EXPECT_EQ(crc32c::Extend(0, data.data() + offset, len),
-                crc32c::ExtendBytewise(0, data.data() + offset, len))
-          << "len=" << len << " offset=" << offset;
+  Random rng(301);
+  std::string data((1 << 20) + 64, '\0');
+  for (char& c : data) c = static_cast<char>(rng.Uniform(256));
+  auto check = [&](size_t offset, size_t len, uint32_t init) {
+    EXPECT_EQ(kernel.extend(init, data.data() + offset, len),
+              crc32c::internal::ExtendBytewise(init, data.data() + offset,
+                                               len))
+        << kernel.name << " len=" << len << " offset=" << offset
+        << " init=" << init;
+  };
+  std::vector<size_t> lengths;
+  for (size_t len = 0; len <= 64; ++len) lengths.push_back(len);
+  using crc32c::internal::kHwLongBlock;
+  using crc32c::internal::kHwShortBlock;
+  for (size_t boundary :
+       {kHwShortBlock / 3, kHwShortBlock, 2 * kHwShortBlock,
+        kHwLongBlock / 3, kHwLongBlock, kHwLongBlock + kHwShortBlock,
+        2 * kHwLongBlock + 2 * kHwShortBlock + 8}) {
+    for (size_t len = boundary - 9; len <= boundary + 9; ++len) {
+      lengths.push_back(len);
     }
   }
-  for (int trial = 0; trial < 200; ++trial) {
-    size_t offset = rng.Uniform(64);
-    size_t len = rng.Uniform(static_cast<uint32_t>(data.size() - offset));
-    uint32_t init = rng.Next();
-    EXPECT_EQ(crc32c::Extend(init, data.data() + offset, len),
-              crc32c::ExtendBytewise(init, data.data() + offset, len))
-        << "trial=" << trial;
+  for (size_t len : {size_t{32768}, size_t{32768 + 13}, size_t{1} << 20}) {
+    lengths.push_back(len);
   }
+  for (size_t len : lengths) {
+    for (size_t offset = 0; offset < 8; ++offset) check(offset, len, 0);
+  }
+  for (int trial = 0; trial < 200; ++trial) {
+    const size_t offset = rng.Uniform(64);
+    const size_t len = rng.Uniform(3 * kHwLongBlock);
+    check(offset, len, rng.Next());
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllKernels, Crc32cKernelTest,
+    testing::ValuesIn(crc32c::internal::Kernels()),
+    [](const testing::TestParamInfo<crc32c::internal::Kernel>& info) {
+      return std::string(info.param.name);
+    });
+
+TEST(Crc32cTest, ExtendRunsTheFirstSupportedKernel) {
+  const crc32c::internal::Kernel& chosen = crc32c::internal::Dispatched();
+  EXPECT_TRUE(chosen.supported);
+  for (const crc32c::internal::Kernel& k : crc32c::internal::Kernels()) {
+    if (&k == &chosen) break;
+    EXPECT_FALSE(k.supported) << "skipped the faster " << k.name;
+  }
+  EXPECT_EQ(crc32c::Extend(7, "checkpoint", 10),
+            chosen.extend(7, "checkpoint", 10));
 }
 
 TEST(Crc32cTest, ExtendComposes) {
@@ -517,7 +554,9 @@ TEST(JsonTest, ParseRejectsMalformedInput) {
         "1e", "{'a':1}"}) {
     StatusOr<JsonValue> doc = JsonValue::Parse(bad);
     EXPECT_FALSE(doc.ok()) << "accepted: " << bad;
-    if (!doc.ok()) EXPECT_TRUE(doc.status().IsCorruption()) << bad;
+    if (!doc.ok()) {
+      EXPECT_TRUE(doc.status().IsCorruption()) << bad;
+    }
   }
 }
 

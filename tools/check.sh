@@ -2,12 +2,14 @@
 # Builds and tests the tree's pre-merge configurations:
 #
 #   tools/check.sh            # plain + sanitize + tsan + bench-smoke
-#   tools/check.sh plain      # just the plain build
+#   tools/check.sh plain      # just the plain build (-Werror)
 #   tools/check.sh sanitize   # just the ASan+UBSan build
 #   tools/check.sh tsan       # just the TSan build (--tsan also accepted)
 #   tools/check.sh bench-smoke  # fig4a vs the committed baseline
 #
 # Build trees live in build/ (plain), build-sanitize/, and build-tsan/.
+# The plain build compiles with -Werror, so the tree stays warning-free
+# under -Wall -Wextra (the target-attributed CRC32C kernel included).
 # The TSan gate builds only the parallel subsystem's tests plus the
 # figure benches and runs them at --jobs=2 as a threaded smoke; the
 # engines themselves are single-threaded, so the full suite under TSan
@@ -91,6 +93,10 @@ verify_audit_exports() {
     return 1
   fi
   echo "check.sh: mmdb_audit verified $n exported journals from $dir"
+}
+
+run_plain() {
+  run_config build -DCMAKE_CXX_FLAGS=-Werror
 }
 
 run_sanitize() {
@@ -193,7 +199,7 @@ run_bench_smoke() {
 
 case "$what" in
   plain)
-    run_config build
+    run_plain
     ;;
   sanitize)
     run_sanitize
@@ -205,7 +211,7 @@ case "$what" in
     run_bench_smoke
     ;;
   all)
-    run_config build
+    run_plain
     run_sanitize
     run_tsan
     run_bench_smoke
