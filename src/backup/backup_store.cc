@@ -11,6 +11,20 @@ namespace {
 
 constexpr uint32_t kMetaMagic = 0x4d4d4d43;  // "MMMC"
 constexpr uint64_t kHeaderBytes = 64;
+// Encoded fields at the start of the header: magic, copy index, geometry.
+constexpr size_t kHeaderFieldBytes = 4 + 4 + 8 + 4 + 4;
+
+Status DecodeHeader(std::string_view in, uint32_t* copy_idx,
+                    DatabaseParams* db) {
+  uint32_t magic;
+  if (!GetFixed32(&in, &magic) || magic != kMetaMagic ||
+      !GetFixed32(&in, copy_idx) || !GetFixed64(&in, &db->db_words) ||
+      !GetFixed32(&in, &db->segment_words) ||
+      !GetFixed32(&in, &db->record_words)) {
+    return CorruptionError("backup copy header unreadable");
+  }
+  return Status::OK();
+}
 
 }  // namespace
 
@@ -87,16 +101,10 @@ StatusOr<DatabaseParams> BackupStore::ReadGeometry(
   MMDB_ASSIGN_OR_RETURN(std::unique_ptr<RandomAccessFile> file,
                         env->NewRandomAccessFile(copy_path));
   std::string header;
-  MMDB_RETURN_IF_ERROR(file->Read(0, 24, &header));
-  std::string_view in = header;
-  uint32_t magic, copy_idx;
+  MMDB_RETURN_IF_ERROR(file->Read(0, kHeaderFieldBytes, &header));
+  uint32_t copy_idx;
   DatabaseParams db;
-  if (!GetFixed32(&in, &magic) || magic != kMetaMagic ||
-      !GetFixed32(&in, &copy_idx) || !GetFixed64(&in, &db.db_words) ||
-      !GetFixed32(&in, &db.segment_words) ||
-      !GetFixed32(&in, &db.record_words)) {
-    return CorruptionError("backup copy header unreadable");
-  }
+  MMDB_RETURN_IF_ERROR(DecodeHeader(header, &copy_idx, &db));
   return db;
 }
 
@@ -108,33 +116,29 @@ Status BackupStore::Open() {
   for (uint32_t c = 0; c < 2; ++c) {
     const bool fresh = !env_->FileExists(CopyPath(c));
     MMDB_ASSIGN_OR_RETURN(copies_[c], env_->NewRandomWriteFile(CopyPath(c)));
-    MMDB_RETURN_IF_ERROR(copies_[c]->Truncate(total));
     if (!fresh) {
       // Reopening existing copies: the stored geometry must match ours, or
-      // every slot offset would be misinterpreted.
+      // every slot offset would be misinterpreted. Check before growing the
+      // file, so a rejected open leaves the copy as it found it.
       std::string header;
-      MMDB_RETURN_IF_ERROR(copies_[c]->Read(0, 24, &header));
-      std::string_view in = header;
-      uint32_t magic, copy_idx, seg_words, rec_words;
-      uint64_t db_words;
-      if (!GetFixed32(&in, &magic) || magic != kMetaMagic ||
-          !GetFixed32(&in, &copy_idx) || !GetFixed64(&in, &db_words) ||
-          !GetFixed32(&in, &seg_words) || !GetFixed32(&in, &rec_words)) {
-        return CorruptionError("backup copy header unreadable");
-      }
+      MMDB_RETURN_IF_ERROR(copies_[c]->Read(0, kHeaderFieldBytes, &header));
+      uint32_t copy_idx;
+      DatabaseParams db;
+      MMDB_RETURN_IF_ERROR(DecodeHeader(header, &copy_idx, &db));
       if (copy_idx != c) {
         return CorruptionError("backup copy index mismatch");
       }
-      if (db_words != params_.db.db_words ||
-          seg_words != params_.db.segment_words ||
-          rec_words != params_.db.record_words) {
+      if (db.db_words != params_.db.db_words ||
+          db.segment_words != params_.db.segment_words ||
+          db.record_words != params_.db.record_words) {
         return InvalidArgumentError(StringPrintf(
             "backup geometry mismatch: file has db=%llu seg=%u rec=%u",
-            static_cast<unsigned long long>(db_words), seg_words,
-            rec_words));
+            static_cast<unsigned long long>(db.db_words), db.segment_words,
+            db.record_words));
       }
-      continue;  // keep existing images and checksums
     }
+    MMDB_RETURN_IF_ERROR(copies_[c]->Truncate(total));
+    if (!fresh) continue;  // keep existing images and checksums
     // Header: magic + geometry, written once (idempotent).
     std::string header;
     PutFixed32(&header, kMetaMagic);
@@ -196,29 +200,39 @@ void BackupStore::set_obs(MetricsRegistry* registry) {
   m_write_service_seconds_ = registry->timer("backup.write_service_seconds");
 }
 
-Status BackupStore::ReadSegment(uint32_t copy, SegmentId segment,
-                                std::string* out) const {
+Status BackupStore::ReadSegmentInto(uint32_t copy, SegmentId segment,
+                                    std::span<char> dst) const {
   if (copy > 1) return InvalidArgumentError("copy must be 0 or 1");
   if (segment >= params_.db.num_segments()) {
     return InvalidArgumentError("segment out of range");
   }
+  if (dst.size() != params_.db.segment_bytes()) {
+    return InvalidArgumentError("segment buffer has wrong size");
+  }
   if (m_segment_reads_ != nullptr) m_segment_reads_->Increment();
-  MMDB_RETURN_IF_ERROR(copies_[copy]->Read(
-      SlotOffset(segment), params_.db.segment_bytes(), out));
-  if (out->size() != params_.db.segment_bytes()) {
+  MMDB_ASSIGN_OR_RETURN(size_t got,
+                        copies_[copy]->ReadInto(SlotOffset(segment), dst));
+  if (got != dst.size()) {
     return CorruptionError("short segment read from backup");
   }
-  std::string crc_bytes;
-  MMDB_RETURN_IF_ERROR(copies_[copy]->Read(CrcOffset(segment), 4, &crc_bytes));
-  if (crc_bytes.size() != 4) return CorruptionError("short crc read");
-  uint32_t stored = crc32c::Unmask(DecodeFixed32(crc_bytes.data()));
-  if (stored != crc32c::Value(*out)) {
+  char crc_bytes[4];
+  MMDB_ASSIGN_OR_RETURN(got,
+                        copies_[copy]->ReadInto(CrcOffset(segment), crc_bytes));
+  if (got != sizeof(crc_bytes)) return CorruptionError("short crc read");
+  uint32_t stored = crc32c::Unmask(DecodeFixed32(crc_bytes));
+  if (stored != crc32c::Value(dst.data(), dst.size())) {
     if (m_read_errors_ != nullptr) m_read_errors_->Increment();
     return CorruptionError(StringPrintf(
         "backup copy %u segment %llu checksum mismatch", copy,
         static_cast<unsigned long long>(segment)));
   }
   return Status::OK();
+}
+
+Status BackupStore::ReadSegment(uint32_t copy, SegmentId segment,
+                                std::string* out) const {
+  out->resize(params_.db.segment_bytes());
+  return ReadSegmentInto(copy, segment, std::span<char>(*out));
 }
 
 Status BackupStore::CommitCheckpoint(const CheckpointMeta& meta) {

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -54,6 +55,8 @@ class BackupStore {
   BackupStore& operator=(const BackupStore&) = delete;
 
   // Creates/opens both copy files, preallocating full database extents.
+  // An existing copy whose header does not match this geometry is
+  // rejected before anything is written to it.
   Status Open();
 
   // Which copy checkpoint `id` must write (checkpoints alternate).
@@ -64,7 +67,12 @@ class BackupStore {
   StatusOr<double> WriteSegment(uint32_t copy, SegmentId segment,
                                 std::string_view data, double now);
 
-  // Reads and checksum-verifies one segment image.
+  // Reads one segment image straight into `dst` (segment_bytes long) and
+  // verifies its checksum there. On a CORRUPTION or IO_ERROR result `dst`
+  // holds unspecified bytes.
+  Status ReadSegmentInto(uint32_t copy, SegmentId segment,
+                         std::span<char> dst) const;
+  // ReadSegmentInto a string resized to the segment.
   Status ReadSegment(uint32_t copy, SegmentId segment, std::string* out) const;
 
   // Atomically publishes `meta` as the latest complete checkpoint.

@@ -710,9 +710,11 @@ Status Engine::FailInstantRecovery(Status error) {
 void Engine::ForceRecoverRecord(RecordId record) {
   if (instant_ == nullptr) return;
   // Diagnostic raw reads move no virtual time and must not fail the
-  // caller: on a materialization error the read simply sees the
-  // unrecovered image, and the next transactional touch of the segment
-  // surfaces the error properly.
+  // caller: on a materialization error the read sees whatever the slot
+  // holds (zeros in a fresh primary, the crashed incarnation's bytes
+  // after an in-process Crash(), or a backup image that failed its CRC),
+  // and the next transactional touch of the segment surfaces the error
+  // properly.
   (void)instant_->Materialize(db_->SegmentOf(record), clock_.now(),
                               InstantRecovery::LoadTrigger::kForce);
   SyncInstant();

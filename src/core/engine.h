@@ -113,8 +113,10 @@ class Engine {
   // Non-transactional point read of the current primary copy. During an
   // instant-recovery drain the touched segment is force-materialized
   // first (diagnostic reads see recovered bytes without moving the
-  // clock).
+  // clock). An out-of-range id returns an empty view and materializes
+  // nothing; the check holds in every build.
   std::string_view ReadRecordRaw(RecordId record) const {
+    if (record >= db_->num_records()) return {};
     if (instant_ != nullptr) {
       const_cast<Engine*>(this)->ForceRecoverRecord(record);
     }

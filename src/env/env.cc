@@ -1,6 +1,18 @@
 #include "env/env.h"
 
+#include <algorithm>
+#include <cstring>
+
 namespace mmdb {
+
+StatusOr<size_t> RandomWriteFile::ReadInto(uint64_t offset,
+                                           std::span<char> dst) const {
+  std::string buf;
+  MMDB_RETURN_IF_ERROR(Read(offset, dst.size(), &buf));
+  const size_t got = std::min(buf.size(), dst.size());
+  std::memcpy(dst.data(), buf.data(), got);
+  return got;
+}
 
 Status Env::WriteStringToFile(const std::string& path, std::string_view data,
                               bool sync) {

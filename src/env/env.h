@@ -1,8 +1,10 @@
 #ifndef MMDB_ENV_ENV_H_
 #define MMDB_ENV_ENV_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -44,6 +46,13 @@ class RandomWriteFile {
 
   virtual Status WriteAt(uint64_t offset, std::string_view data) = 0;
   virtual Status Read(uint64_t offset, size_t n, std::string* out) const = 0;
+  // Reads up to dst.size() bytes starting at `offset` straight into `dst`
+  // and returns the count read, short only at end-of-file. The default
+  // reads into a string through Read and copies, so decorators that only
+  // override Read (fault injection, metering) still see every byte;
+  // PosixEnv and MemEnv read in place.
+  virtual StatusOr<size_t> ReadInto(uint64_t offset,
+                                    std::span<char> dst) const;
   // Grows the file to at least `size` bytes (zero-filled).
   virtual Status Truncate(uint64_t size) = 0;
   virtual Status Sync() = 0;

@@ -1,6 +1,8 @@
 #include <algorithm>
+#include <cstring>
 #include <map>
 #include <memory>
+#include <span>
 
 #include "env/env.h"
 #include "util/string_util.h"
@@ -16,6 +18,21 @@ struct MemFileData {
 };
 
 using FileMap = std::map<std::string, std::shared_ptr<MemFileData>>;
+
+// Bytes of `contents` a read of n bytes at `offset` returns: short only at
+// end-of-file.
+size_t ReadableBytes(const std::string& contents, uint64_t offset, size_t n) {
+  if (offset >= contents.size()) return 0;
+  return std::min(n, contents.size() - static_cast<size_t>(offset));
+}
+
+Status ReadString(const std::string& contents, uint64_t offset, size_t n,
+                  std::string* out) {
+  out->clear();
+  const size_t len = ReadableBytes(contents, offset, n);
+  if (len > 0) out->assign(contents, static_cast<size_t>(offset), len);
+  return Status::OK();
+}
 
 class MemWritableFile : public WritableFile {
  public:
@@ -40,12 +57,7 @@ class MemRandomAccessFile : public RandomAccessFile {
       : data_(std::move(data)) {}
 
   Status Read(uint64_t offset, size_t n, std::string* out) const override {
-    const std::string& c = data_->contents;
-    out->clear();
-    if (offset >= c.size()) return Status::OK();
-    size_t len = std::min(n, c.size() - static_cast<size_t>(offset));
-    out->assign(c, static_cast<size_t>(offset), len);
-    return Status::OK();
+    return ReadString(data_->contents, offset, n, out);
   }
 
   StatusOr<uint64_t> Size() const override {
@@ -70,12 +82,15 @@ class MemRandomWriteFile : public RandomWriteFile {
   }
 
   Status Read(uint64_t offset, size_t n, std::string* out) const override {
+    return ReadString(data_->contents, offset, n, out);
+  }
+
+  StatusOr<size_t> ReadInto(uint64_t offset,
+                            std::span<char> dst) const override {
     const std::string& c = data_->contents;
-    out->clear();
-    if (offset >= c.size()) return Status::OK();
-    size_t len = std::min(n, c.size() - static_cast<size_t>(offset));
-    out->assign(c, static_cast<size_t>(offset), len);
-    return Status::OK();
+    const size_t len = ReadableBytes(c, offset, dst.size());
+    if (len > 0) std::memcpy(dst.data(), c.data() + offset, len);
+    return len;
   }
 
   Status Truncate(uint64_t size) override {

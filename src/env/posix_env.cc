@@ -8,6 +8,7 @@
 #include <cstdio>
 #include <cstring>
 #include <memory>
+#include <span>
 
 #include "env/env.h"
 #include "util/string_util.h"
@@ -17,6 +18,34 @@ namespace {
 
 Status PosixError(const std::string& context, int err) {
   return IoError(context + ": " + std::strerror(err));
+}
+
+// The one pread loop: reads up to dst.size() bytes at `offset` into `dst`,
+// retrying EINTR and partial reads. Returns the count read, short only at
+// end-of-file.
+StatusOr<size_t> PreadInto(const std::string& path, int fd, uint64_t offset,
+                           std::span<char> dst) {
+  size_t got = 0;
+  while (got < dst.size()) {
+    ssize_t r = ::pread(fd, dst.data() + got, dst.size() - got,
+                        static_cast<off_t>(offset + got));
+    if (r < 0) {
+      if (errno == EINTR) continue;
+      return PosixError(path, errno);
+    }
+    if (r == 0) break;  // EOF: short read is fine.
+    got += static_cast<size_t>(r);
+  }
+  return got;
+}
+
+Status PreadString(const std::string& path, int fd, uint64_t offset, size_t n,
+                   std::string* out) {
+  out->resize(n);
+  MMDB_ASSIGN_OR_RETURN(size_t got,
+                        PreadInto(path, fd, offset, std::span<char>(*out)));
+  out->resize(got);
+  return Status::OK();
 }
 
 class PosixWritableFile : public WritableFile {
@@ -76,20 +105,7 @@ class PosixRandomAccessFile : public RandomAccessFile {
   }
 
   Status Read(uint64_t offset, size_t n, std::string* out) const override {
-    out->resize(n);
-    size_t got = 0;
-    while (got < n) {
-      ssize_t r = ::pread(fd_, out->data() + got, n - got,
-                          static_cast<off_t>(offset + got));
-      if (r < 0) {
-        if (errno == EINTR) continue;
-        return PosixError(path_, errno);
-      }
-      if (r == 0) break;  // EOF: short read is fine.
-      got += static_cast<size_t>(r);
-    }
-    out->resize(got);
-    return Status::OK();
+    return PreadString(path_, fd_, offset, n, out);
   }
 
   StatusOr<uint64_t> Size() const override {
@@ -130,20 +146,12 @@ class PosixRandomWriteFile : public RandomWriteFile {
   }
 
   Status Read(uint64_t offset, size_t n, std::string* out) const override {
-    out->resize(n);
-    size_t got = 0;
-    while (got < n) {
-      ssize_t r = ::pread(fd_, out->data() + got, n - got,
-                          static_cast<off_t>(offset + got));
-      if (r < 0) {
-        if (errno == EINTR) continue;
-        return PosixError(path_, errno);
-      }
-      if (r == 0) break;
-      got += static_cast<size_t>(r);
-    }
-    out->resize(got);
-    return Status::OK();
+    return PreadString(path_, fd_, offset, n, out);
+  }
+
+  StatusOr<size_t> ReadInto(uint64_t offset,
+                            std::span<char> dst) const override {
+    return PreadInto(path_, fd_, offset, dst);
   }
 
   Status Truncate(uint64_t size) override {

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <span>
 #include <string>
 
 #include "util/coding.h"
@@ -483,13 +484,16 @@ Status InstantRecovery::Materialize(SegmentId s, double now,
   if (loaded_[s]) return Status::OK();
   bool retried = false;
   if (plan_.have_checkpoint) {
-    std::string image;
+    // The backup image lands straight in the primary slot. A CRC-failed
+    // read leaves unspecified bytes there until the older-copy retry
+    // overwrites them; the segment stays latched until then.
+    const std::span<char> slot = db_->MutableSegment(s);
     if (full_reload_) {
       MMDB_RETURN_IF_ERROR(
-          backup_->ReadSegment(fallback_prev_copy_, s, &image));
+          backup_->ReadSegmentInto(fallback_prev_copy_, s, slot));
       retried = true;
     } else {
-      Status st = backup_->ReadSegment(plan_.restore_copy, s, &image);
+      Status st = backup_->ReadSegmentInto(plan_.restore_copy, s, slot);
       if (!st.ok()) {
         // Only CRC damage and device faults are survivable via the
         // older copy; anything else is fatal.
@@ -499,15 +503,14 @@ Status InstantRecovery::Materialize(SegmentId s, double now,
           // A full reload materialized everything, this segment included.
           if (loaded_[s]) return Status::OK();
         }
-        Status st2 = backup_->ReadSegment(
+        Status st2 = backup_->ReadSegmentInto(
             full_reload_ ? fallback_prev_copy_
                          : BackupStore::CopyFor(fallback_prev_id_),
-            s, &image);
+            s, slot);
         if (!st2.ok()) return st2;  // neither copy readable: fatal
         retried = true;
       }
     }
-    db_->WriteSegment(s, image);
     if (retried && !full_reload_) {
       RecoveryStats& stats = plan_.result.stats;
       SegmentLineage& l = plan_.result.lineage[s];

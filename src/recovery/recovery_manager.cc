@@ -354,6 +354,9 @@ StatusOr<RecoveryResult> RecoveryManager::RecoverImpl(
   // --- Phase 2: load the chosen backup copy -----------------------------
   // Segments are independent byte ranges of both the copy file and the
   // primary, so the reads+CRC checks fan out across the pool in chunks.
+  // Each segment is read straight into its primary slot and verified
+  // there; a failed slot holds unspecified bytes until the older-copy
+  // retry overwrites it, and no retry means the restart fails.
   // Per-segment failures are COLLECTED (not fail-fast): the fallback
   // protocol needs the complete failed set, and collecting makes the
   // outcome independent of worker scheduling. Modeled disk submissions
@@ -363,8 +366,8 @@ StatusOr<RecoveryResult> RecoveryManager::RecoverImpl(
   WallClock::time_point backup_wall_start = WallClock::now();
   double backup_done = now;
   if (have_checkpoint) {
-    // Reads segments `ids` of `copy_idx`, applying each success to the
-    // primary. Failures land in `failures` ordered by segment id.
+    // Reads segments `ids` of `copy_idx` into the primary. Failures land
+    // in `failures` ordered by segment id.
     struct SegmentFailure {
       SegmentId segment;
       Status status;
@@ -378,10 +381,9 @@ StatusOr<RecoveryResult> RecoveryManager::RecoverImpl(
           pool_, ids.size(), ChunkFor(ids.size(), threads),
           [&](std::size_t begin, std::size_t end) -> Status {
             WallClock::time_point start = WallClock::now();
-            std::string image;
             for (std::size_t i = begin; i < end; ++i) {
-              seg_status[i] = backup->ReadSegment(copy_idx, ids[i], &image);
-              if (seg_status[i].ok()) db->WriteSegment(ids[i], image);
+              seg_status[i] = backup->ReadSegmentInto(
+                  copy_idx, ids[i], db->MutableSegment(ids[i]));
             }
             busy.Charge(start);
             return Status::OK();
@@ -467,7 +469,6 @@ StatusOr<RecoveryResult> RecoveryManager::RecoverImpl(
           }));
       std::vector<SegmentId> retry_ids;
       if (suffix_has_delta) {
-        db->Clear();
         retry_ids = all_segments;
       } else {
         retry_ids.reserve(failures.size());

@@ -2,6 +2,7 @@
 // publication, and torn writes at crash.
 
 #include <memory>
+#include <span>
 #include <string>
 
 #include "backup/backup_store.h"
@@ -52,6 +53,38 @@ TEST_F(BackupStoreTest, WriteReadRoundTripPerCopy) {
   // The other copy is untouched.
   MMDB_ASSERT_OK(store_->ReadSegment(1, 2, &out));
   EXPECT_EQ(out, Segment('\0'));
+}
+
+TEST_F(BackupStoreTest, ReadSegmentIntoFillsTheCallersBuffer) {
+  MMDB_ASSERT_OK(store_->WriteSegment(1, 5, Segment('q'), 0.0).status());
+  std::string buf(params_.db.segment_bytes(), '?');
+  MMDB_ASSERT_OK(store_->ReadSegmentInto(1, 5, std::span<char>(buf)));
+  EXPECT_EQ(buf, Segment('q'));
+  // A buffer of the wrong size is rejected before any read.
+  std::string small(params_.db.segment_bytes() - 1, '?');
+  EXPECT_TRUE(
+      store_->ReadSegmentInto(1, 5, std::span<char>(small)).IsInvalidArgument());
+  EXPECT_EQ(small, std::string(params_.db.segment_bytes() - 1, '?'));
+}
+
+// Reopening a directory whose copies hold a smaller geometry must fail
+// without touching them: the header check precedes the preallocation.
+TEST_F(BackupStoreTest, RejectedOpenLeavesCopiesUntouched) {
+  MMDB_ASSERT_OK(store_->WriteSegment(0, 3, Segment('g'), 0.0).status());
+  std::string before[2];
+  for (uint32_t c = 0; c < 2; ++c) {
+    MMDB_ASSERT_OK(env_->ReadFileToString(store_->CopyPath(c), &before[c]));
+  }
+  SystemParams bigger = params_;
+  bigger.db.db_words = 64 * 1024;
+  BackupStore reopened(env_.get(), "bk", bigger, disks_.get());
+  EXPECT_TRUE(reopened.Open().IsInvalidArgument());
+  for (uint32_t c = 0; c < 2; ++c) {
+    std::string after;
+    MMDB_ASSERT_OK(env_->ReadFileToString(store_->CopyPath(c), &after));
+    EXPECT_EQ(after.size(), before[c].size()) << "copy " << c;
+    EXPECT_TRUE(after == before[c]) << "copy " << c << " bytes changed";
+  }
 }
 
 TEST_F(BackupStoreTest, CopyForAlternates) {

@@ -276,5 +276,40 @@ TEST_F(EngineTest, ApplyRetriesTwoColorAborts) {
   EXPECT_GT(engine_->txns().color_aborts(), 0u);
 }
 
+// ReadRecordRaw bounds-checks its id in every build (the primary's own
+// assert compiles out under NDEBUG): past the last record it returns an
+// empty view, and mid-drain it materializes nothing.
+TEST_F(EngineTest, ReadRecordRawRejectsOutOfRangeId) {
+  EngineOptions opt = TinyOptions();
+  opt.instant_recovery = false;
+  Open(opt);
+  const RecordId n = engine_->db().num_records();
+  EXPECT_TRUE(engine_->ReadRecordRaw(n).empty());
+  EXPECT_TRUE(engine_->ReadRecordRaw(n + 12345).empty());
+  EXPECT_EQ(engine_->ReadRecordRaw(n - 1).size(),
+            engine_->db().record_bytes());
+
+  opt.instant_recovery = true;
+  Open(opt);
+  if (!engine_->instant_recovery_enabled()) {
+    GTEST_SKIP() << "MMDB_INSTANT_RECOVERY=0 overrides the option";
+  }
+  MMDB_ASSERT_OK(engine_->Apply({{3, Image(3, 1)}}).status());
+  MMDB_ASSERT_OK(engine_->RunCheckpointToCompletion());
+  MMDB_ASSERT_OK(engine_->FlushLog());
+  MMDB_ASSERT_OK(engine_->AdvanceTime(1.0));
+  MMDB_ASSERT_OK(engine_->Crash());
+  MMDB_ASSERT_OK(engine_->Recover());
+  ASSERT_TRUE(engine_->recovery_pending());
+  const uint64_t pending = engine_->pending_recovery_segments();
+  EXPECT_TRUE(engine_->ReadRecordRaw(n).empty());
+  EXPECT_TRUE(engine_->ReadRecordRaw(n + 12345).empty());
+  EXPECT_EQ(engine_->pending_recovery_segments(), pending);
+  // An in-range raw read still force-loads its segment.
+  EXPECT_EQ(engine_->ReadRecordRaw(3), Image(3, 1));
+  EXPECT_EQ(engine_->pending_recovery_segments(), pending - 1);
+  MMDB_ASSERT_OK(engine_->DrainRecovery());
+}
+
 }  // namespace
 }  // namespace mmdb

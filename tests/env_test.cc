@@ -3,6 +3,7 @@
 
 #include <cstdlib>
 #include <memory>
+#include <span>
 #include <string>
 
 #include "env/env.h"
@@ -103,6 +104,30 @@ TEST_P(EnvTest, RandomWriteInPlaceAndGrow) {
   EXPECT_EQ(out, "AB");
   MMDB_ASSERT_OK((*file)->Sync());
   MMDB_ASSERT_OK((*file)->Close());
+}
+
+TEST_P(EnvTest, ReadIntoFillsTheCallersBuffer) {
+  auto file = env_->NewRandomWriteFile(Path("direct"));
+  MMDB_ASSERT_OK(file);
+  MMDB_ASSERT_OK((*file)->WriteAt(0, "0123456789"));
+  // A full read at an offset.
+  std::string buf(4, '?');
+  auto got = (*file)->ReadInto(3, std::span<char>(buf));
+  MMDB_ASSERT_OK(got);
+  EXPECT_EQ(*got, 4u);
+  EXPECT_EQ(buf, "3456");
+  // A short read at end-of-file reports the count; the rest of the
+  // buffer is left alone.
+  buf.assign(6, '?');
+  got = (*file)->ReadInto(7, std::span<char>(buf));
+  MMDB_ASSERT_OK(got);
+  EXPECT_EQ(*got, 3u);
+  EXPECT_EQ(buf, "789???");
+  // Past end-of-file: zero bytes, not an error.
+  got = (*file)->ReadInto(50, std::span<char>(buf));
+  MMDB_ASSERT_OK(got);
+  EXPECT_EQ(*got, 0u);
+  EXPECT_EQ(buf, "789???");
 }
 
 TEST_P(EnvTest, TruncateNeverShrinks) {

@@ -17,6 +17,7 @@
 #include <algorithm>
 #include <map>
 #include <memory>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -133,6 +134,27 @@ TEST_F(FaultEnvTest, RandomWriteFaultShapes) {
   std::string out;
   MMDB_EXPECT_OK((*f)->Read(0, 8, &out));
   EXPECT_EQ(out, std::string("abcd") + std::string(4, '\0'));
+}
+
+// The injected file only overrides Read; RandomWriteFile's default
+// ReadInto goes through it, so a corrupt read still lands in the caller's
+// buffer (and a backup restore reading in place still sees the flip).
+TEST_F(FaultEnvTest, CorruptReadReachesReadIntoBuffer) {
+  auto f = fenv_.NewRandomWriteFile("a");
+  MMDB_ASSERT_OK(f);
+  MMDB_EXPECT_OK((*f)->WriteAt(0, "hello world"));
+  std::string buf(11, '?');
+  fenv_.InjectFault({FaultKind::kCorruptRead, "", fenv_.op_count(), 1});
+  auto got = (*f)->ReadInto(0, std::span<char>(buf));
+  MMDB_ASSERT_OK(got);
+  EXPECT_EQ(*got, 11u);
+  EXPECT_EQ(buf, "hello!world");  // bit 0 of the middle byte flipped
+  EXPECT_EQ(fenv_.faults_fired(), 1u);
+  fenv_.InjectFault({FaultKind::kReadError, "", fenv_.op_count(), 1});
+  EXPECT_TRUE((*f)->ReadInto(0, std::span<char>(buf)).status().IsIoError());
+  got = (*f)->ReadInto(0, std::span<char>(buf));
+  MMDB_ASSERT_OK(got);
+  EXPECT_EQ(buf, "hello world");  // the file itself is undamaged
 }
 
 // ---------------------------------------------------------------------------

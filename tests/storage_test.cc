@@ -1,6 +1,9 @@
 // Tests for storage/: the primary database, segment control table, and
 // buffer pool.
 
+#include <algorithm>
+#include <cstddef>
+#include <span>
 #include <string>
 
 #include "gtest/gtest.h"
@@ -16,6 +19,14 @@ DatabaseParams SmallDb() {
   p.db_words = 4 * 1024;  // 4 segments of 1024 words
   p.segment_words = 1024;
   p.record_words = 32;
+  return p;
+}
+
+// A size that is not a page multiple: 97 one-record segments.
+DatabaseParams OddDb() {
+  DatabaseParams p = SmallDb();
+  p.db_words = 3 * 1024 + 32;
+  p.segment_words = 32;
   return p;
 }
 
@@ -54,13 +65,39 @@ TEST(DatabaseTest, SegmentContainsItsRecords) {
 TEST(DatabaseTest, SegmentWriteAndClear) {
   Database db(SmallDb());
   std::string seg(db.segment_bytes(), 'C');
-  db.WriteSegment(2, seg);
+  std::span<char> slot = db.MutableSegment(2);
+  ASSERT_EQ(slot.size(), seg.size());
+  std::copy(seg.begin(), seg.end(), slot.begin());
   EXPECT_EQ(db.ReadSegment(2), std::string_view(seg));
+  EXPECT_EQ(db.ReadSegment(1), std::string(db.segment_bytes(), '\0'));
+  EXPECT_EQ(db.ReadSegment(3), std::string(db.segment_bytes(), '\0'));
   uint32_t sum_before = db.Checksum();
   db.Clear();
   EXPECT_NE(db.Checksum(), sum_before);
   std::string zeros(db.segment_bytes(), '\0');
   EXPECT_EQ(db.ReadSegment(2), std::string_view(zeros));
+}
+
+TEST(DatabaseTest, StartsZeroedAtEveryGeometry) {
+  for (const DatabaseParams& p : {SmallDb(), OddDb()}) {
+    Database db(p);
+    ASSERT_EQ(db.size_bytes(), p.db_words * kWordBytes);
+    EXPECT_EQ(std::count(db.data(), db.data() + db.size_bytes(), '\0'),
+              static_cast<std::ptrdiff_t>(db.size_bytes()));
+    // The last byte is writable.
+    db.mutable_data()[db.size_bytes() - 1] = 'x';
+    EXPECT_EQ(db.data()[db.size_bytes() - 1], 'x');
+  }
+}
+
+// A guard page follows the primary, so an overrun faults in every build
+// (an anonymous mapping has no sanitizer redzones).
+TEST(DatabaseDeathTest, WriteOnePastTheEndFaults) {
+  for (const DatabaseParams& p : {SmallDb(), OddDb()}) {
+    Database db(p);
+    volatile char* end = db.mutable_data() + db.size_bytes();
+    EXPECT_DEATH(*end = 1, "");
+  }
 }
 
 TEST(SegmentTableTest, DualDirtyBitsForPingPong) {

@@ -1,13 +1,15 @@
 #!/usr/bin/env bash
 # Builds and tests the tree's pre-merge configurations:
 #
-#   tools/check.sh            # plain + sanitize + tsan + bench-smoke
+#   tools/check.sh            # plain + sanitize + tsan + bench-smoke + hostbench
 #   tools/check.sh plain      # just the plain build (-Werror)
 #   tools/check.sh sanitize   # just the ASan+UBSan build
 #   tools/check.sh tsan       # just the TSan build (--tsan also accepted)
 #   tools/check.sh bench-smoke  # fig4a vs the committed baseline
+#   tools/check.sh hostbench  # hostbench_test + two short hostbench runs
 #
-# Build trees live in build/ (plain), build-sanitize/, and build-tsan/.
+# Build trees live in build/ (plain), build-sanitize/, build-tsan/ and
+# build-hostbench/.
 # The plain build compiles with -Werror, so the tree stays warning-free
 # under -Wall -Wextra (the target-attributed CRC32C kernel included).
 # The TSan gate builds only the parallel subsystem's tests plus the
@@ -62,6 +64,13 @@
 #   MMDB_TRACE_CAPACITY=64 MMDB_RECOVERY_THREADS=2 \
 #       MMDB_METRICS_SIDECAR=bench/baselines/shard.json \
 #       ./build/bench/fig_shard_scaling --quick --jobs=2 > /dev/null
+#
+# The hostbench gate builds the host-time benchmark (hostbench/, its own
+# CMake project over the engine sources), runs hostbench_test, then runs
+# hostbench/run.py for 5 s on `restart` (traced, so hostbench's TimedEnv
+# wraps every engine file) and on `checkpoint` (untraced). Each run's last
+# stdout line is its JSON result; the gate fails unless it reads
+# "correct": true with "failed": 0.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -197,6 +206,29 @@ run_bench_smoke() {
       build/fig_shard_bench_smoke.json
 }
 
+run_hostbench() {
+  local dir=build-hostbench
+  cmake -S hostbench -B "$dir/hostbench"
+  cmake --build "$dir/hostbench" -j "$jobs" --target hostbench hostbench_test
+  "./$dir/hostbench/hostbench_test"
+  local spec workload trace
+  for spec in restart:1 checkpoint:0; do
+    workload=${spec%:*}
+    trace=${spec#*:}
+    echo "check.sh: hostbench --workload $workload --seed 1 --seconds 5 --trace $trace"
+    CARGO_TARGET_DIR="$dir" python3 hostbench/run.py --workload "$workload" \
+        --seed 1 --seconds 5 --trace "$trace" | tail -n 1 \
+        > "$dir/$workload.json"
+    python3 - "$dir/$workload.json" <<'PY'
+import json, sys
+result = json.load(open(sys.argv[1]))
+if result.get("correct") is not True or result.get("failed") != 0:
+    sys.exit("check.sh: hostbench run not clean: correct=%r failed=%r"
+             % (result.get("correct"), result.get("failed")))
+PY
+  done
+}
+
 case "$what" in
   plain)
     run_plain
@@ -210,14 +242,18 @@ case "$what" in
   bench-smoke)
     run_bench_smoke
     ;;
+  hostbench)
+    run_hostbench
+    ;;
   all)
     run_plain
     run_sanitize
     run_tsan
     run_bench_smoke
+    run_hostbench
     ;;
   *)
-    echo "usage: $0 [plain|sanitize|tsan|bench-smoke|all]" >&2
+    echo "usage: $0 [plain|sanitize|tsan|bench-smoke|hostbench|all]" >&2
     exit 2
     ;;
 esac
