@@ -230,7 +230,7 @@ Status Engine::AdmitRecovery(const std::vector<SegmentId>& segs) {
     // load as a background one.
     Status loaded =
         instant_->Materialize(s, now, InstantRecovery::LoadTrigger::kTouch);
-    if (!loaded.ok()) return FailInstantRecovery(std::move(loaded));
+    if (!loaded.ok()) return FailRecovery(std::move(loaded));
     if (wait > 0) {
       // The sixth stall cause: the transaction waits on this segment's
       // recovery latch until its backup reload completes.
@@ -355,6 +355,7 @@ StatusOr<Lsn> Engine::Commit(Transaction* txn) {
   MMDB_RETURN_IF_ERROR(WaitForAdmission(segs));
   StatusOr<Lsn> lsn = txns_->Commit(txn, clock_.now());
   if (!lsn.ok()) return lsn;
+  if (instant_ != nullptr) instant_->NoteCommit();
   // Surface log-device errors to the committer. The transaction is applied
   // in memory and its records sit in the retained log tail — a later
   // successful flush still makes it durable — but the caller must learn
@@ -536,7 +537,7 @@ Status Engine::AdvanceTime(double seconds) {
   // but stale in memory" across a time advance.
   if (instant_ != nullptr) {
     Status due = instant_->MaterializeDue(clock_.now());
-    if (!due.ok()) return FailInstantRecovery(std::move(due));
+    if (!due.ok()) return FailRecovery(std::move(due));
     SyncInstant();
   }
   return Status::OK();
@@ -619,64 +620,59 @@ StatusOr<RecoveryStats> Engine::Recover() {
       (recovery_pool_ == nullptr || recovery_pool_->num_threads() < threads)) {
     recovery_pool_ = std::make_unique<ThreadPool>(threads);
   }
-  RecoveryManager rm(env_, options_.params, &meter_, metrics_, tracer_.get(),
-                     threads > 1 ? recovery_pool_.get() : nullptr);
-  rm.set_audit(audit_.get());
+  ThreadPool* pool = threads > 1 ? recovery_pool_.get() : nullptr;
+  // One pipeline (DESIGN.md §14, §19): plan, then load every segment
+  // eagerly (blocking, or retrying a restart that failed mid-service) or on
+  // demand while transactions run (instant), then FinishRecovery.
+  recovery_crash_now_ = clock_.now();
   avail_ = Availability{};
-  if (instant_enabled_) {
-    // Instant recovery (DESIGN.md §19): build the plan (streams merged,
-    // frames bucketed per segment, copy sources chosen), advance the
-    // clock by the log-read phase only, and admit transactions — each
-    // segment recovers on first touch or in background access-priority
-    // order. The returned stats are already blocking-equivalent.
-    const double crash_now = clock_.now();
-    MMDB_ASSIGN_OR_RETURN(InstantRecoveryPlan plan,
-                          rm.PlanInstant(backup_.get(), LogPaths(), db_.get(),
-                                         segments_.get(), crash_now));
-    const RecoveryStats stats = plan.result.stats;
+  RecoveryManager rm(env_, options_.params, &meter_, pool);
+  rm.set_audit(audit_.get());
+  StatusOr<RecoveryPlan> plan = rm.Plan(backup_.get(), LogPaths(), db_.get(),
+                                        segments_.get(), recovery_crash_now_);
+  if (!plan.ok()) return FailRecovery(plan.status());
+  newest_end_id_ = plan->result.newest_end_id;
+  instant_ = std::make_unique<InstantRecovery>(
+      std::move(*plan), options_.params, backup_.get(), db_.get(), &meter_,
+      metrics_, tracer_.get(), audit_.get(), pool);
+  const bool eager = !instant_enabled_ || retry_eagerly_;
+  if (eager) {
+    Status loaded = instant_->LoadAll();
+    if (!loaded.ok()) return FailRecovery(std::move(loaded));
+  }
+  const RecoveryResult& result = instant_->result();
+  Status reopened =
+      log_->OpenExisting(result.stream_valid_bytes, result.last_lsn + 1);
+  if (!reopened.ok()) return FailRecovery(std::move(reopened));
+  const RecoveryStats stats = result.stats;
+  crashed_ = false;
+  retry_eagerly_ = false;
+  if (eager) {
+    FinishRecovery();
+  } else {
+    // Instant: transactions are admitted once the log is read. The stats
+    // are provisional until the drain (a fallback refines them).
     last_recovery_ = stats;
     has_last_recovery_ = true;
-    last_lineage_ = plan.result.lineage;  // refined at drain on fallback
-    instant_newest_end_id_ = plan.result.newest_end_id;
-    MMDB_RETURN_IF_ERROR(log_->OpenExisting(plan.result.stream_valid_bytes,
-                                            plan.result.last_lsn + 1));
-    clock_.AdvanceBy(stats.log_read_seconds);
-    TickSampler();
-    crashed_ = false;
-    // Provisional numbering fixup from the planned restore source; re-run
-    // by SyncInstant if an on-demand fallback rewinds the checkpoint id.
-    CheckpointId next = stats.checkpoint_id + 1;
-    while (next <= instant_newest_end_id_) next += 2;
-    scheduler_.Restore(next - 1, clock_.now());
-    instant_fixup_done_ = false;
-    instant_crash_now_ = crash_now;
-    avail_.ran = true;
-    avail_.crash_time = crash_now;
-    avail_.time_to_first_txn = clock_.now() - crash_now;
-    instant_ = std::make_unique<InstantRecovery>(
-        std::move(plan), options_.params, backup_.get(), db_.get(), &meter_,
-        metrics_, tracer_.get(), audit_.get());
-    instant_->StartClock(clock_.now());
-    // A cold start (no checkpoint to reload) is due in full immediately:
-    // materialize and finish now so the audit chain closes like the
-    // blocking path's. A warm start has nothing due yet — no-op.
-    Status due = instant_->MaterializeDue(clock_.now());
-    if (!due.ok()) return FailInstantRecovery(std::move(due));
-    SyncInstant();
-    return stats;
+    last_lineage_ = result.lineage;
   }
-  MMDB_ASSIGN_OR_RETURN(
-      RecoveryResult result,
-      rm.Recover(backup_.get(), LogPaths(), db_.get(), segments_.get(),
-                 clock_.now()));
-  last_recovery_ = result.stats;
-  has_last_recovery_ = true;
-  last_lineage_ = std::move(result.lineage);
-  MMDB_RETURN_IF_ERROR(
-      log_->OpenExisting(result.stream_valid_bytes, result.last_lsn + 1));
-  clock_.AdvanceBy(result.stats.total_seconds);
+  clock_.AdvanceBy(eager ? stats.total_seconds : stats.log_read_seconds);
   TickSampler();
-  crashed_ = false;
+  RestoreCheckpointNumbering(stats.checkpoint_id);
+  if (eager) return stats;
+  instant_fixup_done_ = false;
+  avail_.ran = true;
+  avail_.time_to_first_txn = clock_.now() - recovery_crash_now_;
+  instant_->StartClock(clock_.now());
+  // A cold start (no checkpoint to reload) is due in full immediately:
+  // materialize and finish now. A warm start has nothing due yet.
+  Status due = instant_->MaterializeDue(clock_.now());
+  if (!due.ok()) return FailRecovery(std::move(due));
+  SyncInstant();
+  return stats;
+}
+
+void Engine::RestoreCheckpointNumbering(CheckpointId restored) {
   // Resume checkpoint numbering from what was actually restored. Without
   // this, a checkpoint completed in the log but not yet in the metadata
   // would get its id REUSED by the next sweep — and a later backward scan
@@ -685,18 +681,25 @@ StatusOr<RecoveryStats> Engine::Recover() {
   // fell back past a bad newer copy: skip beyond every end marker already
   // in the log, preserving the ping-pong parity so the next checkpoint
   // rewrites the damaged copy and leaves the restored one untouched.
-  CheckpointId next = result.stats.checkpoint_id + 1;
-  while (next <= result.newest_end_id) next += 2;
+  CheckpointId next = restored + 1;
+  while (next <= newest_end_id_) next += 2;
   scheduler_.Restore(next - 1, clock_.now());
-  return result.stats;
 }
 
-Status Engine::FailInstantRecovery(Status error) {
-  // Same terminal event (and chain closure) the blocking path's wrapper
-  // journals when RecoverImpl fails.
+Status Engine::FailRecovery(Status error) {
+  if (!crashed_) {
+    // Transactions ran since the log reopened: halt the devices as Crash()
+    // does, so the (eager) retry replays exactly the durable commits.
+    Status halted = log_->Crash(clock_.now());
+    if (halted.ok()) halted = backup_->Crash(clock_.now());
+    if (!halted.ok()) {
+      error = Status(error.code(), error.message() + "; " + halted.ToString());
+    }
+    retry_eagerly_ = true;
+  }
   if (audit_ != nullptr) {
     const std::string text = error.ToString();
-    audit_->Record("recovery.error", instant_crash_now_, [&](JsonWriter& w) {
+    audit_->Record("recovery.error", recovery_crash_now_, [&](JsonWriter& w) {
       w.Key("error");
       w.String(text);
     });
@@ -724,42 +727,37 @@ void Engine::SyncInstant() {
   if (instant_ == nullptr) return;
   if (!instant_fixup_done_ && instant_->fell_back()) {
     // An on-demand fallback rewound the restore source to the previous
-    // checkpoint; redo the numbering fixup from the refined stats (see
-    // the comment in the blocking Recover()). Safe here: no checkpoint
-    // can have begun — StartCheckpoint drains the recovery first.
+    // checkpoint. Safe here: no checkpoint can have begun —
+    // StartCheckpoint drains the recovery first.
     instant_fixup_done_ = true;
-    CheckpointId next = instant_->stats().checkpoint_id + 1;
-    while (next <= instant_newest_end_id_) next += 2;
-    scheduler_.Restore(next - 1, clock_.now());
+    RestoreCheckpointNumbering(instant_->stats().checkpoint_id);
   }
-  if (instant_->AllLoaded()) FinalizeInstantRecovery();
+  if (instant_->AllLoaded()) FinishRecovery();
 }
 
-void Engine::FinalizeInstantRecovery() {
+void Engine::FinishRecovery() {
   std::unique_ptr<InstantRecovery> ir = std::move(instant_);
-  // The last background reload may land after the last touch-stall the
-  // clock actually waited on; full recovery is its completion time.
-  const double t_end = ir->CompleteSchedule();
-  avail_.time_to_full_recovery = t_end - avail_.crash_time;
-  avail_.touch_loads = ir->touch_loads();
-  avail_.background_loads = ir->background_loads();
-  avail_.force_loads = ir->force_loads();
-  avail_.drained = true;
-  // Fallback refinements land here; stats were provisional since plan.
-  last_recovery_ = ir->stats();
+  if (avail_.ran) {
+    // The last background reload may land after the last touch-stall the
+    // clock actually waited on; full recovery is its completion time.
+    avail_.time_to_full_recovery = ir->CompleteSchedule() - recovery_crash_now_;
+    avail_.touch_loads = ir->touch_loads();
+    avail_.background_loads = ir->background_loads();
+    avail_.force_loads = ir->force_loads();
+    avail_.drained = true;
+  }
+  RecoveryResult r = ir->TakeResult();
+  last_recovery_ = r.stats;
   has_last_recovery_ = true;
-  last_lineage_ = ir->result().lineage;
-  // Close the audit chain PlanInstant left open, and publish the registry
-  // counters and phase trace events — same shapes, same crash-time
-  // anchor, same values as the blocking path.
+  // The outcome is journaled and published once, on the crash-instant
+  // timeline, whichever schedule loaded the segments.
   if (audit_ != nullptr) {
-    const RecoveryResult& r = ir->result();
-    audit_->Record("recovery.lineage", instant_crash_now_,
+    audit_->Record("recovery.lineage", recovery_crash_now_,
                    [&](JsonWriter& w) {
                      w.Key("lineage");
                      WriteLineageJson(r.lineage, &w);
                    });
-    audit_->Record("recovery.end", instant_crash_now_, [&](JsonWriter& w) {
+    audit_->Record("recovery.end", recovery_crash_now_, [&](JsonWriter& w) {
       w.Key("checkpoint");
       w.Uint(r.stats.checkpoint_id);
       w.Key("copy");
@@ -775,7 +773,9 @@ void Engine::FinalizeInstantRecovery() {
     });
     audit_->Sync();
   }
-  ir->PublishFinal(instant_crash_now_);
+  RecoveryManager::Publish(metrics_, tracer_.get(), r.stats,
+                           recovery_crash_now_, ir->replay_buckets());
+  last_lineage_ = std::move(r.lineage);
 }
 
 Status Engine::DrainRecovery() {
@@ -787,7 +787,7 @@ Status Engine::DrainRecovery() {
     return AdvanceTime(t_end - clock_.now());
   }
   Status due = instant_->MaterializeDue(clock_.now());
-  if (!due.ok()) return FailInstantRecovery(std::move(due));
+  if (!due.ok()) return FailRecovery(std::move(due));
   SyncInstant();
   return Status::OK();
 }
@@ -964,7 +964,7 @@ std::string Engine::DumpMetricsJson() const {
     w.Key("availability");
     w.BeginObject();
     w.Key("crash_time");
-    w.Double(avail_.crash_time);
+    w.Double(recovery_crash_now_);
     w.Key("time_to_first_txn");
     w.Double(avail_.time_to_first_txn);
     w.Key("time_to_full_recovery");

@@ -169,7 +169,10 @@ class Engine {
   // (DESIGN.md §19) this returns as soon as the recovery PLAN is built —
   // the clock advances only by the log-read phase — and segments recover
   // on demand while transactions run; the returned stats are already the
-  // blocking-equivalent modeled quantities.
+  // blocking-equivalent modeled quantities. A failed restart leaves the
+  // engine crashed and journals recovery.error; Recover() may be called
+  // again, and loads eagerly if the failed restart had already served
+  // transactions (they are durable or lost exactly as at a crash).
   StatusOr<RecoveryStats> Recover();
   bool crashed() const { return crashed_; }
 
@@ -288,11 +291,19 @@ class Engine {
   // Post-materialization bookkeeping: the one-time scheduler fixup after
   // an older-copy fallback, and finalization once every segment loaded.
   void SyncInstant();
-  void FinalizeInstantRecovery();
-  // A materialization failed fatally (neither backup copy readable, or
-  // the log rotted since planning): journal recovery.error, abandon the
-  // drain and halt the engine — data is unrecoverable.
-  Status FailInstantRecovery(Status error);
+  // The one finalization of a restart, blocking or instant, once every
+  // segment is loaded and the log has reopened: publishes the stats and
+  // lineage, journals recovery.lineage + recovery.end, and records the
+  // registry counters and trace events.
+  void FinishRecovery();
+  // The restart failed (planning, loading a segment, or reopening the
+  // log): journal recovery.error, abandon any drain and leave the engine
+  // crashed, so Recover() may be retried. A failure after the log reopened
+  // also halts the log and the backup as Crash() does, but keeps the open
+  // transactions (their callers still abort them).
+  Status FailRecovery(Status error);
+  // Resumes checkpoint numbering past every end marker in the log.
+  void RestoreCheckpointNumbering(CheckpointId restored);
   // Samples the time series (if enabled) up to the current clock.
   void TickSampler() {
     if (sampler_ != nullptr) sampler_->SampleUpTo(clock_.now());
@@ -366,24 +377,28 @@ class Engine {
   // --- instant recovery (DESIGN.md §19) ---------------------------------
   // Effective setting, resolved once at Init (env override included).
   bool instant_enabled_ = false;
-  // Live on-demand recovery state; non-null only between an instant
-  // Recover() and the drain's completion (or the next Crash()).
+  // Live recovery state, non-null from planning until FinishRecovery (or
+  // the next Crash()): within a blocking Recover(), and across an
+  // instant one's drain.
   std::unique_ptr<InstantRecovery> instant_;
   // One-shot guard for the post-fallback checkpoint-numbering fixup.
   bool instant_fixup_done_ = false;
   // Inputs Recover() saved for finalization: the crash instant (trace
-  // events and the audit chain use the blocking path's timeline) and the
-  // newest end-marker id (the scheduler fixup must re-run after a
-  // fallback rewinds stats.checkpoint_id).
-  double instant_crash_now_ = 0.0;
-  CheckpointId instant_newest_end_id_ = 0;
+  // events, the audit chain and the availability metrics use it as their
+  // timeline) and the newest end-marker id (the scheduler fixup must
+  // re-run after a fallback rewinds stats.checkpoint_id).
+  double recovery_crash_now_ = 0.0;
+  CheckpointId newest_end_id_ = 0;
+  // The last restart failed after it had served transactions: the next
+  // Recover() loads every segment before it admits any, so commits it
+  // serves cannot fail it the same way again (FailRecovery).
+  bool retry_eagerly_ = false;
   // Availability metrics of the most recent restart; `ran` gates the
   // dump's "availability" member so instant-off output is byte-identical
   // to pre-instant builds.
   struct Availability {
     bool ran = false;
     bool drained = false;
-    double crash_time = 0.0;
     double time_to_first_txn = 0.0;
     double time_to_full_recovery = 0.0;
     uint64_t touch_loads = 0;

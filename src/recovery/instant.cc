@@ -2,9 +2,10 @@
 
 #include <algorithm>
 #include <limits>
-#include <span>
+#include <numeric>
 #include <string>
 
+#include "parallel/parallel.h"
 #include "util/coding.h"
 #include "util/string_util.h"
 #include "wal/log_record.h"
@@ -25,13 +26,25 @@ const char* TriggerName(InstantRecovery::LoadTrigger trigger) {
   return "unknown";
 }
 
+// Only CRC damage and device faults on the newest copy are survivable via
+// the older copy; anything else (bad geometry, programming error) is
+// fatal.
+bool Survivable(const Status& st) {
+  return st.IsCorruption() || st.IsIoError();
+}
+
+double SecondsSince(BusyMeter::Clock::time_point start) {
+  return std::chrono::duration<double>(BusyMeter::Clock::now() - start)
+      .count();
+}
+
 }  // namespace
 
-InstantRecovery::InstantRecovery(InstantRecoveryPlan plan,
-                                 const SystemParams& params,
+InstantRecovery::InstantRecovery(RecoveryPlan plan, const SystemParams& params,
                                  BackupStore* backup, Database* db,
                                  CpuMeter* meter, MetricsRegistry* metrics,
-                                 Tracer* tracer, AuditJournal* audit)
+                                 Tracer* tracer, AuditJournal* audit,
+                                 ThreadPool* pool)
     : plan_(std::move(plan)),
       params_(params),
       backup_(backup),
@@ -40,6 +53,7 @@ InstantRecovery::InstantRecovery(InstantRecoveryPlan plan,
       metrics_(metrics),
       tracer_(tracer),
       audit_(audit),
+      pool_(pool),
       num_segments_(db->num_segments()),
       disks_(params.disk) {
   availability_.assign(num_segments_, -1.0);
@@ -50,10 +64,74 @@ InstantRecovery::InstantRecovery(InstantRecoveryPlan plan,
   unsubmitted_ = plan_.have_checkpoint ? num_segments_ : 0;
 }
 
+Status InstantRecovery::LoadAll() {
+  RecoveryStats& stats = plan_.result.stats;
+  BusyMeter busy(stats.threads_used);
+  // Runs `fn` on every segment of `ids` across the pool, in chunks, with
+  // per-segment outcomes in `out` (a worker never stops at a failure, so
+  // the outcome does not depend on scheduling).
+  auto for_each = [&](const std::vector<SegmentId>& ids, auto&& fn,
+                      std::vector<Status>* out) -> Status {
+    out->assign(ids.size(), Status::OK());
+    return ParallelFor(
+        pool_, ids.size(), RecoveryChunk(ids.size(), stats.threads_used),
+        [&](std::size_t begin, std::size_t end) -> Status {
+          const BusyMeter::Clock::time_point start = BusyMeter::Clock::now();
+          for (std::size_t i = begin; i < end; ++i) (*out)[i] = fn(ids[i]);
+          busy.Charge(start);
+          return Status::OK();
+        });
+  };
+  auto read = [this](SegmentId s) { return ReadSegment(s); };
+  std::vector<SegmentId> all(num_segments_);
+  std::iota(all.begin(), all.end(), SegmentId{0});
+  std::vector<Status> status;
+
+  // Every segment's read + CRC check, collecting failures rather than
+  // stopping at one: the fallback needs the complete failed set.
+  const BusyMeter::Clock::time_point read_start = BusyMeter::Clock::now();
+  if (plan_.have_checkpoint) {
+    MMDB_RETURN_IF_ERROR(for_each(all, read, &status));
+    std::vector<SegmentId> failed;
+    for (SegmentId s : all) {
+      if (status[s].ok()) continue;
+      if (!Survivable(status[s])) return status[s];
+      failed.push_back(s);
+    }
+    if (!failed.empty()) {
+      const Status trigger = status[failed.front()];
+      MMDB_RETURN_IF_ERROR(FallBack(std::move(failed), trigger,
+                                    /*failed_set_complete=*/true,
+                                    plan_.crash_time));
+      std::vector<SegmentId> retry;
+      for (SegmentId s : all) {
+        if (plan_.result.lineage[s].retried) retry.push_back(s);
+      }
+      // A failure here means neither copy is readable: fatal.
+      MMDB_RETURN_IF_ERROR(for_each(retry, read, &status));
+      for (const Status& st : status) MMDB_RETURN_IF_ERROR(st);
+    }
+  }
+  stats.backup_read_wall_seconds = SecondsSince(read_start);
+
+  const BusyMeter::Clock::time_point replay_start = BusyMeter::Clock::now();
+  MMDB_RETURN_IF_ERROR(
+      for_each(all, [this](SegmentId s) { return ApplyRedo(s); }, &status));
+  for (const Status& st : status) MMDB_RETURN_IF_ERROR(st);
+  stats.replay_wall_seconds = SecondsSince(replay_start);
+  busy.AddTo(&stats.thread_busy_seconds);
+  loaded_.assign(num_segments_, true);
+  loaded_count_ = num_segments_;
+  // Nothing reads the log snapshot or the buckets again: free them before
+  // the engine rewrites the log, as a restart's peak memory.
+  plan_.reader = LogReader(std::string());
+  plan_.redo.buckets = {};
+  return Status::OK();
+}
+
 void InstantRecovery::StartClock(double now) {
   if (clock_started_) return;
   clock_started_ = true;
-  start_ = now;
   last_completion_ = now;
   if (!plan_.have_checkpoint) {
     // Cold start: there is no backup to read, so every segment is
@@ -63,7 +141,6 @@ void InstantRecovery::StartClock(double now) {
       submit_time_[s] = now;
       due_.push_back(s);
     }
-    schedule_complete_ = true;
     return;
   }
   // Prime one request per device; every completion refills from the
@@ -110,7 +187,6 @@ void InstantRecovery::AdvanceScheduleTo(double t) {
       SubmitSegment(PickNextPending(), done);
     }
   }
-  if (inflight_.empty() && unsubmitted_ == 0) schedule_complete_ = true;
 }
 
 double InstantRecovery::Touch(SegmentId s, double now) {
@@ -138,86 +214,92 @@ double InstantRecovery::CompleteSchedule() {
 
 Status InstantRecovery::MaterializeDue(double now) {
   AdvanceScheduleTo(now);
-  // Swap out the work list first: a fallback inside Materialize may
-  // re-materialize other segments, and due entries must not be lost.
-  std::vector<SegmentId> work;
-  work.swap(due_);
-  for (SegmentId s : work) {
-    if (loaded_[s]) continue;
-    MMDB_RETURN_IF_ERROR(Materialize(s, now, LoadTrigger::kBackground));
+  // A full-reload fallback inside Materialize queues the served segments
+  // again, so take the list until it stays empty.
+  while (!due_.empty()) {
+    std::vector<SegmentId> work;
+    work.swap(due_);
+    for (SegmentId s : work) {
+      MMDB_RETURN_IF_ERROR(Materialize(s, now, LoadTrigger::kBackground));
+    }
   }
   return Status::OK();
 }
 
-Status InstantRecovery::ReplayFrames(const std::vector<std::size_t>& frames,
-                                     bool use_ext_committed,
-                                     ApplyStats* out) {
-  const LogReader& reader = plan_.reader;
-  for (std::size_t frame : frames) {
-    MMDB_ASSIGN_OR_RETURN(LogRecord r, reader.RecordAtIndex(frame));
-    const bool committed =
-        plan_.committed.count(r.txn_id) != 0 ||
-        (use_ext_committed && ext_committed_.count(r.txn_id) != 0);
-    if (!committed) continue;
-    bool applied = false;
+Status InstantRecovery::ReadSegment(SegmentId s) {
+  return backup_->ReadSegmentInto(plan_.result.lineage[s].copy, s,
+                                  db_->MutableSegment(s));
+}
+
+Status InstantRecovery::Reload(SegmentId s, double now) {
+  if (!plan_.have_checkpoint) return Status::OK();
+  Status st = ReadSegment(s);
+  if (st.ok() || !Survivable(st) || plan_.result.lineage[s].retried) {
+    return st;
+  }
+  if (fell_back_) {
+    // A later newest-copy failure after a full-image fallback: the
+    // segment is simply one more member of the retry set.
+    MarkRetried(s);
+    ++plan_.result.stats.segments_retried;
+  } else {
+    MMDB_RETURN_IF_ERROR(
+        FallBack({s}, st, /*failed_set_complete=*/false, now));
+  }
+  return ReadSegment(s);  // neither copy readable: fatal
+}
+
+Status InstantRecovery::ApplyRedo(SegmentId s) {
+  for (std::size_t frame : plan_.redo.buckets[s]) {
+    MMDB_ASSIGN_OR_RETURN(LogRecord r, plan_.reader.RecordAtIndex(frame));
     if (r.type == LogRecordType::kUpdate) {
-      if (r.record_id >= db_->num_records() ||
-          r.image.size() != db_->record_bytes()) {
-        return CorruptionError(StringPrintf(
-            "update record for txn %llu is malformed",
-            static_cast<unsigned long long>(r.txn_id)));
-      }
       db_->WriteRecord(r.record_id, r.image);
-      ++out->full_applies;
-      applied = true;
-    } else if (r.type == LogRecordType::kDelta) {
-      if (r.record_id >= db_->num_records() ||
-          r.field_offset + 8 > db_->record_bytes()) {
-        return CorruptionError(StringPrintf(
-            "delta record for txn %llu is malformed",
-            static_cast<unsigned long long>(r.txn_id)));
-      }
-      std::string image(db_->ReadRecord(r.record_id));
-      uint64_t field = DecodeFixed64(image.data() + r.field_offset);
-      EncodeFixed64(image.data() + r.field_offset,
-                    field + static_cast<uint64_t>(r.delta));
-      db_->WriteRecord(r.record_id, image);
-      ++out->delta_applies;
-      applied = true;
+      continue;
     }
-    if (applied) {
-      if (out->first_lsn == kInvalidLsn) out->first_lsn = r.lsn;
-      out->last_lsn = r.lsn;
-      const uint32_t stream = reader.FrameStream(frame);
-      if (std::find(out->streams.begin(), out->streams.end(), stream) ==
-          out->streams.end()) {
-        out->streams.push_back(stream);
-      }
-    }
+    // Logical REDO: NOT idempotent — correct exactly because the restored
+    // backup is the snapshot at the replay start point (enforced at write
+    // time; see Engine::WriteDelta).
+    std::string image(db_->ReadRecord(r.record_id));
+    uint64_t field = DecodeFixed64(image.data() + r.field_offset);
+    EncodeFixed64(image.data() + r.field_offset,
+                  field + static_cast<uint64_t>(r.delta));
+    db_->WriteRecord(r.record_id, image);
   }
   return Status::OK();
 }
 
-Status InstantRecovery::PrepareFallback(const Status& trigger_status,
-                                        SegmentId s, double now) {
-  LogReader& reader = plan_.reader;
+void InstantRecovery::MarkRetried(SegmentId s) {
+  SegmentLineage& l = plan_.result.lineage[s];
+  l.checkpoint_id = plan_.result.stats.checkpoint_id;
+  l.copy = plan_.result.stats.copy;
+  l.retried = true;
+}
+
+Status InstantRecovery::FallBack(std::vector<SegmentId> failed,
+                                 const Status& trigger,
+                                 bool failed_set_complete, double now) {
+  const LogReader& reader = plan_.reader;
   RecoveryResult& result = plan_.result;
   RecoveryStats& stats = result.stats;
 
-  // Locate the previous checkpoint's begin marker — the ping-pong
-  // protocol guarantees its copy was complete before the newest one
-  // started overwriting the other file.
+  // The newest copy has CRC-bad or unreadable segments (a torn checkpoint
+  // tail, scribbled in-flight slots, or device faults). The ping-pong
+  // protocol guarantees the PREVIOUS checkpoint's copy was complete
+  // before this one started overwriting the other file, so fall back to
+  // it and replay the longer log suffix from its begin marker — which
+  // must still be in the log, since truncation only ever cuts before the
+  // newest complete checkpoint's marker.
   const CheckpointId prev_id = plan_.restore_id - 1;
   bool found_prev = false;
-  uint64_t prev_begin_offset = 0;
-  LogRecord prev_begin_record;
+  uint64_t prev_offset = 0;
+  LogRecord prev_begin;
   if (prev_id >= 1) {
     MMDB_RETURN_IF_ERROR(
         reader.ScanBackward([&](const LogRecord& r, uint64_t offset) {
           if (r.type == LogRecordType::kBeginCheckpoint &&
               r.checkpoint_id == prev_id) {
-            prev_begin_offset = offset;
-            prev_begin_record = r;
+            prev_offset = offset;
+            prev_begin = r;
             found_prev = true;
             return false;
           }
@@ -229,107 +311,53 @@ Status InstantRecovery::PrepareFallback(const Status& trigger_status,
         "backup copy %u of checkpoint %llu is unreadable (%s) and no "
         "older complete checkpoint is reachable in the log",
         plan_.restore_copy, static_cast<unsigned long long>(plan_.restore_id),
-        trigger_status.message().c_str()));
+        trigger.message().c_str()));
   }
-  for (const ActiveTxnEntry& e : prev_begin_record.active_txns) {
+  for (const ActiveTxnEntry& e : prev_begin.active_txns) {
     if (e.first_lsn != kInvalidLsn) {
       return NotSupportedError(
           "active transaction with pre-marker log records; update-time "
           "logging is not used by this engine");
     }
   }
+  MMDB_ASSIGN_OR_RETURN(std::size_t prev_start,
+                        reader.FrameIndexAt(prev_offset));
+  std::vector<SegmentLineage> lineage = result.lineage;
+  MMDB_ASSIGN_OR_RETURN(RedoScan redo, ScanRedo(reader, prev_start, params_.db,
+                                                pool_, nullptr, &lineage));
 
-  // DELTA records anywhere in the longer suffix force a full reload from
-  // the previous copy (logical REDO demands an exact snapshot at the
-  // replay start point) — the same rule as blocking recovery.
-  bool suffix_has_delta = false;
-  MMDB_RETURN_IF_ERROR(
-      reader.ScanForward(prev_begin_offset, [&](const LogRecord& r, uint64_t) {
-        if (r.type == LogRecordType::kDelta) {
-          suffix_has_delta = true;
-          return false;
-        }
-        return true;
-      }));
-
-  // Scan the extension [prev begin marker, newest begin marker) into
-  // per-segment buckets plus the overflow bucket, and collect its
-  // commits. Extension data frames may belong to transactions whose
-  // commit record lies in the MAIN suffix, so extension replay honors
-  // the union of both committed sets; main frames never need the
-  // extension's commits (a commit is a transaction's last record, so a
-  // main-suffix data frame's commit is also in the main suffix).
-  MMDB_ASSIGN_OR_RETURN(std::size_t prev_start_frame,
-                        reader.FrameIndexAt(prev_begin_offset));
-  const std::size_t num_buckets = static_cast<std::size_t>(num_segments_) + 1;
-  const std::size_t overflow_bucket = num_buckets - 1;
-  ext_buckets_.assign(num_buckets, {});
-  const uint64_t records_per_segment = params_.db.records_per_segment();
-  uint64_t ext_frames = 0;
-  for (std::size_t frame = prev_start_frame; frame < plan_.start_frame;
-       ++frame) {
-    LogRecordHeader h;
-    MMDB_RETURN_IF_ERROR(reader.HeaderAt(frame, &h));
-    ++ext_frames;
-    if (h.type == LogRecordType::kCommit) {
-      ext_committed_.insert(h.txn_id);
-    } else if (h.type == LogRecordType::kUpdate ||
-               h.type == LogRecordType::kDelta) {
-      std::size_t b = static_cast<std::size_t>(std::min<uint64_t>(
-          h.record_id / records_per_segment, overflow_bucket));
-      ext_buckets_[b].push_back(frame);
-    }
+  // Retry protocol (DESIGN.md §14): with full-image (UPDATE) replay only,
+  // re-reading JUST the failed segments is sound — commit-time logging
+  // puts every post-prev-marker update in the longer suffix, and full
+  // images are idempotent, so the mixed-copy state converges to the same
+  // bytes. DELTA records are logical additions and demand an exact
+  // snapshot at the replay start point, so their presence forces a full
+  // reload of the previous copy.
+  const bool full_reload = redo.has_delta;
+  if (full_reload && loaded_count_ > 0 && committed_since_start_) {
+    return FailedPreconditionError(
+        "the older-copy fallback must reload every segment (the log holds "
+        "delta records), but transactions have committed since the "
+        "restart; a retried Recover() loads eagerly and replays them");
   }
-
-  // Validate every extension frame exactly as blocking recovery's replay
-  // would (decode errors, malformed checks on committed frames) and
-  // tally the per-segment applies — the lineage/stat refinements the
-  // longer suffix adds to EVERY segment, not just the failed one.
-  ext_stats_.assign(num_buckets, ApplyStats{});
-  uint64_t ext_full = 0;
-  uint64_t ext_delta = 0;
-  for (std::size_t b = 0; b < num_buckets; ++b) {
-    ApplyStats& es = ext_stats_[b];
-    for (std::size_t frame : ext_buckets_[b]) {
-      MMDB_ASSIGN_OR_RETURN(LogRecord r, reader.RecordAtIndex(frame));
-      const bool committed = plan_.committed.count(r.txn_id) != 0 ||
-                             ext_committed_.count(r.txn_id) != 0;
-      if (!committed) continue;
-      if (r.type == LogRecordType::kUpdate) {
-        if (r.record_id >= db_->num_records() ||
-            r.image.size() != db_->record_bytes()) {
-          return CorruptionError(StringPrintf(
-              "update record for txn %llu is malformed",
-              static_cast<unsigned long long>(r.txn_id)));
-        }
-        ++es.full_applies;
-      } else if (r.type == LogRecordType::kDelta) {
-        if (r.record_id >= db_->num_records() ||
-            r.field_offset + 8 > db_->record_bytes()) {
-          return CorruptionError(StringPrintf(
-              "delta record for txn %llu is malformed",
-              static_cast<unsigned long long>(r.txn_id)));
-        }
-        ++es.delta_applies;
-      } else {
+  if (full_reload && !failed_set_complete) {
+    // Every segment is retried, so the modeled load count needs every
+    // newest-copy failure: read the segments not served yet (a served
+    // segment's read succeeded).
+    for (SegmentId s = 0; s < num_segments_; ++s) {
+      if (loaded_[s] ||
+          std::find(failed.begin(), failed.end(), s) != failed.end()) {
         continue;
       }
-      if (es.first_lsn == kInvalidLsn) es.first_lsn = r.lsn;
-      es.last_lsn = r.lsn;
-      const uint32_t stream = reader.FrameStream(frame);
-      if (std::find(es.streams.begin(), es.streams.end(), stream) ==
-          es.streams.end()) {
-        es.streams.push_back(stream);
-      }
-      if (b != overflow_bucket) {
-        ext_full += r.type == LogRecordType::kUpdate ? 1 : 0;
-        ext_delta += r.type == LogRecordType::kDelta ? 1 : 0;
-      }
+      Status st = ReadSegment(s);
+      if (st.ok()) continue;
+      if (!Survivable(st)) return st;
+      failed.push_back(s);
     }
+    std::sort(failed.begin(), failed.end());
   }
-
   if (audit_ != nullptr) {
-    const std::string trigger = trigger_status.ToString();
+    const std::string text = trigger.ToString();
     audit_->Record("recovery.fallback", now, [&](JsonWriter& w) {
       w.Key("from_checkpoint");
       w.Uint(plan_.restore_id);
@@ -340,137 +368,57 @@ Status InstantRecovery::PrepareFallback(const Status& trigger_status,
       w.Key("to_copy");
       w.Uint(BackupStore::CopyFor(prev_id));
       w.Key("trigger");
-      w.String(trigger);
+      w.String(text);
       w.Key("failed_segments");
       w.BeginArray();
-      w.Uint(s);
+      for (SegmentId s : failed) w.Uint(s);
       w.EndArray();
       w.Key("full_reload");
-      w.Bool(suffix_has_delta);
+      w.Bool(full_reload);
     });
   }
 
-  // Refine the modeled stats to the longer suffix, exactly as blocking
-  // recovery computes them. The backup-phase duration only changes on a
-  // full reload: blocking submits one modeled read per SUCCESSFUL
-  // segment read, and a partial retry re-reads each failed segment once,
-  // so the submission count stays num_segments.
-  fallback_prev_id_ = prev_id;
-  fallback_prev_copy_ = BackupStore::CopyFor(prev_id);
+  // Stats and lineage become exactly what a restart from the longer
+  // suffix reports.
+  const uint64_t charged_full = plan_.redo.full_applies;
+  const uint64_t charged_delta = plan_.redo.delta_applies;
+  plan_.redo = std::move(redo);
+  result.lineage = std::move(lineage);
   stats.checkpoint_id = prev_id;
-  stats.copy = fallback_prev_copy_;
+  stats.copy = BackupStore::CopyFor(prev_id);
   stats.fell_back_to_older_copy = true;
-  stats.log_bytes_read = result.log_valid_bytes > prev_begin_offset
-                             ? result.log_valid_bytes - prev_begin_offset
-                             : 0;
-  {
-    DiskArrayModel log_disks(params_.disk.LogArray());
-    constexpr uint64_t kChunkWords = 64 * 1024;
-    uint64_t log_words =
-        (stats.log_bytes_read + kWordBytes - 1) / kWordBytes;
-    for (uint64_t w = 0; w < log_words; w += kChunkWords) {
-      log_disks.Submit(0.0, std::min(kChunkWords, log_words - w));
-    }
-    stats.log_read_seconds = std::max(log_disks.AllIdleTime(), 0.0);
-  }
-  stats.records_scanned += ext_frames;
-  stats.txns_redone = 0;
-  {
-    std::unordered_set<TxnId> all_committed = plan_.committed;
-    for (TxnId t : ext_committed_) all_committed.insert(t);
-    stats.txns_redone = all_committed.size();
-  }
-  stats.updates_applied += ext_full + ext_delta;
-  const double ext_instructions =
-      params_.costs.move_per_word *
-          static_cast<double>(params_.db.record_words) *
-          static_cast<double>(ext_full) +
-      (8.0 / kWordBytes) * static_cast<double>(ext_delta);
-  meter_->Charge(CpuCategory::kRecovery, ext_instructions);
-  stats.replay_cpu_seconds += params_.InstructionsToSeconds(ext_instructions);
-
-  // The replay fan-out now spans every bucket with main OR extension
-  // frames (what blocking's longer-suffix pass 2 would have seen).
-  uint64_t fanout = 0;
-  for (std::size_t b = 0; b < num_buckets; ++b) {
-    if (!plan_.buckets[b].empty() || !ext_buckets_[b].empty()) ++fanout;
-  }
-  plan_.replay_buckets = fanout;
-
-  // Fold the extension applies into every touched segment's lineage:
-  // extension frames replay BEFORE the main suffix, so they supply the
-  // first LSN and lead the stream order.
-  for (std::size_t b = 0; b < static_cast<std::size_t>(num_segments_); ++b) {
-    const ApplyStats& es = ext_stats_[b];
-    if (es.full_applies + es.delta_applies == 0) continue;
-    SegmentLineage& l = result.lineage[b];
-    l.frames += es.full_applies + es.delta_applies;
-    if (es.first_lsn != kInvalidLsn) l.first_lsn = es.first_lsn;
-    if (l.last_lsn == kInvalidLsn) l.last_lsn = es.last_lsn;
-    std::vector<uint32_t> streams = es.streams;
-    for (uint32_t st : l.streams) {
-      if (std::find(streams.begin(), streams.end(), st) == streams.end()) {
-        streams.push_back(st);
-      }
-    }
-    l.streams = std::move(streams);
-  }
-
-  fallback_prepared_ = true;
-  full_reload_ = suffix_has_delta;
-
-  if (full_reload_) {
-    // Blocking recovery probes every newest-copy segment before deciding,
-    // counts each successful read, then reloads ALL segments from the
-    // previous copy: 2N - failures modeled submissions and loads.
-    uint64_t first_pass_failures = 0;
-    std::string scratch;
-    for (SegmentId i = 0; i < num_segments_; ++i) {
-      Status st = i == s ? trigger_status
-                         : backup_->ReadSegment(plan_.restore_copy, i,
-                                                &scratch);
-      if (st.ok()) continue;
-      if (!st.IsCorruption() && !st.IsIoError()) return st;
-      ++first_pass_failures;
-    }
-    stats.segments_loaded =
-        2 * static_cast<uint64_t>(num_segments_) - first_pass_failures;
+  if (full_reload) {
+    for (SegmentId s = 0; s < num_segments_; ++s) MarkRetried(s);
     stats.segments_retried = num_segments_;
-    {
-      DiskArrayModel backup_disks(params_.disk);
-      for (uint64_t i = 0; i < stats.segments_loaded; ++i) {
-        backup_disks.Submit(0.0, params_.db.segment_words);
-      }
-      stats.backup_read_seconds = std::max(backup_disks.AllIdleTime(), 0.0);
-    }
-    for (SegmentId i = 0; i < num_segments_; ++i) {
-      SegmentLineage& l = result.lineage[i];
-      l.checkpoint_id = prev_id;
-      l.copy = fallback_prev_copy_;
-      l.retried = true;
-    }
+  } else {
+    for (SegmentId s : failed) MarkRetried(s);
+    stats.segments_retried = failed.size();
   }
+  stats.segments_loaded =
+      num_segments_ - failed.size() + stats.segments_retried;
+  stats.log_bytes_read = result.log_valid_bytes > prev_offset
+                             ? result.log_valid_bytes - prev_offset
+                             : 0;
+  stats.records_scanned = plan_.redo.records;
+  stats.updates_applied = plan_.redo.full_applies + plan_.redo.delta_applies;
+  stats.txns_redone = plan_.redo.txns;
+  ModelRecoveryTimes(params_, plan_.crash_time, plan_.redo.full_applies,
+                     plan_.redo.delta_applies, &stats);
+  meter_->Charge(CpuCategory::kRecovery,
+                 ReplayInstructions(params_,
+                                    plan_.redo.full_applies - charged_full,
+                                    plan_.redo.delta_applies - charged_delta));
+  fell_back_ = true;
 
-  stats.total_seconds = stats.backup_read_seconds + stats.log_read_seconds +
-                        stats.replay_cpu_seconds;
-
-  // Segments already served their main-suffix replay without the
-  // extension; re-materialize them so their bytes match the longer
-  // suffix (extension first, then main — log order). With full images
-  // this re-run is idempotent-converging; with deltas every segment
-  // reloads from the previous snapshot first, so it is exact.
-  for (SegmentId i = 0; i < num_segments_; ++i) {
-    if (!loaded_[i]) continue;
-    loaded_[i] = false;
-    --loaded_count_;
-    MMDB_RETURN_IF_ERROR(Materialize(i, now, LoadTrigger::kBackground));
-  }
-  if (full_reload_) {
-    // The previous snapshot must be in place for every segment before
-    // any further delta replay; load the rest of the database now.
-    for (SegmentId i = 0; i < num_segments_; ++i) {
-      if (loaded_[i] || i == s) continue;
-      MMDB_RETURN_IF_ERROR(Materialize(i, now, LoadTrigger::kBackground));
+  if (full_reload) {
+    // Nothing has committed since the restart, so a served segment holds
+    // exactly its planned state. Latch it again; it reloads from the
+    // previous snapshot at its next touch or the next sweep.
+    for (SegmentId s = 0; s < num_segments_; ++s) {
+      if (!loaded_[s]) continue;
+      loaded_[s] = false;
+      --loaded_count_;
+      due_.push_back(s);
     }
   }
   return Status::OK();
@@ -482,112 +430,58 @@ Status InstantRecovery::Materialize(SegmentId s, double now,
     return InvalidArgumentError("segment out of range");
   }
   if (loaded_[s]) return Status::OK();
-  bool retried = false;
-  if (plan_.have_checkpoint) {
-    // The backup image lands straight in the primary slot. A CRC-failed
-    // read leaves unspecified bytes there until the older-copy retry
-    // overwrites them; the segment stays latched until then.
-    const std::span<char> slot = db_->MutableSegment(s);
-    if (full_reload_) {
-      MMDB_RETURN_IF_ERROR(
-          backup_->ReadSegmentInto(fallback_prev_copy_, s, slot));
-      retried = true;
-    } else {
-      Status st = backup_->ReadSegmentInto(plan_.restore_copy, s, slot);
-      if (!st.ok()) {
-        // Only CRC damage and device faults are survivable via the
-        // older copy; anything else is fatal.
-        if (!st.IsCorruption() && !st.IsIoError()) return st;
-        if (!fallback_prepared_) {
-          MMDB_RETURN_IF_ERROR(PrepareFallback(st, s, now));
-          // A full reload materialized everything, this segment included.
-          if (loaded_[s]) return Status::OK();
-        }
-        Status st2 = backup_->ReadSegmentInto(
-            full_reload_ ? fallback_prev_copy_
-                         : BackupStore::CopyFor(fallback_prev_id_),
-            s, slot);
-        if (!st2.ok()) return st2;  // neither copy readable: fatal
-        retried = true;
-      }
-    }
-    if (retried && !full_reload_) {
-      RecoveryStats& stats = plan_.result.stats;
-      SegmentLineage& l = plan_.result.lineage[s];
-      if (!l.retried) {
-        l.checkpoint_id = fallback_prev_id_;
-        l.copy = fallback_prev_copy_;
-        l.retried = true;
-        ++stats.segments_retried;
-      }
-    }
-  }
-  if (fallback_prepared_) {
-    ApplyStats ignored;
-    MMDB_RETURN_IF_ERROR(
-        ReplayFrames(ext_buckets_[s], /*use_ext_committed=*/true, &ignored));
-  }
-  ApplyStats main_applies;
-  MMDB_RETURN_IF_ERROR(
-      ReplayFrames(plan_.buckets[s], /*use_ext_committed=*/false,
-                   &main_applies));
+  MMDB_RETURN_IF_ERROR(Reload(s, now));
+  MMDB_RETURN_IF_ERROR(ApplyRedo(s));
   loaded_[s] = true;
   ++loaded_count_;
-
-  if (!announced_[s]) {
-    announced_[s] = true;
-    const uint64_t order = load_order_++;
-    switch (trigger) {
-      case LoadTrigger::kTouch:
-        ++touch_loads_;
-        break;
-      case LoadTrigger::kBackground:
-        ++background_loads_;
-        break;
-      case LoadTrigger::kForce:
-        ++force_loads_;
-        break;
-    }
-    const SegmentLineage& l = plan_.result.lineage[s];
-    if (audit_ != nullptr) {
-      audit_->Record("recovery.segment_on_demand", now, [&](JsonWriter& w) {
-        w.Key("segment");
-        w.Uint(s);
-        w.Key("trigger");
-        w.String(TriggerName(trigger));
-        w.Key("checkpoint");
-        w.Uint(l.checkpoint_id);
-        w.Key("copy");
-        w.Uint(l.copy);
-        w.Key("retried");
-        w.Bool(l.retried);
-        w.Key("frames");
-        w.Uint(l.frames);
-        w.Key("order");
-        w.Uint(order);
-      });
-    }
-    if (tracer_ != nullptr) {
-      const bool scheduled = availability_[s] >= 0.0;
-      const double submit = scheduled ? submit_time_[s] : now;
-      const double avail =
-          scheduled ? std::max(availability_[s], submit) : now;
-      tracer_->Record(TraceEventType::kRecoverySegmentOnDemand, submit, avail,
-                      static_cast<int64_t>(s),
-                      static_cast<int64_t>(trigger),
-                      static_cast<int64_t>(order));
-    }
-    if (metrics_ != nullptr) {
-      metrics_->counter("recovery.segments_on_demand")->Increment();
-    }
-  }
-  (void)main_applies;
+  if (!announced_[s]) Announce(s, now, trigger);
   return Status::OK();
 }
 
-void InstantRecovery::PublishFinal(double crash_now) {
-  RecoveryManager::Publish(metrics_, tracer_, plan_.result.stats, crash_now,
-                           plan_.replay_buckets);
+void InstantRecovery::Announce(SegmentId s, double now, LoadTrigger trigger) {
+  announced_[s] = true;
+  const uint64_t order = load_order_++;
+  switch (trigger) {
+    case LoadTrigger::kTouch:
+      ++touch_loads_;
+      break;
+    case LoadTrigger::kBackground:
+      ++background_loads_;
+      break;
+    case LoadTrigger::kForce:
+      ++force_loads_;
+      break;
+  }
+  const SegmentLineage& l = plan_.result.lineage[s];
+  if (audit_ != nullptr) {
+    audit_->Record("recovery.segment_on_demand", now, [&](JsonWriter& w) {
+      w.Key("segment");
+      w.Uint(s);
+      w.Key("trigger");
+      w.String(TriggerName(trigger));
+      w.Key("checkpoint");
+      w.Uint(l.checkpoint_id);
+      w.Key("copy");
+      w.Uint(l.copy);
+      w.Key("retried");
+      w.Bool(l.retried);
+      w.Key("frames");
+      w.Uint(l.frames);
+      w.Key("order");
+      w.Uint(order);
+    });
+  }
+  if (tracer_ != nullptr) {
+    const bool scheduled = availability_[s] >= 0.0;
+    const double submit = scheduled ? submit_time_[s] : now;
+    const double avail = scheduled ? std::max(availability_[s], submit) : now;
+    tracer_->Record(TraceEventType::kRecoverySegmentOnDemand, submit, avail,
+                    static_cast<int64_t>(s), static_cast<int64_t>(trigger),
+                    static_cast<int64_t>(order));
+  }
+  if (metrics_ != nullptr) {
+    metrics_->counter("recovery.segments_on_demand")->Increment();
+  }
 }
 
 }  // namespace mmdb

@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <queue>
 #include <set>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -12,6 +11,7 @@
 #include "obs/audit.h"
 #include "obs/metrics_registry.h"
 #include "obs/trace.h"
+#include "parallel/thread_pool.h"
 #include "recovery/recovery_manager.h"
 #include "sim/cost_model.h"
 #include "sim/cpu_meter.h"
@@ -22,41 +22,39 @@
 
 namespace mmdb {
 
-// On-demand segment recovery against an InstantRecoveryPlan (DESIGN.md
-// §19). Owns the modeled backup disk array for the restart and decides,
-// per segment, WHEN its backup reload completes on the virtual timeline
-// (the schedule) and WHAT bytes it holds afterwards (materialization:
-// backup read + bucketed REDO replay, including the segment-granular
-// older-copy fallback). The two are deliberately orthogonal:
+// Loads segments against a RecoveryPlan (DESIGN.md §14, §19): the one
+// applier of a restart, whichever schedule drives it. A segment's load is
+// its backup read plus the REDO replay of its bucket, with the older-copy
+// fallback on CRC/IO damage; it consumes no virtual time (the plan
+// already charged the replay CPU and computed the phase durations in
+// closed form), and buckets are per-segment log-order frame lists, so one
+// segment's load never depends on another's.
 //
-//   - The SCHEDULE is pure virtual-clock arithmetic on the same disk
-//     array blocking recovery would have used: StartClock submits the
-//     first `num_disks` segment reads at the restart instant, and each
-//     completion immediately submits the next pending segment in
+// Two schedules drive it:
+//
+//   - EAGER (blocking restart): LoadAll reads every segment across the
+//     pool, runs the fallback once with the complete failed set, and
+//     replays every bucket in parallel.
+//
+//   - ON DEMAND (instant restart): pure virtual-clock arithmetic on the
+//     same disk array a blocking restart would have used. StartClock
+//     submits the first `num_disks` segment reads at the restart instant,
+//     and each completion immediately submits the next pending segment in
 //     access-priority order (observed touch count descending, then
 //     ascending segment id). Touch() queue-jumps an unsubmitted segment
 //     to the front. Because every device is kept busy until the pending
-//     set drains, the LAST completion lands exactly at
-//     restart + backup_read_seconds regardless of the order in between —
-//     which is why time_to_full_recovery equals the blocking path's
-//     backup phase and the modeled stats stay bit-identical.
-//
-//   - MATERIALIZATION moves the actual bytes (Env reads + WriteRecord)
-//     and consumes no virtual time: the plan already charged the replay
-//     CPU and computed the phase durations in closed form. Materialize
-//     is idempotent per segment and safe in any order — buckets are
-//     per-segment log-order frame lists, so one segment's replay never
-//     depends on another's.
-//
-// The engine drives both: transaction admission calls Touch (advancing
-// its clock to the availability time = the recovery_wait stall), the
-// post-AdvanceTime sweep calls MaterializeDue for segments whose
-// background reload has completed, and DrainRecovery calls
-// CompleteSchedule + MaterializeDue to finish the restart.
+//     set drains, the LAST completion lands exactly at restart +
+//     backup_read_seconds regardless of the order in between — which is
+//     why time_to_full_recovery equals the blocking path's backup phase
+//     and the modeled stats stay bit-identical. The engine drives it:
+//     transaction admission calls Touch (advancing its clock to the
+//     availability time = the recovery_wait stall) then Materialize, the
+//     post-AdvanceTime sweep calls MaterializeDue, and DrainRecovery calls
+//     CompleteSchedule + MaterializeDue to finish the restart.
 class InstantRecovery {
  public:
-  // Why a segment is being materialized, journaled per segment in the
-  // recovery.segment_on_demand audit event and the trace.
+  // Why a segment is being materialized on demand, journaled per segment
+  // in the recovery.segment_on_demand audit event and the trace.
   enum class LoadTrigger : uint8_t {
     kTouch = 0,       // a transaction touched it (admission stall)
     kBackground = 1,  // its scheduled background reload completed
@@ -64,16 +62,21 @@ class InstantRecovery {
   };
 
   // All pointers are borrowed and must outlive this object. `metrics`,
-  // `tracer` and `audit` may be null.
-  InstantRecovery(InstantRecoveryPlan plan, const SystemParams& params,
+  // `tracer`, `audit` and `pool` may be null (null pool = serial).
+  InstantRecovery(RecoveryPlan plan, const SystemParams& params,
                   BackupStore* backup, Database* db, CpuMeter* meter,
                   MetricsRegistry* metrics, Tracer* tracer,
-                  AuditJournal* audit);
+                  AuditJournal* audit, ThreadPool* pool);
 
-  // Starts the restart schedule at virtual time `now` (the clock position
-  // right after OpenExisting returns): submits the first window of
-  // background reloads. Cold start (no checkpoint) makes every segment
-  // available immediately at `now`.
+  // The eager schedule: loads every segment now, fanning the backup reads
+  // and the bucket replays out across the pool. Journals no per-segment
+  // events. Errors are fatal to the restart.
+  Status LoadAll();
+
+  // Starts the on-demand schedule at virtual time `now` (the clock
+  // position right after Engine::Recover returns): submits the first
+  // window of background reloads. Cold start (no checkpoint) makes every
+  // segment available immediately at `now`.
   void StartClock(double now);
 
   // Records a transaction touch of `s` (raising its background priority)
@@ -85,11 +88,8 @@ class InstantRecovery {
   // then calls Materialize.
   double Touch(SegmentId s, double now);
 
-  // Loads segment `s` NOW (backup read + REDO replay of its bucket),
-  // falling back to the older copy on CRC/IO damage exactly as blocking
-  // recovery does — refining stats and lineage identically. Idempotent;
-  // `now` is only journaled. Errors are fatal to the restart (neither
-  // copy readable, or the log was damaged since planning).
+  // Loads segment `s` NOW. Idempotent; `now` is only journaled. Errors
+  // are fatal to the restart.
   Status Materialize(SegmentId s, double now, LoadTrigger trigger);
 
   // Materializes every segment whose scheduled background reload has
@@ -102,24 +102,26 @@ class InstantRecovery {
   // MaterializeDue. Idempotent.
   double CompleteSchedule();
 
+  // A transaction committed since the restart. From then on, a fallback
+  // that must reload every segment from the older copy fails the restart
+  // instead of re-reading segments that may hold those commits.
+  void NoteCommit() { committed_since_start_ = true; }
+
   bool AllLoaded() const { return loaded_count_ == num_segments_; }
   uint64_t pending_segments() const { return num_segments_ - loaded_count_; }
-  bool fell_back() const { return fallback_prepared_; }
-  double start_time() const { return start_; }
+  bool fell_back() const { return fell_back_; }
 
-  // Live views of the plan's result; fallback refines stats/lineage.
+  // Live views of the plan's result; the fallback refines stats/lineage.
   const RecoveryResult& result() const { return plan_.result; }
+  // Moves the finished restart's result out, once every segment loaded.
+  RecoveryResult TakeResult() { return std::move(plan_.result); }
   const RecoveryStats& stats() const { return plan_.result.stats; }
+  uint64_t replay_buckets() const { return plan_.redo.replay_buckets; }
 
   // On-demand load counters for the engine's availability accounting.
   uint64_t touch_loads() const { return touch_loads_; }
   uint64_t background_loads() const { return background_loads_; }
   uint64_t force_loads() const { return force_loads_; }
-
-  // Registry counters/timers and trace events for the finished recovery,
-  // with the same shapes and the crash-time `now` the blocking path uses.
-  // Call once, after AllLoaded().
-  void PublishFinal(double crash_now);
 
  private:
   // Pops schedule completions up to `t`, refilling each freed device with
@@ -131,26 +133,35 @@ class InstantRecovery {
   // num_segments_ when none remain. O(log N) amortized.
   SegmentId PickNextPending();
 
-  // First newest-copy failure: locate the previous checkpoint's begin
-  // marker, scan/validate the extension frames into per-segment buckets,
-  // and refine the modeled stats exactly as blocking recovery's fallback
-  // would (longer log suffix, extended scan counts). Once per restart.
-  Status PrepareFallback(const Status& trigger_status, SegmentId s,
-                         double now);
+  // Reads `s`'s backup image straight into its primary slot, from the
+  // copy its lineage names. A CRC-failed read leaves unspecified bytes
+  // there until the older-copy retry overwrites them.
+  Status ReadSegment(SegmentId s);
+  // On-demand reload of `s`, falling back to the older copy on the first
+  // survivable failure.
+  Status Reload(SegmentId s, double now);
+  // REDO-replays `s`'s bucket (validated at plan time) into the primary.
+  Status ApplyRedo(SegmentId s);
 
-  struct ApplyStats {
-    uint64_t full_applies = 0;
-    uint64_t delta_applies = 0;
-    Lsn first_lsn = kInvalidLsn;
-    Lsn last_lsn = kInvalidLsn;
-    std::vector<uint32_t> streams;
-  };
-  // REDO-replays `frames` (log order) into the primary. `use_ext_committed`
-  // additionally honors commits found in the fallback extension.
-  Status ReplayFrames(const std::vector<std::size_t>& frames,
-                      bool use_ext_committed, ApplyStats* out);
+  // The older-copy fallback, once per restart: locates the previous
+  // checkpoint's begin marker, re-plans the longer suffix from it, picks
+  // the retry set (`failed`, or every segment when the suffix holds
+  // DELTA records) and refines stats and lineage to exactly what a
+  // restart from that suffix reports. `failed` lists the newest-copy
+  // failures seen so far; unless `failed_set_complete`, a full reload
+  // first reads the unserved segments to complete it. A full-image retry
+  // never re-reads a served segment: the newest copy plus the main
+  // suffix already equals what the longer suffix gives (DESIGN.md §14).
+  // A full reload latches the served segments again, to reload from the
+  // older copy; that is sound only while nothing has committed since the
+  // restart, so otherwise it fails the restart.
+  Status FallBack(std::vector<SegmentId> failed, const Status& trigger,
+                  bool failed_set_complete, double now);
+  // Marks `s` as re-read from the previous checkpoint's copy.
+  void MarkRetried(SegmentId s);
+  void Announce(SegmentId s, double now, LoadTrigger trigger);
 
-  InstantRecoveryPlan plan_;
+  RecoveryPlan plan_;
   SystemParams params_;
   BackupStore* backup_;
   Database* db_;
@@ -158,15 +169,14 @@ class InstantRecovery {
   MetricsRegistry* metrics_;
   Tracer* tracer_;
   AuditJournal* audit_;
+  ThreadPool* pool_;
 
   SegmentId num_segments_ = 0;
-  double start_ = 0.0;
   bool clock_started_ = false;
-  bool schedule_complete_ = false;
   double last_completion_ = 0.0;  // max availability ever scheduled
 
   // The restart's backup array: same parameters, fresh state — exactly
-  // the array blocking recovery's phase 2 would have used.
+  // the array a blocking restart's reads are modeled on.
   DiskArrayModel disks_;
 
   // Per-segment state. availability_ < 0 = not yet submitted.
@@ -180,8 +190,8 @@ class InstantRecovery {
   // The pending (unsubmitted) segments, split for PickNextPending: those
   // touched at least once, hottest first (touch count desc, id asc), and
   // a cursor at the lowest untouched one. A touched segment can still be
-  // pending when a raw read or a full-reload fallback materialized it
-  // before its read was scheduled.
+  // pending when a raw read materialized it before its read was
+  // scheduled.
   struct HotterFirst {
     bool operator()(const std::pair<uint64_t, SegmentId>& a,
                     const std::pair<uint64_t, SegmentId>& b) const {
@@ -199,23 +209,10 @@ class InstantRecovery {
   // not be materialized yet — MaterializeDue's work list.
   std::vector<SegmentId> due_;
 
-  // Older-copy fallback state (lazy; see PrepareFallback).
-  bool fallback_prepared_ = false;
-  // DELTA records in the longer suffix forced a full reload from the
-  // previous copy (every segment's provenance switches).
-  bool full_reload_ = false;
-  CheckpointId fallback_prev_id_ = 0;
-  uint32_t fallback_prev_copy_ = 0;
-  // Extension [prev begin marker, main begin marker): per-segment frame
-  // buckets, the commits found there (unioned with the plan's set when
-  // replaying extension frames), and the per-segment apply tallies the
-  // eager validation pass computed.
-  std::vector<std::vector<std::size_t>> ext_buckets_;
-  std::unordered_set<TxnId> ext_committed_;
-  std::vector<ApplyStats> ext_stats_;
-
+  bool fell_back_ = false;
+  bool committed_since_start_ = false;
   // Whether a segment's first materialization has been journaled/traced —
-  // fallback re-materializations must not re-announce.
+  // a full-reload fallback's re-materializations must not re-announce.
   std::vector<bool> announced_;
 
   uint64_t load_order_ = 0;  // materialization ordinal (first-touch order)

@@ -1,8 +1,6 @@
 #include "recovery/recovery_manager.h"
 
 #include <algorithm>
-#include <atomic>
-#include <chrono>
 #include <cstdlib>
 #include <thread>
 #include <unordered_set>
@@ -10,74 +8,191 @@
 
 #include "parallel/parallel.h"
 #include "sim/disk_model.h"
-#include "util/coding.h"
 #include "util/string_util.h"
 #include "wal/log_reader.h"
 #include "wal/log_record.h"
 
 namespace mmdb {
 
-namespace {
-
-using WallClock = std::chrono::steady_clock;
-
-double SecondsSince(WallClock::time_point start) {
-  return std::chrono::duration<double>(WallClock::now() - start).count();
-}
-
-// Chunk size targeting ~4 chunks per worker: coarse enough that enqueue
-// overhead is amortized, fine enough that a straggler chunk cannot idle
-// the rest of the pool for long. The chunk DECOMPOSITION never affects
-// results — every merge below is by index or a commutative reduction — so
-// this is purely a scheduling knob.
-std::size_t ChunkFor(std::size_t n, uint32_t threads) {
+std::size_t RecoveryChunk(std::size_t n, uint32_t threads) {
   std::size_t target = static_cast<std::size_t>(threads) * 4;
   return std::max<std::size_t>(1, (n + target - 1) / target);
 }
 
-// Per-thread busy-time sink for the wall-clock breakdown. Nanosecond
-// integer accumulators (not atomic<double>) so concurrent adds stay
-// lock-free and exact.
-class BusyMeter {
- public:
-  explicit BusyMeter(uint32_t threads) : ns_(threads) {}
+void BusyMeter::Charge(Clock::time_point start) {
+  int w = ThreadPool::CurrentWorkerIndex();
+  std::size_t slot = w < 0 ? 0 : static_cast<std::size_t>(w);
+  if (slot >= ns_.size()) slot = 0;
+  auto d = std::chrono::duration_cast<std::chrono::nanoseconds>(
+      Clock::now() - start);
+  ns_[slot].fetch_add(static_cast<uint64_t>(d.count()),
+                      std::memory_order_relaxed);
+}
 
-  // Charges the elapsed time since `start` to the calling thread's slot.
-  void Charge(WallClock::time_point start) {
-    int w = ThreadPool::CurrentWorkerIndex();
-    std::size_t slot = w < 0 ? 0 : static_cast<std::size_t>(w);
-    if (slot >= ns_.size()) slot = 0;
-    auto d = std::chrono::duration_cast<std::chrono::nanoseconds>(
-        WallClock::now() - start);
-    ns_[slot].fetch_add(static_cast<uint64_t>(d.count()),
-                        std::memory_order_relaxed);
+void BusyMeter::AddTo(std::vector<double>* out) const {
+  out->resize(ns_.size(), 0.0);
+  for (std::size_t i = 0; i < ns_.size(); ++i) {
+    (*out)[i] +=
+        static_cast<double>(ns_[i].load(std::memory_order_relaxed)) * 1e-9;
   }
+}
 
-  std::vector<double> Seconds() const {
-    std::vector<double> out;
-    out.reserve(ns_.size());
-    for (const auto& v : ns_) {
-      out.push_back(static_cast<double>(v.load(std::memory_order_relaxed)) *
-                    1e-9);
+double ReplayInstructions(const SystemParams& params, uint64_t full_applies,
+                          uint64_t delta_applies) {
+  return params.costs.move_per_word *
+             static_cast<double>(params.db.record_words) *
+             static_cast<double>(full_applies) +
+         (8.0 / kWordBytes) * static_cast<double>(delta_applies);
+}
+
+void ModelRecoveryTimes(const SystemParams& params, double now,
+                        uint64_t full_applies, uint64_t delta_applies,
+                        RecoveryStats* stats) {
+  // Fresh disk service state: the arrays restart with the machine.
+  DiskArrayModel backup_disks(params.disk);
+  for (uint64_t i = 0; i < stats->segments_loaded; ++i) {
+    backup_disks.Submit(now, params.db.segment_words);
+  }
+  const double backup_done = std::max(now, backup_disks.AllIdleTime());
+  stats->backup_read_seconds = backup_done - now;
+
+  // The log read is sequential from the marker to the end of the log, in
+  // large striped chunks across the log disks.
+  DiskArrayModel log_disks(params.disk.LogArray());
+  constexpr uint64_t kChunkWords = 64 * 1024;  // 256 KiB per device request
+  const uint64_t log_words =
+      (stats->log_bytes_read + kWordBytes - 1) / kWordBytes;
+  for (uint64_t w = 0; w < log_words; w += kChunkWords) {
+    log_disks.Submit(backup_done, std::min(kChunkWords, log_words - w));
+  }
+  const double log_done = std::max(log_disks.AllIdleTime(), backup_done);
+  stats->log_read_seconds = log_done - backup_done;
+
+  stats->replay_cpu_seconds = params.InstructionsToSeconds(
+      ReplayInstructions(params, full_applies, delta_applies));
+  // This grouping, not a three-way sum: float addition is not
+  // associative, and every equivalence gate compares total_seconds
+  // exactly.
+  stats->total_seconds = (log_done - now) + stats->replay_cpu_seconds;
+}
+
+StatusOr<RedoScan> ScanRedo(const LogReader& reader, std::size_t start,
+                            const DatabaseParams& db, ThreadPool* pool,
+                            BusyMeter* busy,
+                            std::vector<SegmentLineage>* lineage) {
+  const uint32_t threads =
+      pool != nullptr ? static_cast<uint32_t>(pool->num_threads()) : 1;
+  const std::size_t frames = reader.num_frames() - start;
+  const uint64_t num_records = db.num_records();
+  const uint64_t record_bytes = db.record_bytes();
+
+  // Pass over the frames: disjoint chunks decode concurrently (the reader
+  // is immutable). A data frame whose operand lies outside the database
+  // is flagged here and rejected below only if its transaction committed.
+  struct DataFrame {
+    std::size_t frame;
+    RecordId record_id;
+    TxnId txn_id;
+    Lsn lsn;
+    bool delta;
+    bool malformed;
+  };
+  struct Chunk {
+    uint64_t records = 0;
+    Lsn max_lsn = kInvalidLsn;
+    std::vector<TxnId> commits;
+    std::vector<DataFrame> data;
+  };
+  const std::size_t chunk = RecoveryChunk(frames, threads);
+  std::vector<Chunk> chunks(frames == 0 ? 0 : (frames + chunk - 1) / chunk);
+  MMDB_RETURN_IF_ERROR(ParallelFor(
+      pool, frames, chunk, [&](std::size_t begin, std::size_t end) -> Status {
+        const BusyMeter::Clock::time_point t0 = BusyMeter::Clock::now();
+        Chunk& out = chunks[begin / chunk];
+        for (std::size_t i = begin; i < end; ++i) {
+          const std::size_t frame = start + i;
+          LogRecordHeader h;
+          MMDB_RETURN_IF_ERROR(reader.HeaderAt(frame, &h));
+          ++out.records;
+          if (out.max_lsn == kInvalidLsn || h.lsn > out.max_lsn) {
+            out.max_lsn = h.lsn;
+          }
+          if (h.type == LogRecordType::kCommit) {
+            out.commits.push_back(h.txn_id);
+          } else if (h.type == LogRecordType::kUpdate ||
+                     h.type == LogRecordType::kDelta) {
+            const bool delta = h.type == LogRecordType::kDelta;
+            const bool malformed =
+                h.record_id >= num_records ||
+                (delta ? h.field_offset + uint64_t{8} > record_bytes
+                       : h.image_size != record_bytes);
+            out.data.push_back(
+                DataFrame{frame, h.record_id, h.txn_id, h.lsn, delta,
+                          malformed});
+          }
+        }
+        if (busy != nullptr) busy->Charge(t0);
+        return Status::OK();
+      }));
+
+  // Serial merge in chunk order, so every bucket lists its frames in
+  // global log order — the invariant partitioned replay relies on.
+  RedoScan out;
+  std::unordered_set<TxnId> committed;
+  for (const Chunk& c : chunks) {
+    out.records += c.records;
+    if (c.max_lsn != kInvalidLsn &&
+        (out.max_lsn == kInvalidLsn || c.max_lsn > out.max_lsn)) {
+      out.max_lsn = c.max_lsn;
     }
-    return out;
+    committed.insert(c.commits.begin(), c.commits.end());
   }
-
- private:
-  std::vector<std::atomic<uint64_t>> ns_;
-};
-
-}  // namespace
+  out.txns = committed.size();
+  const SegmentId num_segments = db.num_segments();
+  const uint64_t records_per_segment = db.records_per_segment();
+  out.buckets.assign(num_segments, {});
+  for (SegmentLineage& l : *lineage) {
+    l.frames = 0;
+    l.first_lsn = kInvalidLsn;
+    l.last_lsn = kInvalidLsn;
+    l.streams.clear();
+  }
+  std::vector<bool> seen(num_segments + 1, false);
+  for (const Chunk& c : chunks) {
+    for (const DataFrame& d : c.data) {
+      const SegmentId s = std::min<uint64_t>(d.record_id / records_per_segment,
+                                             num_segments);
+      if (!seen[s]) {
+        seen[s] = true;
+        ++out.replay_buckets;
+      }
+      out.has_delta = out.has_delta || d.delta;
+      if (committed.count(d.txn_id) == 0) continue;
+      if (d.malformed) {
+        return CorruptionError(StringPrintf(
+            "%s record for txn %llu is malformed", d.delta ? "delta" : "update",
+            static_cast<unsigned long long>(d.txn_id)));
+      }
+      // In range, so `s` is a real segment.
+      out.buckets[s].push_back(d.frame);
+      ++(d.delta ? out.delta_applies : out.full_applies);
+      SegmentLineage& l = (*lineage)[s];
+      ++l.frames;
+      if (l.first_lsn == kInvalidLsn) l.first_lsn = d.lsn;
+      l.last_lsn = d.lsn;
+      const uint32_t stream = reader.FrameStream(d.frame);
+      if (std::find(l.streams.begin(), l.streams.end(), stream) ==
+          l.streams.end()) {
+        l.streams.push_back(stream);
+      }
+    }
+  }
+  return out;
+}
 
 RecoveryManager::RecoveryManager(Env* env, const SystemParams& params,
-                                 CpuMeter* meter, MetricsRegistry* metrics,
-                                 Tracer* tracer, ThreadPool* pool)
-    : env_(env),
-      params_(params),
-      meter_(meter),
-      metrics_(metrics),
-      tracer_(tracer),
-      pool_(pool) {}
+                                 CpuMeter* meter, ThreadPool* pool)
+    : env_(env), params_(params), meter_(meter), pool_(pool) {}
 
 uint32_t RecoveryManager::ResolveThreads(uint32_t configured) {
   const char* env = std::getenv("MMDB_RECOVERY_THREADS");
@@ -142,48 +257,11 @@ void RecoveryManager::Publish(MetricsRegistry* metrics, Tracer* tracer,
   }
 }
 
-StatusOr<RecoveryResult> RecoveryManager::Recover(
-    BackupStore* backup, const std::vector<std::string>& log_paths,
-    Database* db, SegmentTable* segments, double now) {
-  StatusOr<RecoveryResult> result =
-      RecoverImpl(backup, log_paths, db, segments, now);
-  if (audit_ != nullptr) {
-    if (!result.ok()) {
-      const std::string error = result.status().ToString();
-      audit_->Record("recovery.error", now, [&](JsonWriter& w) {
-        w.Key("error");
-        w.String(error);
-      });
-      audit_->Sync();
-    } else {
-      const RecoveryResult& r = *result;
-      audit_->Record("recovery.lineage", now, [&](JsonWriter& w) {
-        w.Key("lineage");
-        WriteLineageJson(r.lineage, &w);
-      });
-      audit_->Record("recovery.end", now, [&](JsonWriter& w) {
-        w.Key("checkpoint");
-        w.Uint(r.stats.checkpoint_id);
-        w.Key("copy");
-        w.Uint(r.stats.copy);
-        w.Key("fell_back");
-        w.Bool(r.stats.fell_back_to_older_copy);
-        w.Key("last_lsn");
-        w.Uint(r.last_lsn);
-        w.Key("applies");
-        w.Uint(r.stats.updates_applied);
-        w.Key("txns");
-        w.Uint(r.stats.txns_redone);
-      });
-      audit_->Sync();
-    }
-  }
-  return result;
-}
-
-StatusOr<RecoveryManager::RestorePlan> RecoveryManager::BuildRestorePlan(
-    BackupStore* backup, const std::vector<std::string>& log_paths,
-    Database* db, double now, RecoveryResult* result) {
+Status RecoveryManager::ChooseRestore(BackupStore* backup,
+                                      const std::vector<std::string>& log_paths,
+                                      Database* db, double now,
+                                      RecoveryPlan* plan) {
+  RecoveryResult* result = &plan->result;
   // --- Phase 1: decide which checkpoint to restore ----------------------
   // Two sources name the last complete checkpoint: the metadata file
   // (renamed into place after the end marker is durable) and the log's own
@@ -321,723 +399,81 @@ StatusOr<RecoveryManager::RestorePlan> RecoveryManager::BuildRestorePlan(
     }
   }
 
-  RestorePlan plan{std::move(reader)};
-  plan.have_checkpoint = have_checkpoint;
-  plan.restore_id = restore_id;
-  plan.restore_copy = restore_copy;
-  plan.replay_from_offset = replay_from_offset;
-  return plan;
+  plan->reader = std::move(reader);
+  plan->have_checkpoint = have_checkpoint;
+  plan->restore_id = restore_id;
+  plan->restore_copy = restore_copy;
+  plan->replay_from_offset = replay_from_offset;
+  return Status::OK();
 }
 
-StatusOr<RecoveryResult> RecoveryManager::RecoverImpl(
+StatusOr<RecoveryPlan> RecoveryManager::Plan(
     BackupStore* backup, const std::vector<std::string>& log_paths,
     Database* db, SegmentTable* segments, double now) {
-  RecoveryResult result;
+  RecoveryPlan plan;
+  plan.crash_time = now;
+  RecoveryResult& result = plan.result;
   RecoveryStats& stats = result.stats;
   const uint32_t threads =
       pool_ != nullptr ? static_cast<uint32_t>(pool_->num_threads()) : 1;
   stats.threads_used = threads;
   BusyMeter busy(threads);
 
-  // Fresh disk service state: the array restarts with the machine.
-  DiskArrayModel backup_disks(params_.disk);
-  DiskArrayModel log_disks(params_.disk.LogArray());
+  MMDB_RETURN_IF_ERROR(ChooseRestore(backup, log_paths, db, now, &plan));
+  const LogReader& reader = plan.reader;
 
-  MMDB_ASSIGN_OR_RETURN(RestorePlan plan, BuildRestorePlan(backup, log_paths,
-                                                           db, now, &result));
-  LogReader& reader = plan.reader;
-  const bool have_checkpoint = plan.have_checkpoint;
-  CheckpointId restore_id = plan.restore_id;
-  uint32_t restore_copy = plan.restore_copy;
-  uint64_t replay_from_offset = plan.replay_from_offset;
-
-  // --- Phase 2: load the chosen backup copy -----------------------------
-  // Segments are independent byte ranges of both the copy file and the
-  // primary, so the reads+CRC checks fan out across the pool in chunks.
-  // Each segment is read straight into its primary slot and verified
-  // there; a failed slot holds unspecified bytes until the older-copy
-  // retry overwrites it, and no retry means the restart fails.
-  // Per-segment failures are COLLECTED (not fail-fast): the fallback
-  // protocol needs the complete failed set, and collecting makes the
-  // outcome independent of worker scheduling. Modeled disk submissions
-  // happen serially afterwards, one per successful read at time `now` —
-  // exactly the sequence the serial path issued, so the modeled
-  // backup_read_seconds is bit-identical for any thread count.
-  WallClock::time_point backup_wall_start = WallClock::now();
-  double backup_done = now;
-  if (have_checkpoint) {
-    // Reads segments `ids` of `copy_idx` into the primary. Failures land
-    // in `failures` ordered by segment id.
-    struct SegmentFailure {
-      SegmentId segment;
-      Status status;
-    };
-    auto load_segments = [&](uint32_t copy_idx,
-                             const std::vector<SegmentId>& ids,
-                             std::vector<SegmentFailure>* failures)
-        -> Status {
-      std::vector<Status> seg_status(ids.size());
-      Status fan = ParallelFor(
-          pool_, ids.size(), ChunkFor(ids.size(), threads),
-          [&](std::size_t begin, std::size_t end) -> Status {
-            WallClock::time_point start = WallClock::now();
-            for (std::size_t i = begin; i < end; ++i) {
-              seg_status[i] = backup->ReadSegmentInto(
-                  copy_idx, ids[i], db->MutableSegment(ids[i]));
-            }
-            busy.Charge(start);
-            return Status::OK();
-          });
-      MMDB_RETURN_IF_ERROR(fan);
-      for (std::size_t i = 0; i < ids.size(); ++i) {
-        if (seg_status[i].ok()) {
-          backup_disks.Submit(now, params_.db.segment_words);
-          ++stats.segments_loaded;
-        } else {
-          failures->push_back(SegmentFailure{ids[i], seg_status[i]});
-        }
-      }
-      return Status::OK();
-    };
-
-    std::vector<SegmentId> all_segments(db->num_segments());
-    for (SegmentId s = 0; s < db->num_segments(); ++s) all_segments[s] = s;
-    std::vector<SegmentFailure> failures;
-    MMDB_RETURN_IF_ERROR(load_segments(restore_copy, all_segments, &failures));
-    for (const SegmentFailure& f : failures) {
-      // Only CRC damage and device faults are survivable via the older
-      // copy; anything else (bad geometry, programming error) is fatal.
-      if (!f.status.IsCorruption() && !f.status.IsIoError()) {
-        return f.status;
-      }
-    }
-    if (!failures.empty()) {
-      // The newest copy has CRC-bad or unreadable segments (a torn
-      // checkpoint tail, scribbled in-flight slots, or device faults).
-      // The ping-pong protocol guarantees the PREVIOUS checkpoint's copy
-      // was complete before this one started overwriting the other file,
-      // so fall back to it and replay the longer log suffix from its
-      // begin marker — which must still be in the log, since truncation
-      // only ever cuts before the newest complete checkpoint's marker.
-      CheckpointId prev_id = restore_id - 1;
-      bool found_prev = false;
-      uint64_t prev_begin_offset = 0;
-      LogRecord prev_begin_record;
-      if (prev_id >= 1) {
-        MMDB_RETURN_IF_ERROR(
-            reader.ScanBackward([&](const LogRecord& r, uint64_t offset) {
-              if (r.type == LogRecordType::kBeginCheckpoint &&
-                  r.checkpoint_id == prev_id) {
-                prev_begin_offset = offset;
-                prev_begin_record = r;
-                found_prev = true;
-                return false;
-              }
-              return true;
-            }));
-      }
-      if (!found_prev) {
-        return CorruptionError(StringPrintf(
-            "backup copy %u of checkpoint %llu is unreadable (%s) and no "
-            "older complete checkpoint is reachable in the log",
-            restore_copy, static_cast<unsigned long long>(restore_id),
-            failures.front().status.message().c_str()));
-      }
-      for (const ActiveTxnEntry& e : prev_begin_record.active_txns) {
-        if (e.first_lsn != kInvalidLsn) {
-          return NotSupportedError(
-              "active transaction with pre-marker log records; update-time "
-              "logging is not used by this engine");
-        }
-      }
-      // Retry protocol (DESIGN.md §14): with full-image (UPDATE) replay
-      // only, re-reading JUST the failed segments from the previous copy
-      // is sound — commit-time logging puts every post-prev-marker update
-      // in the replay suffix, and full images are idempotent, so the
-      // mixed-copy state converges to the same bytes. DELTA records are
-      // logical additions and demand an exact snapshot at the replay
-      // start point, so their presence in the suffix forces a full
-      // reload of the previous copy.
-      bool suffix_has_delta = false;
-      MMDB_RETURN_IF_ERROR(reader.ScanForward(
-          prev_begin_offset, [&](const LogRecord& r, uint64_t) {
-            if (r.type == LogRecordType::kDelta) {
-              suffix_has_delta = true;
-              return false;
-            }
-            return true;
-          }));
-      std::vector<SegmentId> retry_ids;
-      if (suffix_has_delta) {
-        retry_ids = all_segments;
-      } else {
-        retry_ids.reserve(failures.size());
-        for (const SegmentFailure& f : failures) {
-          retry_ids.push_back(f.segment);
-        }
-      }
-      if (audit_ != nullptr) {
-        const std::string trigger = failures.front().status.ToString();
-        audit_->Record("recovery.fallback", now, [&](JsonWriter& w) {
-          w.Key("from_checkpoint");
-          w.Uint(restore_id);
-          w.Key("from_copy");
-          w.Uint(restore_copy);
-          w.Key("to_checkpoint");
-          w.Uint(prev_id);
-          w.Key("to_copy");
-          w.Uint(BackupStore::CopyFor(prev_id));
-          w.Key("trigger");
-          w.String(trigger);
-          w.Key("failed_segments");
-          w.BeginArray();
-          for (const SegmentFailure& f : failures) w.Uint(f.segment);
-          w.EndArray();
-          w.Key("full_reload");
-          w.Bool(suffix_has_delta);
-        });
-      }
-      // Every retried segment's bytes now come from the previous copy
-      // (mixed-copy provenance when the retry set is partial).
-      for (SegmentId s : retry_ids) {
-        SegmentLineage& l = result.lineage[s];
-        l.checkpoint_id = prev_id;
-        l.copy = BackupStore::CopyFor(prev_id);
-        l.retried = true;
-      }
-      restore_id = prev_id;
-      restore_copy = BackupStore::CopyFor(prev_id);
-      replay_from_offset = prev_begin_offset;
-      stats.fell_back_to_older_copy = true;
-      stats.segments_retried = retry_ids.size();
-      // A failure here means neither copy is readable: fatal.
-      std::vector<SegmentFailure> retry_failures;
-      MMDB_RETURN_IF_ERROR(
-          load_segments(restore_copy, retry_ids, &retry_failures));
-      if (!retry_failures.empty()) return retry_failures.front().status;
-    }
-    stats.checkpoint_id = restore_id;
-    stats.copy = restore_copy;
-    backup_done = std::max(now, backup_disks.AllIdleTime());
-  }
-  stats.backup_read_seconds = backup_done - now;
-  stats.backup_read_wall_seconds = SecondsSince(backup_wall_start);
-
-  // The read is sequential from the marker to the end of the log, in large
-  // striped chunks across the log disks.
-  uint64_t log_bytes = result.log_valid_bytes > replay_from_offset
-                           ? result.log_valid_bytes - replay_from_offset
-                           : 0;
-  stats.log_bytes_read = log_bytes;
-  constexpr uint64_t kChunkWords = 64 * 1024;  // 256 KiB per device request
-  uint64_t log_words = (log_bytes + kWordBytes - 1) / kWordBytes;
-  double log_done = backup_done;
-  for (uint64_t w = 0; w < log_words; w += kChunkWords) {
-    log_done = log_disks.Submit(backup_done, std::min(kChunkWords,
-                                                      log_words - w));
-  }
-  log_done = std::max(log_disks.AllIdleTime(), backup_done);
-  stats.log_read_seconds = log_done - backup_done;
-
-  // --- Phase 3: REDO replay ---------------------------------------------
-  // Pass 1 — classification scan: shallow-decode every frame in the
-  // replay suffix to find the committed set, the max LSN, and the
-  // per-segment buckets for partitioned replay. Frame ranges are disjoint
-  // and the reader is immutable, so chunks decode concurrently; chunk
-  // results merge in chunk order, making every output identical to the
-  // serial scan.
-  WallClock::time_point scan_wall_start = WallClock::now();
+  // Classification scan of the replay suffix: the committed set, the max
+  // LSN, the per-segment buckets, and the lineage and apply tallies.
+  const BusyMeter::Clock::time_point scan_start = BusyMeter::Clock::now();
   std::size_t start_frame = 0;
   if (reader.num_frames() > 0) {
     MMDB_ASSIGN_OR_RETURN(start_frame,
-                          reader.FrameIndexAt(replay_from_offset));
+                          reader.FrameIndexAt(plan.replay_from_offset));
   }
-  const std::size_t suffix_frames = reader.num_frames() - start_frame;
-
-  struct ScanChunk {
-    uint64_t records = 0;
-    Lsn max_lsn = kInvalidLsn;
-    std::vector<TxnId> commits;
-    // (record_id, absolute frame index) of each UPDATE/DELTA, frame order.
-    std::vector<std::pair<RecordId, std::size_t>> data;
-  };
-  const std::size_t scan_chunk = ChunkFor(suffix_frames, threads);
-  const std::size_t num_scan_chunks =
-      suffix_frames == 0 ? 0 : (suffix_frames + scan_chunk - 1) / scan_chunk;
-  std::vector<ScanChunk> scan_chunks(num_scan_chunks);
-  MMDB_RETURN_IF_ERROR(ParallelFor(
-      pool_, suffix_frames, scan_chunk,
-      [&](std::size_t begin, std::size_t end) -> Status {
-        WallClock::time_point start = WallClock::now();
-        ScanChunk& out = scan_chunks[begin / scan_chunk];
-        for (std::size_t i = begin; i < end; ++i) {
-          std::size_t frame = start_frame + i;
-          LogRecordHeader h;
-          MMDB_RETURN_IF_ERROR(reader.HeaderAt(frame, &h));
-          ++out.records;
-          if (out.max_lsn == kInvalidLsn || h.lsn > out.max_lsn) {
-            out.max_lsn = h.lsn;
-          }
-          if (h.type == LogRecordType::kCommit) {
-            out.commits.push_back(h.txn_id);
-          } else if (h.type == LogRecordType::kUpdate ||
-                     h.type == LogRecordType::kDelta) {
-            out.data.emplace_back(h.record_id, frame);
-          }
-        }
-        busy.Charge(start);
-        return Status::OK();
-      }));
-
-  // Merge pass (serial, chunk order): commit set, counters, and the
-  // per-segment frame lists. Appending chunk by chunk preserves global
-  // frame order within every bucket — the invariant partitioned replay
-  // relies on. Out-of-range record ids are parked in an overflow bucket
-  // whose replay reports the malformed record.
-  std::unordered_set<TxnId> committed;
-  Lsn last_lsn = kInvalidLsn;
-  const std::size_t num_buckets =
-      static_cast<std::size_t>(db->num_segments()) + 1;
-  const std::size_t overflow_bucket = num_buckets - 1;
-  std::vector<std::vector<std::size_t>> buckets(num_buckets);
-  const uint64_t records_per_segment = params_.db.records_per_segment();
-  for (const ScanChunk& c : scan_chunks) {
-    stats.records_scanned += c.records;
-    if (c.max_lsn != kInvalidLsn &&
-        (last_lsn == kInvalidLsn || c.max_lsn > last_lsn)) {
-      last_lsn = c.max_lsn;
-    }
-    for (TxnId t : c.commits) committed.insert(t);
-    for (const auto& [record_id, frame] : c.data) {
-      std::size_t b = static_cast<std::size_t>(
-          std::min<uint64_t>(record_id / records_per_segment,
-                             overflow_bucket));
-      buckets[b].push_back(frame);
-    }
-  }
-  // The tail beyond the marker may still contain older LSNs? No: LSNs are
-  // monotone in file order, but records before the marker can carry higher
-  // ids after a previous recovery reopened the log. Take the global max.
+  MMDB_ASSIGN_OR_RETURN(plan.redo, ScanRedo(reader, start_frame, params_.db,
+                                            pool_, &busy, &result.lineage));
+  // LSNs are monotone in file order, but records before the marker can
+  // carry higher ids after a previous recovery reopened the log. Take the
+  // global max.
+  Lsn last_lsn = plan.redo.max_lsn;
   MMDB_RETURN_IF_ERROR(
       reader.ScanBackward([&](const LogRecord& r, uint64_t) {
         if (last_lsn == kInvalidLsn || r.lsn > last_lsn) last_lsn = r.lsn;
         return false;  // only the newest record is needed
       }));
   result.last_lsn = last_lsn;
-  stats.log_scan_wall_seconds = SecondsSince(scan_wall_start);
+  stats.log_scan_wall_seconds =
+      std::chrono::duration<double>(BusyMeter::Clock::now() - scan_start)
+          .count();
+  busy.AddTo(&stats.thread_busy_seconds);
 
-  // Pass 2 — partitioned REDO: each bucket holds one segment's data
-  // records in log order, buckets touch disjoint byte ranges of the
-  // primary, and the committed set is now read-only, so buckets replay
-  // concurrently and the restored bytes are identical to the sequential
-  // pass. Workers full-decode their own frames (the decode work rides the
-  // replay fan-out instead of a serial feeder pass). Errors are collected
-  // per bucket and the one at the smallest frame index wins — the same
-  // record the serial scan would have died on.
-  WallClock::time_point replay_wall_start = WallClock::now();
-  std::vector<std::size_t> active_buckets;
-  for (std::size_t b = 0; b < num_buckets; ++b) {
-    if (!buckets[b].empty()) active_buckets.push_back(b);
+  // Modeled stats, closed-form: one backup read per segment, the suffix
+  // from the marker, and the replay tallies. The recovery CPU is charged
+  // here, once; loading segments later moves the bytes but charges
+  // nothing.
+  if (plan.have_checkpoint) {
+    stats.checkpoint_id = plan.restore_id;
+    stats.copy = plan.restore_copy;
+    stats.segments_loaded = db->num_segments();
   }
-  struct BucketResult {
-    uint64_t full_applies = 0;
-    uint64_t delta_applies = 0;
-    // Replay lineage for this segment's bucket: applied-record count,
-    // LSN span, and source streams in first-touch (log) order. Frames
-    // within a bucket replay in log order on whichever worker owns the
-    // bucket, so these are identical for any thread count.
-    Lsn first_lsn = kInvalidLsn;
-    Lsn last_lsn = kInvalidLsn;
-    std::vector<uint32_t> streams;
-    std::size_t error_frame = SIZE_MAX;
-    Status status;
-  };
-  std::vector<BucketResult> bucket_results(active_buckets.size());
-  MMDB_RETURN_IF_ERROR(ParallelFor(
-      pool_, active_buckets.size(), ChunkFor(active_buckets.size(), threads),
-      [&](std::size_t begin, std::size_t end) -> Status {
-        WallClock::time_point start = WallClock::now();
-        for (std::size_t bi = begin; bi < end; ++bi) {
-          BucketResult& out = bucket_results[bi];
-          for (std::size_t frame : buckets[active_buckets[bi]]) {
-            StatusOr<LogRecord> decoded = reader.RecordAtIndex(frame);
-            if (!decoded.ok()) {
-              out.status = decoded.status();
-              out.error_frame = frame;
-              break;
-            }
-            const LogRecord& r = *decoded;
-            if (committed.count(r.txn_id) == 0) continue;
-            bool applied = false;
-            if (r.type == LogRecordType::kUpdate) {
-              if (r.record_id >= db->num_records() ||
-                  r.image.size() != db->record_bytes()) {
-                out.status = CorruptionError(StringPrintf(
-                    "update record for txn %llu is malformed",
-                    static_cast<unsigned long long>(r.txn_id)));
-                out.error_frame = frame;
-                break;
-              }
-              db->WriteRecord(r.record_id, r.image);
-              ++out.full_applies;
-              applied = true;
-            } else if (r.type == LogRecordType::kDelta) {
-              // Logical REDO: NOT idempotent — correct exactly because
-              // the restored backup is the snapshot at the replay start
-              // point (enforced at write time; see Engine::WriteDelta).
-              if (r.record_id >= db->num_records() ||
-                  r.field_offset + 8 > db->record_bytes()) {
-                out.status = CorruptionError(StringPrintf(
-                    "delta record for txn %llu is malformed",
-                    static_cast<unsigned long long>(r.txn_id)));
-                out.error_frame = frame;
-                break;
-              }
-              std::string image(db->ReadRecord(r.record_id));
-              uint64_t field = DecodeFixed64(image.data() + r.field_offset);
-              EncodeFixed64(image.data() + r.field_offset,
-                            field + static_cast<uint64_t>(r.delta));
-              db->WriteRecord(r.record_id, image);
-              ++out.delta_applies;
-              applied = true;
-            }
-            if (applied) {
-              if (out.first_lsn == kInvalidLsn) out.first_lsn = r.lsn;
-              out.last_lsn = r.lsn;
-              const uint32_t stream = reader.FrameStream(frame);
-              if (std::find(out.streams.begin(), out.streams.end(),
-                            stream) == out.streams.end()) {
-                out.streams.push_back(stream);
-              }
-            }
-          }
-        }
-        busy.Charge(start);
-        return Status::OK();
-      }));
-  uint64_t full_applies = 0;
-  uint64_t delta_applies = 0;
-  std::size_t first_error_frame = SIZE_MAX;
-  Status apply_status;
-  for (const BucketResult& br : bucket_results) {
-    full_applies += br.full_applies;
-    delta_applies += br.delta_applies;
-    if (!br.status.ok() && br.error_frame < first_error_frame) {
-      first_error_frame = br.error_frame;
-      apply_status = br.status;
-    }
-  }
-  MMDB_RETURN_IF_ERROR(apply_status);
-  for (std::size_t bi = 0; bi < active_buckets.size(); ++bi) {
-    const std::size_t b = active_buckets[bi];
-    if (b >= result.lineage.size()) continue;  // overflow bucket
-    const BucketResult& br = bucket_results[bi];
-    SegmentLineage& l = result.lineage[b];
-    l.frames = br.full_applies + br.delta_applies;
-    l.first_lsn = br.first_lsn;
-    l.last_lsn = br.last_lsn;
-    l.streams = br.streams;
-  }
-  stats.updates_applied = full_applies + delta_applies;
-  stats.txns_redone = committed.size();
-  stats.replay_wall_seconds = SecondsSince(replay_wall_start);
-  stats.thread_busy_seconds = busy.Seconds();
-
-  // Closed-form instruction count from the integer apply tallies —
-  // deliberately NOT accumulated per record, so the modeled CPU charge
-  // cannot pick up floating-point ordering noise from the fan-out.
-  double replay_instructions =
-      params_.costs.move_per_word *
-          static_cast<double>(params_.db.record_words) *
-          static_cast<double>(full_applies) +
-      (8.0 / kWordBytes) * static_cast<double>(delta_applies);
-  meter_->Charge(CpuCategory::kRecovery, replay_instructions);
-  stats.replay_cpu_seconds =
-      params_.InstructionsToSeconds(replay_instructions);
+  stats.log_bytes_read = result.log_valid_bytes > plan.replay_from_offset
+                             ? result.log_valid_bytes - plan.replay_from_offset
+                             : 0;
+  stats.records_scanned = plan.redo.records;
+  stats.updates_applied = plan.redo.full_applies + plan.redo.delta_applies;
+  stats.txns_redone = plan.redo.txns;
+  ModelRecoveryTimes(params_, now, plan.redo.full_applies,
+                     plan.redo.delta_applies, &stats);
+  meter_->Charge(CpuCategory::kRecovery,
+                 ReplayInstructions(params_, plan.redo.full_applies,
+                                    plan.redo.delta_applies));
 
   // Control state restarts conservatively: everything dirty (the next two
   // checkpoints will rewrite both copies in partial mode), colors white,
   // no old copies, no LSNs.
   segments->Reset();
   segments->MarkAllDirty();
-
-  stats.total_seconds = (log_done - now) + stats.replay_cpu_seconds;
-  Publish(metrics_, tracer_, stats, now, active_buckets.size());
-  return result;
-}
-
-StatusOr<InstantRecoveryPlan> RecoveryManager::PlanInstant(
-    BackupStore* backup, const std::vector<std::string>& log_paths,
-    Database* db, SegmentTable* segments, double now) {
-  StatusOr<InstantRecoveryPlan> plan =
-      PlanInstantImpl(backup, log_paths, db, segments, now);
-  if (!plan.ok() && audit_ != nullptr) {
-    const std::string error = plan.status().ToString();
-    audit_->Record("recovery.error", now, [&](JsonWriter& w) {
-      w.Key("error");
-      w.String(error);
-    });
-    audit_->Sync();
-  }
-  // Success leaves the audit chain OPEN: the engine journals the lineage
-  // and recovery.end once every segment has materialized.
   return plan;
-}
-
-StatusOr<InstantRecoveryPlan> RecoveryManager::PlanInstantImpl(
-    BackupStore* backup, const std::vector<std::string>& log_paths,
-    Database* db, SegmentTable* segments, double now) {
-  InstantRecoveryPlan out;
-  RecoveryResult& result = out.result;
-  RecoveryStats& stats = result.stats;
-  const uint32_t threads =
-      pool_ != nullptr ? static_cast<uint32_t>(pool_->num_threads()) : 1;
-  stats.threads_used = threads;
-  BusyMeter busy(threads);
-
-  MMDB_ASSIGN_OR_RETURN(RestorePlan plan, BuildRestorePlan(backup, log_paths,
-                                                           db, now, &result));
-  out.have_checkpoint = plan.have_checkpoint;
-  out.restore_id = plan.restore_id;
-  out.restore_copy = plan.restore_copy;
-  out.replay_from_offset = plan.replay_from_offset;
-  LogReader& reader = plan.reader;
-
-  // Modeled phase costs, closed-form. Blocking recovery submits one
-  // backup-array request per segment at the crash instant and then streams
-  // the log suffix in fixed chunks starting where the backup reads
-  // finished. Replaying the SAME submissions at the SAME absolute times
-  // against scratch arrays reproduces the blocking path's
-  // backup_read_seconds / log_read_seconds bit-for-bit — the anchors
-  // matter because float subtraction is not translation-invariant, and
-  // the instant-off/on equivalence gates compare these exactly.
-  double backup_done = now;
-  if (plan.have_checkpoint) {
-    DiskArrayModel backup_disks(params_.disk);
-    for (uint64_t s = 0; s < db->num_segments(); ++s) {
-      backup_disks.Submit(now, params_.db.segment_words);
-    }
-    backup_done = std::max(now, backup_disks.AllIdleTime());
-    stats.backup_read_seconds = backup_done - now;
-    stats.segments_loaded = db->num_segments();
-    stats.checkpoint_id = plan.restore_id;
-    stats.copy = plan.restore_copy;
-  }
-  uint64_t log_bytes = result.log_valid_bytes > plan.replay_from_offset
-                           ? result.log_valid_bytes - plan.replay_from_offset
-                           : 0;
-  stats.log_bytes_read = log_bytes;
-  constexpr uint64_t kChunkWords = 64 * 1024;  // 256 KiB per device request
-  uint64_t log_words = (log_bytes + kWordBytes - 1) / kWordBytes;
-  double log_done_abs = backup_done;
-  {
-    DiskArrayModel log_disks(params_.disk.LogArray());
-    for (uint64_t w = 0; w < log_words; w += kChunkWords) {
-      log_disks.Submit(backup_done, std::min(kChunkWords, log_words - w));
-    }
-    log_done_abs = std::max(log_disks.AllIdleTime(), backup_done);
-    stats.log_read_seconds = log_done_abs - backup_done;
-  }
-
-  // Classification scan — identical to the blocking path's pass 1: the
-  // committed set, the max LSN, and the per-segment frame buckets.
-  WallClock::time_point scan_wall_start = WallClock::now();
-  std::size_t start_frame = 0;
-  if (reader.num_frames() > 0) {
-    MMDB_ASSIGN_OR_RETURN(start_frame,
-                          reader.FrameIndexAt(plan.replay_from_offset));
-  }
-  out.start_frame = start_frame;
-  const std::size_t suffix_frames = reader.num_frames() - start_frame;
-
-  struct ScanChunk {
-    uint64_t records = 0;
-    Lsn max_lsn = kInvalidLsn;
-    std::vector<TxnId> commits;
-    std::vector<std::pair<RecordId, std::size_t>> data;
-  };
-  const std::size_t scan_chunk = ChunkFor(suffix_frames, threads);
-  const std::size_t num_scan_chunks =
-      suffix_frames == 0 ? 0 : (suffix_frames + scan_chunk - 1) / scan_chunk;
-  std::vector<ScanChunk> scan_chunks(num_scan_chunks);
-  MMDB_RETURN_IF_ERROR(ParallelFor(
-      pool_, suffix_frames, scan_chunk,
-      [&](std::size_t begin, std::size_t end) -> Status {
-        WallClock::time_point start = WallClock::now();
-        ScanChunk& chunk = scan_chunks[begin / scan_chunk];
-        for (std::size_t i = begin; i < end; ++i) {
-          std::size_t frame = start_frame + i;
-          LogRecordHeader h;
-          MMDB_RETURN_IF_ERROR(reader.HeaderAt(frame, &h));
-          ++chunk.records;
-          if (chunk.max_lsn == kInvalidLsn || h.lsn > chunk.max_lsn) {
-            chunk.max_lsn = h.lsn;
-          }
-          if (h.type == LogRecordType::kCommit) {
-            chunk.commits.push_back(h.txn_id);
-          } else if (h.type == LogRecordType::kUpdate ||
-                     h.type == LogRecordType::kDelta) {
-            chunk.data.emplace_back(h.record_id, frame);
-          }
-        }
-        busy.Charge(start);
-        return Status::OK();
-      }));
-
-  Lsn last_lsn = kInvalidLsn;
-  const std::size_t num_buckets =
-      static_cast<std::size_t>(db->num_segments()) + 1;
-  const std::size_t overflow_bucket = num_buckets - 1;
-  out.buckets.assign(num_buckets, {});
-  const uint64_t records_per_segment = params_.db.records_per_segment();
-  for (const ScanChunk& c : scan_chunks) {
-    stats.records_scanned += c.records;
-    if (c.max_lsn != kInvalidLsn &&
-        (last_lsn == kInvalidLsn || c.max_lsn > last_lsn)) {
-      last_lsn = c.max_lsn;
-    }
-    for (TxnId t : c.commits) out.committed.insert(t);
-    for (const auto& [record_id, frame] : c.data) {
-      std::size_t b = static_cast<std::size_t>(std::min<uint64_t>(
-          record_id / records_per_segment, overflow_bucket));
-      out.buckets[b].push_back(frame);
-    }
-  }
-  MMDB_RETURN_IF_ERROR(
-      reader.ScanBackward([&](const LogRecord& r, uint64_t) {
-        if (last_lsn == kInvalidLsn || r.lsn > last_lsn) last_lsn = r.lsn;
-        return false;  // only the newest record is needed
-      }));
-  result.last_lsn = last_lsn;
-  stats.log_scan_wall_seconds = SecondsSince(scan_wall_start);
-
-  // Eager validation + per-segment replay accounting. This full-decodes
-  // every bucketed frame exactly as the blocking path's partitioned REDO
-  // would — same decode errors, same malformed-record checks on committed
-  // frames, same smallest-frame-wins rule — but applies nothing, so a log
-  // that would have failed blocking recovery fails the plan here instead
-  // of surfacing mid-service. The per-bucket apply tallies double as the
-  // clean-path lineage and the closed-form replay CPU charge.
-  WallClock::time_point replay_wall_start = WallClock::now();
-  std::vector<std::size_t> active_buckets;
-  for (std::size_t b = 0; b < num_buckets; ++b) {
-    if (!out.buckets[b].empty()) active_buckets.push_back(b);
-  }
-  out.replay_buckets = active_buckets.size();
-  struct BucketResult {
-    uint64_t full_applies = 0;
-    uint64_t delta_applies = 0;
-    Lsn first_lsn = kInvalidLsn;
-    Lsn last_lsn = kInvalidLsn;
-    std::vector<uint32_t> streams;
-    std::size_t error_frame = SIZE_MAX;
-    Status status;
-  };
-  std::vector<BucketResult> bucket_results(active_buckets.size());
-  MMDB_RETURN_IF_ERROR(ParallelFor(
-      pool_, active_buckets.size(), ChunkFor(active_buckets.size(), threads),
-      [&](std::size_t begin, std::size_t end) -> Status {
-        WallClock::time_point start = WallClock::now();
-        for (std::size_t bi = begin; bi < end; ++bi) {
-          BucketResult& br = bucket_results[bi];
-          for (std::size_t frame : out.buckets[active_buckets[bi]]) {
-            StatusOr<LogRecord> decoded = reader.RecordAtIndex(frame);
-            if (!decoded.ok()) {
-              br.status = decoded.status();
-              br.error_frame = frame;
-              break;
-            }
-            const LogRecord& r = *decoded;
-            if (out.committed.count(r.txn_id) == 0) continue;
-            bool applied = false;
-            if (r.type == LogRecordType::kUpdate) {
-              if (r.record_id >= db->num_records() ||
-                  r.image.size() != db->record_bytes()) {
-                br.status = CorruptionError(StringPrintf(
-                    "update record for txn %llu is malformed",
-                    static_cast<unsigned long long>(r.txn_id)));
-                br.error_frame = frame;
-                break;
-              }
-              ++br.full_applies;
-              applied = true;
-            } else if (r.type == LogRecordType::kDelta) {
-              if (r.record_id >= db->num_records() ||
-                  r.field_offset + 8 > db->record_bytes()) {
-                br.status = CorruptionError(StringPrintf(
-                    "delta record for txn %llu is malformed",
-                    static_cast<unsigned long long>(r.txn_id)));
-                br.error_frame = frame;
-                break;
-              }
-              ++br.delta_applies;
-              applied = true;
-            }
-            if (applied) {
-              if (br.first_lsn == kInvalidLsn) br.first_lsn = r.lsn;
-              br.last_lsn = r.lsn;
-              const uint32_t stream = reader.FrameStream(frame);
-              if (std::find(br.streams.begin(), br.streams.end(), stream) ==
-                  br.streams.end()) {
-                br.streams.push_back(stream);
-              }
-            }
-          }
-        }
-        busy.Charge(start);
-        return Status::OK();
-      }));
-  uint64_t full_applies = 0;
-  uint64_t delta_applies = 0;
-  std::size_t first_error_frame = SIZE_MAX;
-  Status apply_status;
-  for (const BucketResult& br : bucket_results) {
-    full_applies += br.full_applies;
-    delta_applies += br.delta_applies;
-    if (!br.status.ok() && br.error_frame < first_error_frame) {
-      first_error_frame = br.error_frame;
-      apply_status = br.status;
-    }
-  }
-  MMDB_RETURN_IF_ERROR(apply_status);
-  for (std::size_t bi = 0; bi < active_buckets.size(); ++bi) {
-    const std::size_t b = active_buckets[bi];
-    if (b >= result.lineage.size()) continue;  // overflow bucket
-    const BucketResult& br = bucket_results[bi];
-    SegmentLineage& l = result.lineage[b];
-    l.frames = br.full_applies + br.delta_applies;
-    l.first_lsn = br.first_lsn;
-    l.last_lsn = br.last_lsn;
-    l.streams = br.streams;
-  }
-  stats.updates_applied = full_applies + delta_applies;
-  stats.txns_redone = out.committed.size();
-  stats.replay_wall_seconds = SecondsSince(replay_wall_start);
-  stats.thread_busy_seconds = busy.Seconds();
-
-  // The recovery CPU is charged once, here, from the same closed-form
-  // instruction count as the blocking path — materialization later moves
-  // the same bytes but must not re-charge.
-  double replay_instructions =
-      params_.costs.move_per_word *
-          static_cast<double>(params_.db.record_words) *
-          static_cast<double>(full_applies) +
-      (8.0 / kWordBytes) * static_cast<double>(delta_applies);
-  meter_->Charge(CpuCategory::kRecovery, replay_instructions);
-  stats.replay_cpu_seconds =
-      params_.InstructionsToSeconds(replay_instructions);
-
-  // Control state restarts conservatively, exactly as after a blocking
-  // recovery: everything dirty, colors white, no old copies, no LSNs.
-  segments->Reset();
-  segments->MarkAllDirty();
-
-  // Same grouping as the blocking path's `(log_done - now) + replay`:
-  // three-way summation is not associative in float and the off/on
-  // equivalence gates compare total_seconds exactly.
-  stats.total_seconds = (log_done_abs - now) + stats.replay_cpu_seconds;
-  out.reader = std::move(plan.reader);
-  return out;
 }
 
 }  // namespace mmdb

@@ -1,9 +1,10 @@
 #ifndef MMDB_RECOVERY_RECOVERY_MANAGER_H_
 #define MMDB_RECOVERY_RECOVERY_MANAGER_H_
 
+#include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <string>
-#include <unordered_set>
 #include <vector>
 
 #include "backup/backup_store.h"
@@ -68,8 +69,8 @@ struct RecoveryStats {
   // --- real wall clock (machine-dependent; see the struct comment) ------
   uint32_t threads_used = 1;           // 1 = exact legacy serial path
   double backup_read_wall_seconds = 0.0;
-  double log_scan_wall_seconds = 0.0;  // classification scan (pass 1)
-  double replay_wall_seconds = 0.0;    // partitioned REDO apply (pass 2)
+  double log_scan_wall_seconds = 0.0;  // classification scan
+  double replay_wall_seconds = 0.0;    // partitioned REDO apply
   // Per-thread busy time summed across the three phases: slot i is pool
   // worker i (serial path: one slot, the calling thread).
   std::vector<double> thread_busy_seconds;
@@ -92,122 +93,133 @@ struct RecoveryResult {
   // Per-segment provenance of the restored image (DESIGN.md §18): which
   // checkpoint/copy supplied each segment's bytes, whether it was re-read
   // from the older copy, and the frames/LSNs/streams replayed into it.
-  // Sized num_segments; empty only when recovery itself failed.
+  // Sized num_segments.
   std::vector<SegmentLineage> lineage;
 };
 
-// Everything instant recovery (DESIGN.md §19) needs to serve transactions
-// before a single segment byte has been reloaded: the merged immutable log
-// snapshot, the committed set, the per-segment REDO frame buckets, the
-// restore decision, and a RecoveryResult whose modeled stats and lineage
-// already equal what blocking recovery would have produced on the clean
-// path (the closed-form quantities need no segment bytes). Produced by
-// RecoveryManager::PlanInstant and consumed by InstantRecovery, which
-// materializes segments on demand against this plan.
-struct InstantRecoveryPlan {
-  // Fully populated clean-path outputs: modeled stats, last LSN, stream
-  // offsets, newest end id, and per-segment lineage. A mid-service
-  // older-copy fallback later refines stats and the failed segment's
-  // lineage entry (exactly as blocking recovery's fallback would).
-  RecoveryResult result;
+// Chunk size targeting ~4 chunks per worker. The chunk DECOMPOSITION never
+// affects results — every merge is by index or a commutative reduction —
+// so this is purely a scheduling knob.
+std::size_t RecoveryChunk(std::size_t n, uint32_t threads);
 
-  // Placeholder-initialized (an empty log) until PlanInstantImpl moves
-  // the merged stream view in; LogReader has no default constructor.
+// Per-thread busy-time sink for the wall-clock breakdown. Nanosecond
+// integer accumulators (not atomic<double>) so concurrent adds stay
+// lock-free and exact.
+class BusyMeter {
+ public:
+  using Clock = std::chrono::steady_clock;
+  explicit BusyMeter(uint32_t threads) : ns_(threads) {}
+  // Charges the elapsed time since `start` to the calling thread's slot.
+  void Charge(Clock::time_point start);
+  // Adds each slot's seconds to `out` (resized to the slot count).
+  void AddTo(std::vector<double>* out) const;
+
+ private:
+  std::vector<std::atomic<uint64_t>> ns_;
+};
+
+// The REDO work of one log suffix, as the classification scan finds it:
+// per segment, the frame indices of the committed UPDATE/DELTA records in
+// log order — exactly what the applier replays, already validated — plus
+// the tallies the modeled stats are computed from.
+struct RedoScan {
+  uint64_t records = 0;       // frames in the suffix
+  Lsn max_lsn = kInvalidLsn;  // over the suffix
+  uint64_t txns = 0;          // committed transactions
+  uint64_t full_applies = 0;
+  uint64_t delta_applies = 0;
+  // Buckets (segments plus one overflow bucket for out-of-range record
+  // ids) holding any data frame, committed or not: the replay fan-out
+  // width the recovery.fanout trace event records.
+  uint64_t replay_buckets = 0;
+  bool has_delta = false;  // any DELTA frame, committed or not
+  std::vector<std::vector<std::size_t>> buckets;  // sized num_segments
+};
+
+// Classification scan of `reader`'s frames from `start` to the end of the
+// log: shallow-decodes each frame (LogRecordHeader — no after-image copy)
+// on `pool` in disjoint chunks, then merges in chunk order, so every
+// output is identical to a serial scan. `busy`, if set, gets each chunk's
+// wall time. Fails on the first undecodable frame, then on the first
+// committed record whose record id or operand lies outside the database
+// (log order). Rewrites the replay fields of every `lineage` entry
+// (frames, LSN span, streams) from the committed frames.
+StatusOr<RedoScan> ScanRedo(const LogReader& reader, std::size_t start,
+                            const DatabaseParams& db, ThreadPool* pool,
+                            BusyMeter* busy,
+                            std::vector<SegmentLineage>* lineage);
+
+// Fills `stats`' modeled phase times in closed form from its counters
+// (segments_loaded backup reads, log_bytes_read) and the replay tallies:
+// backup reads submitted at the crash instant `now`, the log suffix
+// streamed in fixed chunks from where they finish, and the replay CPU.
+// Float subtraction is not translation-invariant, so every path that
+// computes these anchors them the same way, here.
+void ModelRecoveryTimes(const SystemParams& params, double now,
+                        uint64_t full_applies, uint64_t delta_applies,
+                        RecoveryStats* stats);
+
+// REDO replay instructions from the integer apply tallies — closed form,
+// never accumulated per record, so no summation-order drift.
+double ReplayInstructions(const SystemParams& params, uint64_t full_applies,
+                          uint64_t delta_applies);
+
+// Everything needed to rebuild the primary (DESIGN.md §14, §19), computed
+// before a single segment byte is read: the merged immutable log, the
+// restore decision, the per-segment REDO buckets, and a RecoveryResult
+// whose modeled stats and lineage are final unless the older-copy
+// fallback refines them. Produced by RecoveryManager::Plan and consumed
+// by InstantRecovery, which loads segments eagerly (blocking restart) or
+// on demand.
+struct RecoveryPlan {
+  RecoveryResult result;
+  // Placeholder-initialized (an empty log) until Plan moves the merged
+  // stream view in; LogReader has no default constructor.
   LogReader reader{std::string()};
+  double crash_time = 0.0;  // the anchor of every modeled phase time
   bool have_checkpoint = false;
   CheckpointId restore_id = 0;
   uint32_t restore_copy = 0;
-  uint64_t replay_from_offset = 0;
-  // Frame index of replay_from_offset in `reader` (0 when the log is
-  // empty) — the start of the main replay suffix.
-  std::size_t start_frame = 0;
-  // Transactions with a commit record in the replay suffix.
-  std::unordered_set<TxnId> committed;
-  // Per-segment frame indices of the suffix's UPDATE/DELTA records in log
-  // order, plus one overflow bucket (index num_segments) that eager
-  // validation has proven holds only uncommitted frames.
-  std::vector<std::vector<std::size_t>> buckets;
-  // Non-empty bucket count (the blocking path's replay fan-out width),
-  // recorded in the kRecoveryFanout trace event at finalization.
-  uint64_t replay_buckets = 0;
+  uint64_t replay_from_offset = 0;  // the restored checkpoint's begin marker
+  RedoScan redo;
 };
 
-// Rebuilds the primary (memory-resident) database after a system failure
-// (Section 3.3): loads the last complete backup copy named by the
-// checkpoint metadata, then REDO-replays the log forward from that
-// checkpoint's begin marker, applying the updates of committed
-// transactions only. Works identically for every checkpoint algorithm —
-// fuzzy backups are repaired by the same replay that rolls consistent
-// backups forward.
-//
-// Cold start: if no checkpoint ever completed, the database is rebuilt
-// from an empty image by replaying the entire log.
-//
-// Parallel pipeline (DESIGN.md §14): when constructed with a ThreadPool
-// the three data-heavy stages fan out — segment reloads are chunked
-// across workers (segments are independent byte ranges), the
-// classification scan decodes disjoint frame ranges concurrently, and
-// REDO replay is partitioned by segment id (updates to one segment stay
-// in log order, so the restored bytes are identical to sequential
-// replay). The serial path (null pool) runs the SAME algorithm inline
-// over the same chunk decomposition, which is why every deterministic
-// stat is bit-identical across thread counts.
+// Plans the restart after a system failure (Section 3.3): the last
+// complete backup copy named by the checkpoint metadata, then REDO of the
+// log forward from that checkpoint's begin marker, applying the updates
+// of committed transactions only. Works identically for every checkpoint
+// algorithm — fuzzy backups are repaired by the same replay that rolls
+// consistent backups forward. Cold start: if no checkpoint ever
+// completed, the database is rebuilt from an empty image by replaying the
+// entire log.
 class RecoveryManager {
  public:
-  // `metrics` and `tracer` are optional sinks for the phase breakdown
-  // (backup reload vs log read vs replay); either may be null. `pool` is
-  // an optional worker pool for the parallel pipeline — null selects the
-  // serial path. The pool is borrowed, not owned, and may serve many
-  // recoveries.
+  // `metrics` and `tracer` are optional sinks (either may be null). `pool`
+  // is an optional worker pool for the classification scan — null selects
+  // the serial path. The pool is borrowed, not owned.
   RecoveryManager(Env* env, const SystemParams& params, CpuMeter* meter,
-                  MetricsRegistry* metrics = nullptr, Tracer* tracer = nullptr,
                   ThreadPool* pool = nullptr);
 
-  // `backup` must be Open()ed; `db`/`segments` are overwritten. `now` is
-  // the virtual time at which recovery starts (the crash instant).
-  // `log_paths` is the per-shard stream file list (one path = the classic
-  // single log); the streams are LSN-merged into one logical log before
-  // the usual three-phase replay, so every downstream step — marker
-  // reconciliation, offset arithmetic, partitioned REDO — is stream-count
-  // agnostic.
-  StatusOr<RecoveryResult> Recover(BackupStore* backup,
-                                   const std::vector<std::string>& log_paths,
-                                   Database* db, SegmentTable* segments,
-                                   double now);
+  // `backup` must be Open()ed. `log_paths` is the per-shard stream file
+  // list (one path = the classic single log); the streams are LSN-merged
+  // into one logical log, so every downstream step is stream-count
+  // agnostic. Reads NO segment bytes and applies NO update: the plan's
+  // modeled stats are closed-form, and the replay CPU is charged to the
+  // meter here, once. `segments` is reset to the conservative
+  // post-recovery control state (all dirty). `now` is the crash instant.
+  // Journals recovery.streams and recovery.plan; the caller journals the
+  // outcome.
+  StatusOr<RecoveryPlan> Plan(BackupStore* backup,
+                              const std::vector<std::string>& log_paths,
+                              Database* db, SegmentTable* segments,
+                              double now);
 
-  // Single-stream convenience overload (the pre-shard signature).
-  StatusOr<RecoveryResult> Recover(BackupStore* backup,
-                                   const std::string& log_path, Database* db,
-                                   SegmentTable* segments, double now) {
-    return Recover(backup, std::vector<std::string>{log_path}, db, segments,
-                   now);
-  }
-
-  // Instant-recovery entry point (DESIGN.md §19): runs phase 1 (stream
-  // merge, metadata/log reconciliation) plus the classification scan and
-  // an eager validation pass over every bucketed frame, but reads NO
-  // segment bytes and applies NO update. The returned plan's modeled
-  // stats are bit-identical to what Recover() computes on the clean path
-  // — phase costs are closed-form in the cost model — and the recovery
-  // CPU is charged to the meter here, once. `segments` is reset to the
-  // conservative post-recovery control state (all dirty). On failure the
-  // same recovery.error event Recover() would journal is journaled; on
-  // success the audit chain is left OPEN — the engine journals the
-  // lineage and recovery.end when the on-demand drain completes.
-  StatusOr<InstantRecoveryPlan> PlanInstant(
-      BackupStore* backup, const std::vector<std::string>& log_paths,
-      Database* db, SegmentTable* segments, double now);
-
-  // Optional provenance journal (DESIGN.md §18). When set, Recover()
-  // journals the stream merge outcome, the restore plan, any older-copy
-  // fallback, the per-segment lineage, and the final outcome (or error).
-  // Journaling never changes modeled stats or the recovered bytes.
+  // Optional provenance journal (DESIGN.md §18). Journaling never changes
+  // modeled stats or the recovered bytes.
   void set_audit(AuditJournal* audit) { audit_ = audit; }
 
-  // Registry counters/timers and trace events for a finished recovery
-  // (blocking: called at the end of Recover; instant: called once by the
-  // engine when the on-demand drain completes, with the crash-time `now`
-  // so the trace timeline matches the blocking path's).
+  // Registry counters/timers and trace events for a finished recovery,
+  // anchored at the crash instant `now`.
   static void Publish(MetricsRegistry* metrics, Tracer* tracer,
                       const RecoveryStats& stats, double now,
                       uint64_t replay_buckets);
@@ -219,36 +231,16 @@ class RecoveryManager {
   static uint32_t ResolveThreads(uint32_t configured);
 
  private:
-  // Phase-1 outcome shared by the blocking and instant paths: the merged
-  // reader plus the restore decision (which checkpoint/copy, where replay
-  // starts). BuildRestorePlan also clears the primary, journals the
-  // recovery.streams / recovery.plan events, repairs lagging metadata,
-  // and seeds `result`'s lineage.
-  struct RestorePlan {
-    LogReader reader;
-    bool have_checkpoint = false;
-    CheckpointId restore_id = 0;
-    uint32_t restore_copy = 0;
-    uint64_t replay_from_offset = 0;
-  };
-  StatusOr<RestorePlan> BuildRestorePlan(
-      BackupStore* backup, const std::vector<std::string>& log_paths,
-      Database* db, double now, RecoveryResult* result);
-  // The three-phase body; Recover() wraps it to journal the outcome
-  // (recovery.lineage + recovery.end on success, recovery.error on
-  // failure) exactly once per attempt.
-  StatusOr<RecoveryResult> RecoverImpl(
-      BackupStore* backup, const std::vector<std::string>& log_paths,
-      Database* db, SegmentTable* segments, double now);
-  StatusOr<InstantRecoveryPlan> PlanInstantImpl(
-      BackupStore* backup, const std::vector<std::string>& log_paths,
-      Database* db, SegmentTable* segments, double now);
+  // Phase 1: merges the streams, reconciles metadata with the log's end
+  // markers, journals recovery.streams / recovery.plan, repairs lagging
+  // metadata, and seeds the plan's lineage.
+  Status ChooseRestore(BackupStore* backup,
+                       const std::vector<std::string>& log_paths,
+                       Database* db, double now, RecoveryPlan* plan);
 
   Env* env_;
   SystemParams params_;
   CpuMeter* meter_;
-  MetricsRegistry* metrics_;
-  Tracer* tracer_;
   ThreadPool* pool_;
   AuditJournal* audit_ = nullptr;
 };

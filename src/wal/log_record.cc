@@ -73,10 +73,28 @@ Status LogRecordHeader::DecodeFrom(std::string_view payload,
       !GetVarint64(&payload, &out->txn_id)) {
     return CorruptionError("truncated log record header");
   }
-  if ((out->type == LogRecordType::kUpdate ||
-       out->type == LogRecordType::kDelta) &&
-      !GetVarint64(&payload, &out->record_id)) {
+  if (out->type != LogRecordType::kUpdate &&
+      out->type != LogRecordType::kDelta) {
+    return Status::OK();
+  }
+  if (!GetVarint64(&payload, &out->record_id)) {
     return CorruptionError("truncated data record header");
+  }
+  if (out->type == LogRecordType::kUpdate) {
+    std::string_view image;
+    if (!GetLengthPrefixed(&payload, &image)) {
+      return CorruptionError("truncated update record");
+    }
+    out->image_size = image.size();
+  } else {
+    uint64_t raw_delta;
+    if (!GetVarint32(&payload, &out->field_offset) ||
+        !GetFixed64(&payload, &raw_delta)) {
+      return CorruptionError("truncated delta record");
+    }
+  }
+  if (!payload.empty()) {
+    return CorruptionError("trailing bytes after log record payload");
   }
   return Status::OK();
 }

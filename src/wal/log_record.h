@@ -66,17 +66,20 @@ struct ActiveTxnEntry {
       default;
 };
 
-// Shallow view of a record payload: just the fixed prefix every record
-// carries (type, lsn, txn) plus record_id for the two data kinds — enough
-// for recovery's classification scan (commit set, segment bucketing, max
-// lsn) without materializing after-images. Decoding a header does NOT
-// fully validate the payload; the full DecodeFrom still runs before any
-// bytes are applied to the database.
+// Shallow view of a record payload: the fixed prefix every record carries
+// (type, lsn, txn), plus the record id and operand shape of the two data
+// kinds — enough for recovery's classification scan (commit set, segment
+// bucketing, max lsn, malformed-record checks) without copying an
+// after-image. A data record's payload is validated exactly as the full
+// LogRecord::DecodeFrom would, so a frame whose header decodes always
+// decodes in full; other kinds are checked only up to their prefix.
 struct LogRecordHeader {
   LogRecordType type = LogRecordType::kUpdate;
   Lsn lsn = kInvalidLsn;
   TxnId txn_id = kInvalidTxnId;
-  RecordId record_id = 0;  // kUpdate / kDelta only; 0 otherwise
+  RecordId record_id = 0;      // kUpdate / kDelta only; 0 otherwise
+  uint64_t image_size = 0;     // kUpdate: after-image length
+  uint32_t field_offset = 0;   // kDelta: byte offset of the 8-byte field
 
   // Parses the common prefix of a payload produced by LogRecord::EncodeTo.
   // Returns CORRUPTION if even the prefix is malformed.

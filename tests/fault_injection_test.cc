@@ -614,6 +614,144 @@ TEST_F(RecoveryFallbackTest, InstantOnDemandCrcErrorFallsBackMidService) {
   VerifyAuditTrail(engine_.get());
 }
 
+TEST_F(RecoveryFallbackTest, MidServiceFallbackKeepsPostRestartCommits) {
+  // A fallback found after the restart has served commits must not roll
+  // them back. A full-image retry never re-reads a served segment; a delta
+  // full reload, which would have to, fails the restart instead, and a
+  // retried Recover() replays those commits from the log. With a stable
+  // log tail the served commit is durable without a flush, so the failed
+  // restart must persist the tail as a crash does.
+  constexpr RecordId kServed = 5;            // segment 0
+  constexpr RecordId kRotten = 63 * 32 + 3;  // segment 63
+  struct Case {
+    Algorithm algorithm;
+    bool stable_tail;
+  };
+  for (const Case& c : {Case{Algorithm::kFuzzyCopy, false},
+                        Case{Algorithm::kCouCopy, false},
+                        Case{Algorithm::kCouCopy, true}}) {
+    const std::string name = std::string(AlgorithmName(c.algorithm)) +
+                             (c.stable_tail ? "_stable_tail" : "");
+    SCOPED_TRACE(name);
+    const bool delta = c.algorithm == Algorithm::kCouCopy;
+    EngineOptions opt = TinyOptions();
+    opt.algorithm = c.algorithm;
+    opt.stable_log_tail = c.stable_tail;
+    opt.instant_recovery = true;
+    opt.dir = "mid_service_" + name;
+    auto engine_or = Engine::Open(opt, &fenv_);
+    MMDB_ASSERT_OK(engine_or);
+    engine_ = std::move(*engine_or);
+    oracle_.clear();
+    Commit(1, 1);
+    MMDB_ASSERT_OK(engine_->RunCheckpointToCompletion());  // id 1 -> copy 1
+    if (delta) MMDB_ASSERT_OK(engine_->ApplyDelta(40, 0, 7).status());
+    Commit(kRotten, 2);
+    MMDB_ASSERT_OK(engine_->RunCheckpointToCompletion());  // id 2 -> copy 0
+    Commit(80, 3);
+    Settle();
+    MMDB_ASSERT_OK(engine_->Crash());
+    CorruptSegment(BackupPath(0), 63);
+    MMDB_ASSERT_OK(engine_->Recover().status());
+
+    // Serve a durable commit on segment 0, then touch the rotten segment
+    // before the background schedule reaches it.
+    Commit(kServed, 4);
+    if (!c.stable_tail) {
+      MMDB_ASSERT_OK(engine_->FlushLog());
+      MMDB_ASSERT_OK(engine_->AdvanceTime(0.05));
+    }
+    ASSERT_TRUE(engine_->recovery_pending());
+    const Lsn durable = engine_->DurableLsn();
+    ASSERT_GE(durable, oracle_[kServed].back().first);
+    const std::string served = oracle_[kServed].back().second;
+
+    if (!delta) {
+      Commit(kRotten, 5);
+      MMDB_ASSERT_OK(engine_->DrainRecovery());
+      EXPECT_TRUE(engine_->last_recovery().fell_back_to_older_copy);
+      EXPECT_EQ(engine_->ReadRecordRaw(kServed), served);
+      Settle();
+      ASSERT_NO_FATAL_FAILURE(Audit(*engine_, oracle_, engine_->DurableLsn()));
+      VerifyAuditTrail(engine_.get());
+      continue;
+    }
+    Transaction* txn = engine_->Begin();
+    const std::string image =
+        MakeRecordImage(engine_->db().record_bytes(), kRotten, 5);
+    Status touched = engine_->Write(txn, kRotten, image);
+    EXPECT_TRUE(touched.IsFailedPrecondition()) << touched;
+    EXPECT_TRUE(engine_->crashed());
+    engine_->Abort(txn);
+    std::vector<AuditEntry> entries = JournalEntries();
+    const AuditEntry* last_recovery = nullptr;
+    for (const AuditEntry& e : entries) {
+      if (e.event.rfind("recovery.", 0) == 0) last_recovery = &e;
+    }
+    ASSERT_NE(last_recovery, nullptr);
+    EXPECT_EQ(last_recovery->event, "recovery.error");
+    MMDB_EXPECT_OK(VerifyAuditStructure(entries));
+
+    // The retry loads every segment before it admits a transaction, so a
+    // commit ahead of the rotten segment's first touch cannot fail it.
+    MMDB_ASSERT_OK(engine_->Recover().status());
+    EXPECT_FALSE(engine_->recovery_pending());
+    EXPECT_TRUE(engine_->last_recovery().fell_back_to_older_copy);
+    EXPECT_EQ(engine_->last_recovery().segments_retried,
+              engine_->db().num_segments());
+    EXPECT_EQ(engine_->ReadRecordRaw(kServed), served);
+    ASSERT_NO_FATAL_FAILURE(Audit(*engine_, oracle_, durable));
+    Commit(kServed + 1, 6);
+    Commit(kRotten, 7);
+    MMDB_ASSERT_OK(engine_->DrainRecovery());
+    Settle();
+    ASSERT_NO_FATAL_FAILURE(Audit(*engine_, oracle_, engine_->DurableLsn()));
+    VerifyAuditTrail(engine_.get());
+  }
+}
+
+TEST_F(RecoveryFallbackTest, FailedLogReopenJournalsErrorAndRetrySucceeds) {
+  // The restart's outcome is journaled only once the log has reopened: a
+  // failed reopen ends the chain in recovery.error in both modes, and a
+  // retried Recover() restores every durable commit.
+  for (bool instant : {false, true}) {
+    SCOPED_TRACE(instant ? "instant" : "blocking");
+    EngineOptions opt =
+        SweepOptions(Algorithm::kFuzzyCopy, CheckpointMode::kPartial);
+    opt.instant_recovery = instant;
+    opt.dir = instant ? "reopen_instant" : "reopen_blocking";
+    auto engine_or = Engine::Open(opt, &fenv_);
+    MMDB_ASSERT_OK(engine_or);
+    engine_ = std::move(*engine_or);
+    oracle_.clear();
+    Commit(1, 1);
+    MMDB_ASSERT_OK(engine_->RunCheckpointToCompletion());
+    Commit(40, 2);
+    Settle();
+    const Lsn durable = engine_->DurableLsn();
+    MMDB_ASSERT_OK(engine_->Crash());
+
+    fenv_.InjectFault(
+        {FaultKind::kWriteError, "wal.log.tmp", fenv_.op_count(), 1});
+    auto failed = engine_->Recover();
+    EXPECT_TRUE(failed.status().IsIoError()) << failed.status();
+    EXPECT_TRUE(engine_->crashed());
+    std::vector<AuditEntry> entries = JournalEntries();
+    const AuditEntry* last_recovery = nullptr;
+    for (const AuditEntry& e : entries) {
+      if (e.event.rfind("recovery.", 0) == 0) last_recovery = &e;
+    }
+    ASSERT_NE(last_recovery, nullptr);
+    EXPECT_EQ(last_recovery->event, "recovery.error");
+    MMDB_EXPECT_OK(VerifyAuditStructure(entries));
+
+    MMDB_ASSERT_OK(engine_->Recover().status());
+    MMDB_ASSERT_OK(engine_->DrainRecovery());
+    ASSERT_NO_FATAL_FAILURE(Audit(*engine_, oracle_, durable));
+    VerifyAuditTrail(engine_.get());
+  }
+}
+
 TEST_F(RecoveryFallbackTest, FailsWhenNoOlderCompleteCheckpointExists) {
   OpenEngine();
   Commit(1, 1);

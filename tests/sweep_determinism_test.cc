@@ -10,6 +10,7 @@
 #include <string>
 #include <vector>
 
+#include "backup/backup_store.h"
 #include "bench/figure_util.h"
 #include "gtest/gtest.h"
 #include "obs/bench_diff.h"
@@ -246,24 +247,51 @@ TEST(SweepDeterminismTest, ShardCountDoesNotChangeModeledResults) {
   }
 }
 
+// Flips one byte inside segment `s`'s slot of backup copy `copy`, leaving
+// the stored CRC stale.
+Status RotSegment(Env* env, const Engine& engine, uint32_t copy, SegmentId s) {
+  MMDB_ASSIGN_OR_RETURN(
+      std::unique_ptr<RandomWriteFile> file,
+      env->NewRandomWriteFile(engine.options().dir + "/backup_" +
+                              std::to_string(copy) + ".db"));
+  const uint64_t off = BackupStore::SlotOffsetFor(engine.params().db, s) + 17;
+  std::string byte;
+  MMDB_RETURN_IF_ERROR(file->Read(off, 1, &byte));
+  byte[0] = static_cast<char>(byte[0] ^ 0x40);
+  MMDB_RETURN_IF_ERROR(file->WriteAt(off, byte));
+  return file->Close();
+}
+
 TEST(SweepDeterminismTest, InstantRecoveryConvergesToBlockingState) {
-  // The tentpole's equivalence contract (DESIGN.md §19): instant recovery
-  // is a pure rescheduling of the same restart work, so after the drain
-  // the engine must be bit-identical to a blocking restart — every record
-  // byte, every modeled RecoveryStats field, every lineage entry — even
-  // when transactions were served mid-restart. The post-crash workload is
-  // checkpoint-free and uniform, so both engines commit the exact same
-  // update history; only WHEN the instant engine's segments came back
-  // differs, which is exactly what must not leak into state.
+  // The equivalence contract (DESIGN.md §19): instant recovery is a pure
+  // rescheduling of the same restart work, so after the drain the engine
+  // must be bit-identical to a blocking restart — every record byte,
+  // every modeled RecoveryStats field, every lineage entry — even when
+  // transactions were served mid-restart, and even when the newest backup
+  // copy is damaged. The post-crash workload is checkpoint-free and
+  // uniform, so both engines commit the exact same update history; only
+  // WHEN the instant engine's segments came back differs, which is
+  // exactly what must not leak into state.
   ASSERT_EQ(unsetenv("MMDB_INSTANT_RECOVERY"), 0);
+  enum class Input {
+    kClean,
+    // Three newest-copy segments CRC-rotted: a full-image retry, found
+    // while the instant engine serves the workload.
+    kCrcRetry,
+    // COUCOPY with DELTA records and one rotted segment: a full reload of
+    // the older copy, drained before any post-restart commit.
+    kDeltaFullReload,
+  };
   struct Outcome {
     RecoveryStats stats;
     std::vector<SegmentLineage> lineage;
     std::vector<std::string> records;
     WorkloadResult post;
   };
-  auto run = [](bool instant) -> StatusOr<Outcome> {
-    EngineOptions opt = SmallOptions(Algorithm::kFuzzyCopy, 1);
+  auto run = [](Input input, bool instant) -> StatusOr<Outcome> {
+    const bool deltas = input == Input::kDeltaFullReload;
+    EngineOptions opt = SmallOptions(
+        deltas ? Algorithm::kCouCopy : Algorithm::kFuzzyCopy, 1);
     opt.instant_recovery = instant;
     std::unique_ptr<Env> env = NewMemEnv();
     MMDB_ASSIGN_OR_RETURN(std::unique_ptr<Engine> engine,
@@ -276,10 +304,35 @@ TEST(SweepDeterminismTest, InstantRecoveryConvergesToBlockingState) {
       WorkloadDriver driver(engine.get(), wopt);
       MMDB_RETURN_IF_ERROR(driver.Run().status());
     }
+    if (input != Input::kClean) {
+      // A second checkpoint (copy 0) gives the fallback an older copy;
+      // deltas on both sides of it put DELTA records in both suffixes.
+      const uint64_t rps = engine->params().db.records_per_segment();
+      for (RecordId r : {RecordId{1}, 3 * rps + 2, 6 * rps + 5}) {
+        if (deltas) MMDB_RETURN_IF_ERROR(engine->ApplyDelta(r, 8, 3).status());
+      }
+      MMDB_RETURN_IF_ERROR(engine->RunCheckpointToCompletion());
+      for (RecordId r : {RecordId{2}, 5 * rps + 1}) {
+        if (deltas) MMDB_RETURN_IF_ERROR(engine->ApplyDelta(r, 16, 9).status());
+      }
+      WorkloadOptions more = wopt;
+      more.duration = 0.05;
+      more.seed = 3;
+      WorkloadDriver driver(engine.get(), more);
+      MMDB_RETURN_IF_ERROR(driver.Run().status());
+    }
     MMDB_RETURN_IF_ERROR(engine->FlushLog());
     MMDB_RETURN_IF_ERROR(engine->AdvanceTime(1.0));
     MMDB_RETURN_IF_ERROR(engine->Crash());
+    if (input == Input::kCrcRetry) {
+      for (SegmentId s : {0u, 3u, 7u}) {
+        MMDB_RETURN_IF_ERROR(RotSegment(env.get(), *engine, 0, s));
+      }
+    } else if (deltas) {
+      MMDB_RETURN_IF_ERROR(RotSegment(env.get(), *engine, 0, 5));
+    }
     MMDB_RETURN_IF_ERROR(engine->Recover().status());
+    if (deltas) MMDB_RETURN_IF_ERROR(engine->DrainRecovery());
     // Blocking: everything is back before this workload starts. Instant:
     // this exact workload runs against the half-recovered store, stalling
     // on first touches while untouched segments reload in the background.
@@ -297,56 +350,68 @@ TEST(SweepDeterminismTest, InstantRecoveryConvergesToBlockingState) {
     }
     return out;
   };
-  StatusOr<Outcome> blocking = run(false);
-  StatusOr<Outcome> on_demand = run(true);
-  ASSERT_TRUE(blocking.ok()) << blocking.status().ToString();
-  ASSERT_TRUE(on_demand.ok()) << on_demand.status().ToString();
+  for (Input input : {Input::kClean, Input::kCrcRetry,
+                      Input::kDeltaFullReload}) {
+    SCOPED_TRACE(static_cast<int>(input));
+    StatusOr<Outcome> blocking = run(input, false);
+    StatusOr<Outcome> on_demand = run(input, true);
+    ASSERT_TRUE(blocking.ok()) << blocking.status().ToString();
+    ASSERT_TRUE(on_demand.ok()) << on_demand.status().ToString();
 
-  // Both lanes committed the same history...
-  EXPECT_EQ(blocking->post.committed, on_demand->post.committed);
-  EXPECT_EQ(blocking->post.attempts, on_demand->post.attempts);
-  // ...but only the instant lane ever waited on the recovery latch.
-  EXPECT_EQ(blocking->post.stall_recovery_wait_seconds, 0.0);
-  EXPECT_GT(on_demand->post.stall_recovery_wait_seconds, 0.0);
+    // Both lanes committed the same history...
+    EXPECT_EQ(blocking->post.committed, on_demand->post.committed);
+    EXPECT_EQ(blocking->post.attempts, on_demand->post.attempts);
+    // ...but only an instant lane still recovering ever waited on the
+    // recovery latch.
+    EXPECT_EQ(blocking->post.stall_recovery_wait_seconds, 0.0);
+    if (input != Input::kDeltaFullReload) {
+      EXPECT_GT(on_demand->post.stall_recovery_wait_seconds, 0.0);
+    }
 
-  // Modeled recovery stats: zero tolerance.
-  const RecoveryStats& a = blocking->stats;
-  const RecoveryStats& b = on_demand->stats;
-  EXPECT_EQ(a.checkpoint_id, b.checkpoint_id);
-  EXPECT_EQ(a.copy, b.copy);
-  EXPECT_EQ(a.backup_read_seconds, b.backup_read_seconds);
-  EXPECT_EQ(a.log_read_seconds, b.log_read_seconds);
-  EXPECT_EQ(a.replay_cpu_seconds, b.replay_cpu_seconds);
-  EXPECT_EQ(a.total_seconds, b.total_seconds);
-  EXPECT_EQ(a.segments_loaded, b.segments_loaded);
-  EXPECT_EQ(a.segments_retried, b.segments_retried);
-  EXPECT_EQ(a.log_bytes_read, b.log_bytes_read);
-  EXPECT_EQ(a.records_scanned, b.records_scanned);
-  EXPECT_EQ(a.updates_applied, b.updates_applied);
-  EXPECT_EQ(a.txns_redone, b.txns_redone);
-  EXPECT_EQ(a.fell_back_to_older_copy, b.fell_back_to_older_copy);
+    // Modeled recovery stats: zero tolerance.
+    const RecoveryStats& a = blocking->stats;
+    const RecoveryStats& b = on_demand->stats;
+    EXPECT_EQ(a.fell_back_to_older_copy, input != Input::kClean);
+    EXPECT_EQ(a.segments_retried, input == Input::kCrcRetry ? 3u
+                                  : input == Input::kDeltaFullReload
+                                      ? blocking->lineage.size()
+                                      : 0u);
+    EXPECT_EQ(a.checkpoint_id, b.checkpoint_id);
+    EXPECT_EQ(a.copy, b.copy);
+    EXPECT_EQ(a.backup_read_seconds, b.backup_read_seconds);
+    EXPECT_EQ(a.log_read_seconds, b.log_read_seconds);
+    EXPECT_EQ(a.replay_cpu_seconds, b.replay_cpu_seconds);
+    EXPECT_EQ(a.total_seconds, b.total_seconds);
+    EXPECT_EQ(a.segments_loaded, b.segments_loaded);
+    EXPECT_EQ(a.segments_retried, b.segments_retried);
+    EXPECT_EQ(a.log_bytes_read, b.log_bytes_read);
+    EXPECT_EQ(a.records_scanned, b.records_scanned);
+    EXPECT_EQ(a.updates_applied, b.updates_applied);
+    EXPECT_EQ(a.txns_redone, b.txns_redone);
+    EXPECT_EQ(a.fell_back_to_older_copy, b.fell_back_to_older_copy);
 
-  // Lineage: same provenance per segment regardless of load order.
-  ASSERT_EQ(blocking->lineage.size(), on_demand->lineage.size());
-  for (std::size_t s = 0; s < blocking->lineage.size(); ++s) {
-    const SegmentLineage& la = blocking->lineage[s];
-    const SegmentLineage& lb = on_demand->lineage[s];
-    EXPECT_EQ(la.checkpoint_id, lb.checkpoint_id) << s;
-    EXPECT_EQ(la.copy, lb.copy) << s;
-    EXPECT_EQ(la.retried, lb.retried) << s;
-    EXPECT_EQ(la.frames, lb.frames) << s;
-    EXPECT_EQ(la.first_lsn, lb.first_lsn) << s;
-    EXPECT_EQ(la.last_lsn, lb.last_lsn) << s;
-    EXPECT_EQ(la.streams, lb.streams) << s;
+    // Lineage: same provenance per segment regardless of load order.
+    ASSERT_EQ(blocking->lineage.size(), on_demand->lineage.size());
+    for (std::size_t s = 0; s < blocking->lineage.size(); ++s) {
+      const SegmentLineage& la = blocking->lineage[s];
+      const SegmentLineage& lb = on_demand->lineage[s];
+      EXPECT_EQ(la.checkpoint_id, lb.checkpoint_id) << s;
+      EXPECT_EQ(la.copy, lb.copy) << s;
+      EXPECT_EQ(la.retried, lb.retried) << s;
+      EXPECT_EQ(la.frames, lb.frames) << s;
+      EXPECT_EQ(la.first_lsn, lb.first_lsn) << s;
+      EXPECT_EQ(la.last_lsn, lb.last_lsn) << s;
+      EXPECT_EQ(la.streams, lb.streams) << s;
+    }
+
+    // Every record byte.
+    ASSERT_EQ(blocking->records.size(), on_demand->records.size());
+    std::size_t mismatched = 0;
+    for (std::size_t r = 0; r < blocking->records.size(); ++r) {
+      if (blocking->records[r] != on_demand->records[r]) ++mismatched;
+    }
+    EXPECT_EQ(mismatched, 0u);
   }
-
-  // Every record byte.
-  ASSERT_EQ(blocking->records.size(), on_demand->records.size());
-  std::size_t mismatched = 0;
-  for (std::size_t r = 0; r < blocking->records.size(); ++r) {
-    if (blocking->records[r] != on_demand->records[r]) ++mismatched;
-  }
-  EXPECT_EQ(mismatched, 0u);
 }
 
 TEST(SweepDeterminismTest, DeterministicViewStripsOnlyRun) {

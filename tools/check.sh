@@ -31,7 +31,9 @@
 # MMDB_INSTANT_RECOVERY=1, forcing every restart through the on-demand
 # instant-recovery path (DESIGN.md §19) under ASan+UBSan, and smokes
 # recovery_bench --quick in that lane (its modeled self-gate proves the
-# drained instant state bit-identical to blocking recovery).
+# drained instant state bit-identical to blocking recovery). The lane
+# includes the logical-logging, COU and modern-algorithm suites, so delta
+# REDO and their restarts also pass through the on-demand applier.
 #
 # The bench-smoke gate replays fig4a, fig_modern, fig_interference,
 # fig_shard_scaling --quick, and recovery_bench at --jobs=2 with a
@@ -119,7 +121,7 @@ run_sanitize() {
   echo "check.sh: sanitize instant-recovery lane (MMDB_INSTANT_RECOVERY=1)"
   MMDB_INSTANT_RECOVERY=1 \
       ctest --test-dir build-sanitize --output-on-failure -j "$jobs" \
-      -R '^(recovery_test|recovery_parallel_test|restart_test|consistency_test|sweep_determinism_test|fault_injection_test|audit_test|obs_e2e_test)$'
+      -R '^(recovery_test|recovery_parallel_test|restart_test|consistency_test|sweep_determinism_test|fault_injection_test|audit_test|obs_e2e_test|logical_logging_test|modern_test|cou_test)$'
   echo "check.sh: sanitize bench smoke (recovery_bench --quick --jobs=2, instant lane)"
   env -u MMDB_RECOVERY_THREADS MMDB_INSTANT_RECOVERY=1 \
       MMDB_METRICS_SIDECAR=build-sanitize/recovery_instant_asan_smoke.json \
