@@ -129,27 +129,19 @@ BENCHMARK(BM_TxnCommit)
     ->Args({5, 0})
     ->Args({20, 0});
 
-// Lock-table striping under real multi-threaded contention (the shard
-// satellite): every thread acquires and releases an exclusive lock on a
-// random record, with the stripe count as the swept axis. Stripes are
-// keyed by segment, so at 1 stripe all threads serialize on one mutex
-// while at 16 stripes mostly-disjoint segments hit disjoint mutexes —
-// the throughput ratio at Threads(4) is the striping win. Single-threaded
-// rows measure the striping overhead on the uncontended fast path.
-void BM_LockStripeContention(benchmark::State& state) {
+// The lock table under real multi-threaded contention: every thread
+// acquires and releases an exclusive lock on a random record, all through
+// the table's one mutex. The single-threaded row is the uncontended fast
+// path; Threads(4) shows what sharing the mutex costs.
+void BM_LockContention(benchmark::State& state) {
   static LockManager* locks = nullptr;
-  constexpr uint64_t kRecordsPerSegment = 64;
-  constexpr uint64_t kSegments = 256;
-  if (state.thread_index() == 0) {
-    locks = new LockManager(static_cast<uint32_t>(state.range(0)),
-                            kRecordsPerSegment);
-  }
+  constexpr uint64_t kRecords = 256 * 64;
+  if (state.thread_index() == 0) locks = new LockManager();
   Random rng(1 + static_cast<uint64_t>(state.thread_index()));
   const TxnId txn = static_cast<TxnId>(state.thread_index() + 1);
   std::vector<RecordId> held(1);
   for (auto _ : state) {
-    RecordId r = rng.Uniform(kSegments) * kRecordsPerSegment +
-                 rng.Uniform(kRecordsPerSegment);
+    RecordId r = rng.Uniform(kRecords);
     if (locks->Acquire(txn, r, LockManager::Mode::kExclusive).ok()) {
       held[0] = r;
       locks->ReleaseAll(txn, held);
@@ -157,18 +149,11 @@ void BM_LockStripeContention(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations());
   if (state.thread_index() == 0) {
-    state.SetLabel("stripes=" + std::to_string(state.range(0)));
     delete locks;
     locks = nullptr;
   }
 }
-BENCHMARK(BM_LockStripeContention)
-    ->Arg(1)
-    ->Arg(4)
-    ->Arg(16)
-    ->Threads(1)
-    ->Threads(4)
-    ->UseRealTime();
+BENCHMARK(BM_LockContention)->Threads(1)->Threads(4)->UseRealTime();
 
 void BM_CheckpointFull(benchmark::State& state) {
   auto env = NewMemEnv();

@@ -103,11 +103,7 @@ StatusOr<std::unique_ptr<Checkpointer>> Checkpointer::Create(
 }
 
 Checkpointer::Checkpointer(const Context& ctx, CheckpointMode mode)
-    : ctx_(ctx),
-      mode_(mode),
-      shard_layout_(ctx.shards,
-                    static_cast<uint32_t>(ctx.params.db.num_segments())),
-      shard_segments_flushed_(shard_layout_.shards, 0) {
+    : ctx_(ctx), mode_(mode) {
   if (ctx_.metrics != nullptr) {
     MetricsRegistry* r = ctx_.metrics;
     m_completed_ = r->counter("ckpt.completed");
@@ -215,8 +211,6 @@ StatusOr<double> Checkpointer::SubmitWrite(SegmentId s, std::string_view data,
   ctx_.segments->ClearDirty(s, copy());
   cleared_dirty_.push_back(s);
   ++stats_.segments_flushed;
-  ++shard_segments_flushed_[shard_layout_.ShardOfSegment(
-      static_cast<uint32_t>(s))];
   if (lock_through_io) {
     stats_.lock_held_seconds += done - now;
     locked_until_[s] = done;

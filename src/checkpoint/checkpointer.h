@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "backup/backup_store.h"
-#include "core/shard.h"
 #include "obs/audit.h"
 #include "obs/metrics_registry.h"
 #include "obs/trace.h"
@@ -164,11 +163,6 @@ class Checkpointer : public CheckpointHooks {
     // Completed-checkpoint stats retained by history(); older entries are
     // discarded once the cap is exceeded (0 = unbounded).
     size_t history_cap = 256;
-    // Engine shard count (segment-range partitioning; DESIGN.md §17).
-    // The sweep itself is shard-oblivious — it walks segments in order,
-    // which IS shard order under range partitioning — but per-shard flush
-    // tallies are kept for the dump's breakdown.
-    uint32_t shards = 1;
   };
 
   // Builds the requested algorithm. Fails (FAILED_PRECONDITION) for
@@ -247,12 +241,6 @@ class Checkpointer : public CheckpointHooks {
   StallCause ClassifyStall(const std::vector<SegmentId>& segments,
                            double now) const;
 
-  // Cumulative backup segment writes per shard across every checkpoint
-  // (one entry per Context::shards shard).
-  const std::vector<uint64_t>& shard_segments_flushed() const {
-    return shard_segments_flushed_;
-  }
-
   // --- CheckpointHooks (defaults; subclasses refine) ---------------------
   double EarliestExecutionTime(const std::vector<SegmentId>& segments,
                                double now) const override;
@@ -310,8 +298,6 @@ class Checkpointer : public CheckpointHooks {
 
   Context ctx_;
   CheckpointMode mode_;
-  ShardLayout shard_layout_;
-  std::vector<uint64_t> shard_segments_flushed_;
 
   State state_ = State::kIdle;
   CheckpointId id_ = 0;

@@ -126,17 +126,9 @@ Status Engine::Init(bool fresh) {
   segments_ = std::make_unique<SegmentTable>(p.db.num_segments());
   buffers_ = std::make_unique<BufferPool>(p.db.segment_bytes(),
                                           options_.max_snapshot_buffers);
-  shards_ = ShardLayout(
-      ResolveShards(options_.shards,
-                    static_cast<uint32_t>(p.db.num_segments())),
-      static_cast<uint32_t>(p.db.num_segments()));
-  shard_stall_quiesce_.assign(shards_.shards, 0.0);
-  shard_stall_ckpt_lock_.assign(shards_.shards, 0.0);
-  shard_stall_recovery_wait_.assign(shards_.shards, 0.0);
   log_ = std::make_unique<LogManager>(env_, LogPath(), p, &meter_,
                                       options_.stable_log_tail,
-                                      options_.log_flush_interval,
-                                      shards_.shards);
+                                      options_.log_flush_interval);
   log_->set_obs(metrics_, tracer_.get());
   if (fresh) {
     MMDB_RETURN_IF_ERROR(log_->Open());
@@ -146,7 +138,7 @@ Status Engine::Init(bool fresh) {
   backup_->set_obs(metrics_);
   MMDB_RETURN_IF_ERROR(backup_->Open());
   txns_ = std::make_unique<TxnManager>(db_.get(), segments_.get(), log_.get(),
-                                       &timestamps_, &meter_, p, &shards_);
+                                       &timestamps_, &meter_, p);
   txns_->set_obs(metrics_, tracer_.get());
 
   Checkpointer::Context ctx;
@@ -162,7 +154,6 @@ Status Engine::Init(bool fresh) {
   ctx.metrics = metrics_;
   ctx.tracer = tracer_.get();
   ctx.history_cap = options_.checkpoint_history_cap;
-  ctx.shards = shards_.shards;
   ctx.audit = audit_.get();
   MMDB_ASSIGN_OR_RETURN(
       checkpointer_,
@@ -239,7 +230,6 @@ Status Engine::AdmitRecovery(const std::vector<SegmentId>& segs) {
       }
       if (m_admission_wait_) m_admission_wait_->Record(wait);
       stall_recovery_wait_seconds_ += wait;
-      shard_stall_recovery_wait_[shards_.ShardOfSegment(s)] += wait;
       if (m_stall_recovery_wait_) m_stall_recovery_wait_->Record(wait);
       MMDB_RETURN_IF_ERROR(AdvanceTime(wait));
     }
@@ -264,17 +254,13 @@ Status Engine::WaitForAdmission(const std::vector<SegmentId>& segs) {
     double wait = t - clock_.now();
     if (m_admission_wait_) m_admission_wait_->Record(wait);
     // Attribute the stall to its cause for the latency breakdown.
-    const uint32_t stall_shard =
-        segs.empty() ? 0 : shards_.ShardOfSegment(segs.front());
     switch (checkpointer_->ClassifyStall(segs, clock_.now())) {
       case Checkpointer::StallCause::kQuiesce:
         stall_quiesce_seconds_ += wait;
-        shard_stall_quiesce_[stall_shard] += wait;
         if (m_stall_quiesce_) m_stall_quiesce_->Record(wait);
         break;
       case Checkpointer::StallCause::kCheckpointLock:
         stall_ckpt_lock_seconds_ += wait;
-        shard_stall_ckpt_lock_[stall_shard] += wait;
         if (m_stall_ckpt_lock_) m_stall_ckpt_lock_->Record(wait);
         break;
       case Checkpointer::StallCause::kNone:
@@ -559,12 +545,6 @@ Status Engine::MaybeTruncateLog() {
       w.Uint(cut);
       w.Key("reclaimed");
       w.Uint(*reclaimed);
-      w.Key("stream_bases");
-      w.BeginArray();
-      for (uint32_t k = 0; k < log_->num_streams(); ++k) {
-        w.Uint(log_->StreamBaseOffset(k));
-      }
-      w.EndArray();
     });
   }
   // Truncation is purely an optimization, and a failed rewrite leaves the
@@ -628,7 +608,7 @@ StatusOr<RecoveryStats> Engine::Recover() {
   avail_ = Availability{};
   RecoveryManager rm(env_, options_.params, &meter_, pool);
   rm.set_audit(audit_.get());
-  StatusOr<RecoveryPlan> plan = rm.Plan(backup_.get(), LogPaths(), db_.get(),
+  StatusOr<RecoveryPlan> plan = rm.Plan(backup_.get(), LogPath(), db_.get(),
                                         segments_.get(), recovery_crash_now_);
   if (!plan.ok()) return FailRecovery(plan.status());
   newest_end_id_ = plan->result.newest_end_id;
@@ -642,7 +622,7 @@ StatusOr<RecoveryStats> Engine::Recover() {
   }
   const RecoveryResult& result = instant_->result();
   Status reopened =
-      log_->OpenExisting(result.stream_valid_bytes, result.last_lsn + 1);
+      log_->OpenExisting(result.log_valid_bytes, result.last_lsn + 1);
   if (!reopened.ok()) return FailRecovery(std::move(reopened));
   const RecoveryStats stats = result.stats;
   crashed_ = false;
@@ -877,46 +857,6 @@ std::string Engine::DumpMetricsJson() const {
   } else {
     w.Null();
   }
-  // Per-shard breakdown of the partitioned engine: segment-range sizes,
-  // home-shard commits, per-stream WAL volume, stall attribution, and
-  // checkpoint flush counts. Present at every shard count (shards=1 shows
-  // one row covering the whole database).
-  w.Key("shards");
-  w.BeginObject();
-  w.Key("count");
-  w.Uint(shards_.shards);
-  w.Key("durable_epoch");
-  w.Uint(log_->DurableEpoch(clock_.now()));
-  w.Key("per_shard");
-  w.BeginArray();
-  for (uint32_t k = 0; k < shards_.shards; ++k) {
-    w.BeginObject();
-    w.Key("shard");
-    w.Uint(k);
-    w.Key("segments");
-    w.Uint(shards_.ShardSize(k));
-    w.Key("txn_commits");
-    w.Uint(txns_->shard_commits()[k]);
-    w.Key("log_appends");
-    w.Uint(log_->StreamAppends(k));
-    w.Key("log_bytes");
-    w.Uint(log_->StreamAppendBytes(k));
-    w.Key("stall_quiesce_seconds");
-    w.Double(shard_stall_quiesce_[k]);
-    w.Key("stall_ckpt_lock_seconds");
-    w.Double(shard_stall_ckpt_lock_[k]);
-    // Sixth cause, present only when instant recovery ran so the row
-    // shape is unchanged for every pre-existing baseline.
-    if (avail_.ran) {
-      w.Key("stall_recovery_wait_seconds");
-      w.Double(shard_stall_recovery_wait_[k]);
-    }
-    w.Key("ckpt_segments_flushed");
-    w.Uint(checkpointer_->shard_segments_flushed()[k]);
-    w.EndObject();
-  }
-  w.EndArray();
-  w.EndObject();
   w.Key("checkpoints");
   w.BeginObject();
   w.Key("history_cap");
@@ -989,8 +929,7 @@ std::string Engine::DumpMetricsJson() const {
   }
   // Provenance journal state (DESIGN.md §18). Deliberately the LAST member
   // and excluded from every determinism comparison (bench_diff strips it,
-  // like "run" and "shards"): lineage stream sets legitimately vary with
-  // the shard count, and journal byte counts vary with event volume.
+  // like "run"): journal byte counts vary with event volume.
   w.Key("audit");
   if (audit_ != nullptr) {
     const AuditJournal::Counters& c = audit_->counters();

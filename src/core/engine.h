@@ -11,7 +11,6 @@
 #include "checkpoint/checkpointer.h"
 #include "checkpoint/scheduler.h"
 #include "core/options.h"
-#include "core/shard.h"
 #include "env/env.h"
 #include "obs/metrics_registry.h"
 #include "obs/timeseries.h"
@@ -216,9 +215,6 @@ class Engine {
   CheckpointScheduler& scheduler() { return scheduler_; }
   const Database& db() const { return *db_; }
   const BufferPool& buffers() const { return *buffers_; }
-  // Effective shard layout (EngineOptions::shards after the MMDB_SHARDS
-  // override and the [1, num_segments] clamp).
-  const ShardLayout& shards() const { return shards_; }
   LogManager* log() { return log_.get(); }
   BackupStore* backup() { return backup_.get(); }
   Env* env() { return env_; }
@@ -261,17 +257,9 @@ class Engine {
     return last_lineage_;
   }
 
-  // Paths within the Env. LogPath() is stream 0 (the classic single log);
-  // LogPaths() lists every per-shard stream file.
+  // Paths within the Env.
   std::string LogPath() const { return options_.dir + "/wal.log"; }
   std::string AuditLogPath() const { return options_.dir + "/audit.log"; }
-  std::vector<std::string> LogPaths() const {
-    std::vector<std::string> paths;
-    for (uint32_t k = 0; k < shards_.shards; ++k) {
-      paths.push_back(LogManager::StreamPath(LogPath(), k));
-    }
-    return paths;
-  }
 
  private:
   Engine(const EngineOptions& options, Env* env);
@@ -332,13 +320,6 @@ class Engine {
   double stall_quiesce_seconds_ = 0.0;
   double stall_ckpt_lock_seconds_ = 0.0;
   double stall_recovery_wait_seconds_ = 0.0;
-  // The same stalls attributed to the shard of the stalled access set
-  // (plain members, not registry instruments, so the registry snapshot is
-  // identical at every shard count; surfaced in DumpMetricsJson's
-  // "shards" member).
-  std::vector<double> shard_stall_quiesce_;
-  std::vector<double> shard_stall_ckpt_lock_;
-  std::vector<double> shard_stall_recovery_wait_;
   // Built at Init when options.timeseries_epoch > 0; ticked whenever the
   // virtual clock advances (AdvanceTime events, checkpoint steps,
   // recovery).
@@ -350,7 +331,6 @@ class Engine {
   VirtualClock clock_;
   CpuMeter meter_;
   DiskArrayModel backup_disks_;
-  ShardLayout shards_;
 
   std::unique_ptr<Database> db_;
   std::unique_ptr<SegmentTable> segments_;

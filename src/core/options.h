@@ -112,20 +112,8 @@ struct EngineOptions {
   // thread count recorded in trace baselines.
   uint32_t recovery_threads = 0;
 
-  // Number of engine shards (DESIGN.md §17): segment-range partitions,
-  // each with its own WAL stream file, lock-table stripe, and per-shard
-  // commit/stall/checkpoint accounting. The simulation stays ONE logical
-  // engine on one virtual clock at every shard count — sharding
-  // partitions the mechanical subsystems, so shards=1 (the default)
-  // reproduces the legacy modeled stats bit-for-bit and shards>1 yields
-  // the identical modeled view with per-shard breakdowns. Clamped to
-  // [1, num_segments]. The MMDB_SHARDS environment variable, when set to
-  // a positive integer, overrides this value for every engine
-  // (ResolveShards) — used by check.sh's shards=4 TSan lane.
-  uint32_t shards = 1;
-
   // Serve transactions during restart (DESIGN.md §19): OpenExisting
-  // returns as soon as the recovery *plan* is built (streams merged,
+  // returns as soon as the recovery *plan* is built (log read,
   // per-segment REDO buckets indexed, copy sources chosen) and segments
   // are recovered on demand — a transaction touching a not-yet-recovered
   // segment stalls on that segment's recovery latch (the sixth latency
@@ -159,7 +147,6 @@ struct EngineOptions {
           "FASTFUZZY requires stable_log_tail=true");
     }
     if (dir.empty()) return InvalidArgumentError("dir must be non-empty");
-    if (shards == 0) return InvalidArgumentError("shards must be >= 1");
     return Status::OK();
   }
 };

@@ -61,9 +61,6 @@ StatusOr<WorkloadResult> WorkloadDriver::Run() {
   const SystemParams& p = engine_->params();
   Random rng(options_.seed);
   WorkloadResult result;
-  const ShardLayout& shards = engine_->shards();
-  result.shard_latency.assign(shards.shards,
-                              Histogram(Histogram::kLatencyRatio));
 
   const double start = engine_->now();
   const double end = start + options_.duration;
@@ -264,13 +261,7 @@ StatusOr<WorkloadResult> WorkloadDriver::Run() {
       }
       ++result.committed;
       const double lat = engine_->now() - pending.first_arrival;
-      // Latency lands in the home shard's histogram; the global histogram
-      // is their bucket-exact merge after the run.
-      const uint32_t home =
-          records.empty()
-              ? 0
-              : shards.ShardOfSegment(engine_->db().SegmentOf(records[0]));
-      result.shard_latency[home].Add(lat * 1e6);
+      result.latency.Add(lat * 1e6);
       result.latency_total_seconds += lat;
       result.stall_quiesce_seconds += pending.stall_quiesce;
       result.stall_ckpt_lock_seconds += pending.stall_lock;
@@ -331,7 +322,6 @@ StatusOr<WorkloadResult> WorkloadDriver::Run() {
   }
 
   result.measured_seconds = engine_->now() - start;
-  for (const Histogram& h : result.shard_latency) result.latency.Merge(h);
   result.sync_overhead_instr =
       engine_->meter().SynchronousOverhead() - sync0;
   result.async_overhead_instr =

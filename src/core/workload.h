@@ -111,14 +111,7 @@ struct WorkloadResult {
 
   // Arrival-to-commit, microseconds. Finer bucket ratio than the metrics
   // default so p999 is resolved to ~±1% (see Histogram::kLatencyRatio).
-  // Built by merging shard_latency in shard order at the end of the run;
-  // Histogram::Merge is bucket-exact, so this is bit-identical to the
-  // pre-shard direct accumulation at any shard count.
   Histogram latency{Histogram::kLatencyRatio};
-  // The same latencies split by home shard (the shard of the transaction's
-  // first drawn record — where its commit record was logged). One entry
-  // per engine shard.
-  std::vector<Histogram> shard_latency;
 
   std::string ToString() const;
 };

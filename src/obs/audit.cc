@@ -150,14 +150,6 @@ void WriteLineageJson(const std::vector<SegmentLineage>& lineage,
   w->BeginArray();
   for (const SegmentLineage& l : lineage) w->Uint(l.last_lsn);
   w->EndArray();
-  w->Key("streams");
-  w->BeginArray();
-  for (const SegmentLineage& l : lineage) {
-    w->BeginArray();
-    for (uint32_t s : l.streams) w->Uint(s);
-    w->EndArray();
-  }
-  w->EndArray();
   w->EndObject();
 }
 
@@ -203,10 +195,9 @@ const std::vector<EventSpec>& EventSpecs() {
       {"ckpt.degraded", {"ckpt", "segment"}},
       {"ckpt.end", {"ckpt", "copy", "flushed", "skipped"}},
       {"ckpt.abort", {"ckpt", "cause", "flushed"}},
-      {"ckpt.log_cut", {"cut", "reclaimed", "stream_bases"}},
+      {"ckpt.log_cut", {"cut", "reclaimed"}},
       {"recovery.begin", {"restart"}},
-      {"recovery.streams",
-       {"valid_bytes", "dropped_frames", "torn_gang", "gap_lsn"}},
+      {"recovery.log", {"valid_bytes", "torn_tail"}},
       {"recovery.plan", {"checkpoint", "copy", "begin_offset", "source"}},
       {"recovery.fallback",
        {"from_checkpoint", "from_copy", "to_checkpoint", "to_copy", "trigger",
@@ -499,10 +490,8 @@ StatusOr<SegmentProvenance> ExplainSegment(
   const JsonValue* frames = l->Find("frames");
   const JsonValue* first_lsn = l->Find("first_lsn");
   const JsonValue* last_lsn = l->Find("last_lsn");
-  const JsonValue* streams = l->Find("streams");
   if (ckpts == nullptr || copies == nullptr || retried == nullptr ||
-      frames == nullptr || first_lsn == nullptr || last_lsn == nullptr ||
-      streams == nullptr) {
+      frames == nullptr || first_lsn == nullptr || last_lsn == nullptr) {
     return CorruptionError("recovery.lineage arrays are incomplete");
   }
   if (segment >= ckpts->array_items().size()) {
@@ -520,9 +509,6 @@ StatusOr<SegmentProvenance> ExplainSegment(
   p.lineage.frames = AsU64(frames->array_items()[segment]);
   p.lineage.first_lsn = AsU64(first_lsn->array_items()[segment]);
   p.lineage.last_lsn = AsU64(last_lsn->array_items()[segment]);
-  for (const JsonValue& s : streams->array_items()[segment].array_items()) {
-    p.lineage.streams.push_back(static_cast<uint32_t>(AsU64(s)));
-  }
 
   // Walk back through the journal for the restored checkpoint's own chain:
   // its begin/end times, algorithm, and how many aborted attempts preceded

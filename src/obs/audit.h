@@ -20,8 +20,8 @@ namespace mmdb {
 //
 // Every checkpoint lifecycle event (begin / per-segment flush / degradation /
 // end / abort-and-retry, log cuts) and every recovery decision (which backup
-// copy restored each segment, older-copy fallback and its trigger, per-stream
-// valid prefixes and torn-gang truncation, the per-segment replay ranges) is
+// copy restored each segment, older-copy fallback and its trigger, the log's
+// valid prefix and torn tail, the per-segment replay ranges) is
 // appended to `audit.log` as one self-checksummed JSON line:
 //
 //   {"seq":N,"t":<virtual seconds>,"event":"ckpt.begin",...,"crc":C}
@@ -39,9 +39,9 @@ namespace mmdb {
 //   ckpt.degraded {ckpt, segment}                 (modern snapshot overlays)
 //   ckpt.end      {ckpt, copy, flushed, skipped}              [synced]
 //   ckpt.abort    {ckpt, cause, flushed}                      [synced]
-//   ckpt.log_cut  {cut, reclaimed, stream_bases[]}
+//   ckpt.log_cut  {cut, reclaimed}
 //   recovery.begin    {restart}
-//   recovery.streams  {valid_bytes[], dropped_frames[], torn_gang, gap_lsn}
+//   recovery.log      {valid_bytes, torn_tail}
 //   recovery.plan     {checkpoint, copy, begin_offset, source}
 //   recovery.fallback {from_checkpoint, from_copy, to_checkpoint, to_copy,
 //                      trigger, failed_segments[], full_reload}
@@ -120,10 +120,9 @@ struct SegmentLineage {
   uint64_t frames = 0;   // committed REDO records applied to this segment
   Lsn first_lsn = kInvalidLsn;
   Lsn last_lsn = kInvalidLsn;
-  std::vector<uint32_t> streams;  // WAL streams the applied frames came from
 };
 
-// Emits {"segments":N,"checkpoint":[...],...,"streams":[[...],...]}.
+// Emits {"segments":N,"checkpoint":[...],...,"last_lsn":[...]}.
 // Shared by the journal's recovery.lineage event and the engine dump's
 // audit.lineage member so the two compare byte-for-byte after a round trip.
 void WriteLineageJson(const std::vector<SegmentLineage>& lineage,

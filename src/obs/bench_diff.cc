@@ -89,9 +89,8 @@ class Differ {
       if (path.empty() && key == "run") continue;  // sanctioned drift
       if (IsWallClockField(key)) continue;         // machine-dependent
       // Provenance-journal state (any depth: sidecar top level and each
-      // point's engine dump): lineage stream sets vary with the shard
-      // count and journal volume varies with event history — sanctioned,
-      // like "run".
+      // point's engine dump): journal volume varies with event history —
+      // sanctioned, like "run".
       if (key == "audit") continue;
       std::string child = path.empty() ? key : path + "." + key;
       const JsonValue* other = b.Find(key);

@@ -7,8 +7,6 @@
 #include <string_view>
 #include <vector>
 
-#include "core/shard.h"
-
 namespace mmdb {
 
 namespace {
@@ -23,9 +21,6 @@ enum Track : int {
   kTrackFault = 5,
   kTrackRecovery = 6,
   kTrackRecoveryOnDemand = 7,
-  // Per-shard checkpoint.io tracks (TraceExportOptions::shard_tracks):
-  // shard k's segment writes land on tid kTrackShardIoBase + k.
-  kTrackShardIoBase = 100,
 };
 
 constexpr struct {
@@ -176,48 +171,13 @@ void AppendProcessName(int pid, std::string_view name, JsonWriter* w) {
 }
 
 Status AppendChromeTraceEvents(const JsonValue& trace_doc, int pid,
-                               JsonWriter* writer, TraceExportStats* stats,
-                               const TraceExportOptions& options) {
+                               JsonWriter* writer, TraceExportStats* stats) {
   const JsonValue* events = trace_doc.Find("events");
   if (events == nullptr || !events->is_array()) {
     return InvalidArgumentError(
         "trace document has no \"events\" array (tracing disabled?)");
   }
-  // Per-shard checkpoint.io routing: resolve the segment partition the
-  // tracks are laid out over. With no dump-provided segment count, infer
-  // it from the largest segment id the ring retained (an underestimate if
-  // the hottest segments never appear, but a pure viewer aid either way).
-  ShardLayout shard_layout;
-  bool shard_io = options.shard_tracks > 1;
-  if (shard_io) {
-    uint64_t num_segments = options.num_segments;
-    if (num_segments == 0) {
-      for (const JsonValue& event : events->array_items()) {
-        const JsonValue* kind = event.Find("kind");
-        if (kind == nullptr || !kind->is_string() ||
-            kind->string_value() != "checkpoint.segment_write") {
-          continue;
-        }
-        num_segments = std::max(
-            num_segments,
-            static_cast<uint64_t>(NumberOr(event.Find("segment"), 0)) + 1);
-      }
-    }
-    if (num_segments == 0) {
-      shard_io = false;  // no segment-carrying events to route
-    } else {
-      uint32_t segs = static_cast<uint32_t>(num_segments);
-      shard_layout = ShardLayout(std::min(options.shard_tracks, segs), segs);
-    }
-  }
   for (const auto& track : kTracks) {
-    if (shard_io && track.tid == kTrackCheckpointIo) {
-      for (uint32_t k = 0; k < shard_layout.shards; ++k) {
-        AppendThreadName(pid, kTrackShardIoBase + static_cast<int>(k),
-                         "checkpoint.io.shard" + std::to_string(k), writer);
-      }
-      continue;
-    }
     AppendThreadName(pid, track.tid, track.name, writer);
   }
   // Open-slice depth per B/E track, so an E whose B fell out of the ring
@@ -279,18 +239,10 @@ Status AppendChromeTraceEvents(const JsonValue& trace_doc, int pid,
           }
         }
         break;
-      case TraceEventType::kCheckpointSegmentWrite: {
-        int tid = kTrackCheckpointIo;
-        if (shard_io) {
-          uint32_t segment =
-              static_cast<uint32_t>(NumberOr(event.Find("segment"), 0));
-          segment = std::min(segment, shard_layout.num_segments - 1);
-          tid = kTrackShardIoBase +
-                static_cast<int>(shard_layout.ShardOfSegment(segment));
-        }
-        AppendEvent(kind, cat, "X", ts, dur, pid, tid, false, event, writer);
+      case TraceEventType::kCheckpointSegmentWrite:
+        AppendEvent(kind, cat, "X", ts, dur, pid, kTrackCheckpointIo, false,
+                    event, writer);
         break;
-      }
       case TraceEventType::kLogAppend:
       case TraceEventType::kLogFlushError:
         AppendEvent(kind, cat, "i", ts, -1, pid, kTrackLog, true, event,
@@ -447,29 +399,6 @@ Status MaybeAppendTimeseries(const JsonValue& engine_doc, int pid,
   return AppendCounterTrackEvents(*timeseries, pid, writer, stats);
 }
 
-// Total segment count recorded in an engine dump's "shards" member (the
-// sum of the per-shard range sizes), or 0 when the dump predates it.
-uint64_t NumSegmentsFromDump(const JsonValue& engine_doc) {
-  const JsonValue* per_shard = engine_doc.FindPath({"shards", "per_shard"});
-  if (per_shard == nullptr || !per_shard->is_array()) return 0;
-  uint64_t total = 0;
-  for (const JsonValue& s : per_shard->array_items()) {
-    total += static_cast<uint64_t>(NumberOr(s.Find("segments"), 0));
-  }
-  return total;
-}
-
-// Per-engine copy of the export options with num_segments resolved from
-// the dump when the caller left it to be inferred.
-TraceExportOptions ResolveOptions(const TraceExportOptions& options,
-                                  const JsonValue& engine_doc) {
-  TraceExportOptions resolved = options;
-  if (resolved.shard_tracks > 1 && resolved.num_segments == 0) {
-    resolved.num_segments = NumSegmentsFromDump(engine_doc);
-  }
-  return resolved;
-}
-
 // Process name for a single engine dump: "FUZZYCOPY/partial" when the
 // document carries its identity, else the fallback.
 std::string EngineProcessName(const JsonValue& engine_doc,
@@ -485,9 +414,8 @@ std::string EngineProcessName(const JsonValue& engine_doc,
 
 }  // namespace
 
-StatusOr<std::string> ChromeTraceFromMetricsDoc(
-    const JsonValue& doc, TraceExportStats* stats,
-    const TraceExportOptions& options) {
+StatusOr<std::string> ChromeTraceFromMetricsDoc(const JsonValue& doc,
+                                                TraceExportStats* stats) {
   if (!doc.is_object()) {
     return InvalidArgumentError("metrics document is not a JSON object");
   }
@@ -511,9 +439,7 @@ StatusOr<std::string> ChromeTraceFromMetricsDoc(
                              : "point " + std::to_string(pid);
       AppendProcessName(pid, name, &w);
       const JsonValue* engine = point.Find("engine");
-      MMDB_RETURN_IF_ERROR(AppendChromeTraceEvents(
-          *trace, pid, &w, stats,
-          engine != nullptr ? ResolveOptions(options, *engine) : options));
+      MMDB_RETURN_IF_ERROR(AppendChromeTraceEvents(*trace, pid, &w, stats));
       if (engine != nullptr) {
         MMDB_RETURN_IF_ERROR(MaybeAppendTimeseries(*engine, pid, &w, stats));
       }
@@ -523,14 +449,13 @@ StatusOr<std::string> ChromeTraceFromMetricsDoc(
              trace != nullptr && trace->is_object()) {
     // Single Engine::DumpMetricsJson document.
     AppendProcessName(1, EngineProcessName(doc, "engine"), &w);
-    MMDB_RETURN_IF_ERROR(AppendChromeTraceEvents(*trace, 1, &w, stats,
-                                                 ResolveOptions(options, doc)));
+    MMDB_RETURN_IF_ERROR(AppendChromeTraceEvents(*trace, 1, &w, stats));
     MMDB_RETURN_IF_ERROR(MaybeAppendTimeseries(doc, 1, &w, stats));
     ++engines;
   } else if (doc.Find("events") != nullptr) {
     // Bare Tracer::ToJson document.
     AppendProcessName(1, "trace", &w);
-    MMDB_RETURN_IF_ERROR(AppendChromeTraceEvents(doc, 1, &w, stats, options));
+    MMDB_RETURN_IF_ERROR(AppendChromeTraceEvents(doc, 1, &w, stats));
     ++engines;
   }
   if (engines == 0) {
@@ -546,11 +471,10 @@ StatusOr<std::string> ChromeTraceFromMetricsDoc(
   return w.TakeString();
 }
 
-StatusOr<std::string> ChromeTraceFromMetricsJson(
-    std::string_view json, TraceExportStats* stats,
-    const TraceExportOptions& options) {
+StatusOr<std::string> ChromeTraceFromMetricsJson(std::string_view json,
+                                                 TraceExportStats* stats) {
   MMDB_ASSIGN_OR_RETURN(JsonValue doc, JsonValue::Parse(json));
-  return ChromeTraceFromMetricsDoc(doc, stats, options);
+  return ChromeTraceFromMetricsDoc(doc, stats);
 }
 
 StatusOr<std::string> ChromeTraceFromTracer(const Tracer& tracer,

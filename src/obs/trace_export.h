@@ -41,30 +41,13 @@ struct TraceExportStats {
   std::size_t events_skipped = 0;  // unknown kind / malformed entries
 };
 
-// Optional viewer-side transforms. Default-constructed options reproduce
-// the classic single-track-per-component layout byte for byte.
-struct TraceExportOptions {
-  // When > 1, segment-carrying events (checkpoint.segment_write) are routed
-  // onto per-shard "checkpoint.io.shard<k>" tracks instead of the single
-  // "checkpoint.io" track, using the same segment-range partition as
-  // core/shard.h (ShardLayout) so the viewer's tracks line up with the
-  // engine's shard ownership. This is a post-hoc derivation from the
-  // events' segment ids — the ring stores no shard/stream index.
-  uint32_t shard_tracks = 0;
-  // Total segment count the shard partition is over. 0 means infer it
-  // from the document: the sum of the dump's shards.per_shard[].segments
-  // when present, else max(segment)+1 observed in the events.
-  uint64_t num_segments = 0;
-};
-
 // Appends trace_event objects (plus thread-name metadata) for one trace
 // document ({"events":[...],"recorded":N,"dropped":N}, i.e. the "trace"
 // member of an engine dump) to `writer`, which must be inside an open
 // JSON array. `pid` is the process id for every emitted event.
 Status AppendChromeTraceEvents(const JsonValue& trace_doc, int pid,
                                JsonWriter* writer,
-                               TraceExportStats* stats = nullptr,
-                               const TraceExportOptions& options = {});
+                               TraceExportStats* stats = nullptr);
 
 // Emits the process_name metadata event for `pid`.
 void AppendProcessName(int pid, std::string_view name, JsonWriter* writer);
@@ -86,11 +69,9 @@ Status AppendCounterTrackEvents(const JsonValue& timeseries_doc, int pid,
 // (metrics disabled) are skipped. INVALID_ARGUMENT if the document holds
 // no trace at all.
 StatusOr<std::string> ChromeTraceFromMetricsDoc(
-    const JsonValue& doc, TraceExportStats* stats = nullptr,
-    const TraceExportOptions& options = {});
+    const JsonValue& doc, TraceExportStats* stats = nullptr);
 StatusOr<std::string> ChromeTraceFromMetricsJson(
-    std::string_view json, TraceExportStats* stats = nullptr,
-    const TraceExportOptions& options = {});
+    std::string_view json, TraceExportStats* stats = nullptr);
 
 // Convenience for live tracers (tests, in-process sinks): exports the
 // ring's current contents as one process named `process_name`.

@@ -155,7 +155,6 @@ StatusOr<RedoScan> ScanRedo(const LogReader& reader, std::size_t start,
     l.frames = 0;
     l.first_lsn = kInvalidLsn;
     l.last_lsn = kInvalidLsn;
-    l.streams.clear();
   }
   std::vector<bool> seen(num_segments + 1, false);
   for (const Chunk& c : chunks) {
@@ -180,15 +179,40 @@ StatusOr<RedoScan> ScanRedo(const LogReader& reader, std::size_t start,
       ++l.frames;
       if (l.first_lsn == kInvalidLsn) l.first_lsn = d.lsn;
       l.last_lsn = d.lsn;
-      const uint32_t stream = reader.FrameStream(d.frame);
-      if (std::find(l.streams.begin(), l.streams.end(), stream) ==
-          l.streams.end()) {
-        l.streams.push_back(stream);
-      }
     }
   }
   return out;
 }
+
+namespace {
+
+// Engines before the single-log layout could split the REDO log into
+// `<log_path>.<k>` stream files. Recovering such a directory from the log
+// file alone would silently drop the commits the other streams carry.
+Status RefuseStreamSiblings(Env* env, const std::string& log_path) {
+  const size_t slash = log_path.rfind('/');
+  const std::string dir =
+      slash == std::string::npos ? "." : log_path.substr(0, slash);
+  const std::string prefix = log_path.substr(slash + 1) + ".";
+  std::vector<std::string> children;
+  MMDB_RETURN_IF_ERROR(env->ListDir(dir, &children));
+  std::sort(children.begin(), children.end());  // name the same file each run
+  for (const std::string& child : children) {
+    uint64_t k = 0;
+    if (StartsWith(child, prefix) &&
+        ParseNumber(std::string_view(child).substr(prefix.size()), &k) &&
+        k >= 1) {
+      return FailedPreconditionError(
+          "'" + dir + "/" + child +
+          "' is a stream of a multi-stream log, which this engine does not "
+          "read; recovering from '" + log_path + "' alone would lose its "
+          "commits");
+    }
+  }
+  return Status::OK();
+}
+
+}  // namespace
 
 RecoveryManager::RecoveryManager(Env* env, const SystemParams& params,
                                  CpuMeter* meter, ThreadPool* pool)
@@ -258,7 +282,7 @@ void RecoveryManager::Publish(MetricsRegistry* metrics, Tracer* tracer,
 }
 
 Status RecoveryManager::ChooseRestore(BackupStore* backup,
-                                      const std::vector<std::string>& log_paths,
+                                      const std::string& log_path,
                                       Database* db, double now,
                                       RecoveryPlan* plan) {
   RecoveryResult* result = &plan->result;
@@ -273,27 +297,16 @@ Status RecoveryManager::ChooseRestore(BackupStore* backup,
   // newer checkpoint IS complete (its segment writes all finished before
   // its end marker was cut), so the log wins. Metadata NEWER than the
   // log's last end marker is corruption.
-  MMDB_ASSIGN_OR_RETURN(
-      LogReader reader,
-      LogReader::OpenStreams(env_, log_paths, &result->stream_valid_bytes));
+  MMDB_ASSIGN_OR_RETURN(LogReader reader, LogReader::Open(env_, log_path));
   result->log_valid_bytes = reader.valid_bytes();
   if (audit_ != nullptr) {
-    // What the stream merge salvaged: the valid prefix per stream, the
-    // CRC-clean frames each stream lost past the merge frontier, and
-    // whether a gang batch was torn across streams at crash time.
-    audit_->Record("recovery.streams", now, [&](JsonWriter& w) {
+    // What the log reopen will keep: the valid prefix, and whether a torn
+    // tail past it is cut off.
+    audit_->Record("recovery.log", now, [&](JsonWriter& w) {
       w.Key("valid_bytes");
-      w.BeginArray();
-      for (uint64_t v : result->stream_valid_bytes) w.Uint(v);
-      w.EndArray();
-      w.Key("dropped_frames");
-      w.BeginArray();
-      for (uint64_t v : reader.stream_dropped_frames()) w.Uint(v);
-      w.EndArray();
-      w.Key("torn_gang");
-      w.Bool(reader.torn_gang());
-      w.Key("gap_lsn");
-      w.Uint(reader.torn_gang_lsn());
+      w.Uint(reader.valid_bytes());
+      w.Key("torn_tail");
+      w.Bool(reader.truncated_tail());
     });
   }
 
@@ -407,9 +420,11 @@ Status RecoveryManager::ChooseRestore(BackupStore* backup,
   return Status::OK();
 }
 
-StatusOr<RecoveryPlan> RecoveryManager::Plan(
-    BackupStore* backup, const std::vector<std::string>& log_paths,
-    Database* db, SegmentTable* segments, double now) {
+StatusOr<RecoveryPlan> RecoveryManager::Plan(BackupStore* backup,
+                                             const std::string& log_path,
+                                             Database* db,
+                                             SegmentTable* segments,
+                                             double now) {
   RecoveryPlan plan;
   plan.crash_time = now;
   RecoveryResult& result = plan.result;
@@ -419,7 +434,8 @@ StatusOr<RecoveryPlan> RecoveryManager::Plan(
   stats.threads_used = threads;
   BusyMeter busy(threads);
 
-  MMDB_RETURN_IF_ERROR(ChooseRestore(backup, log_paths, db, now, &plan));
+  MMDB_RETURN_IF_ERROR(RefuseStreamSiblings(env_, log_path));
+  MMDB_RETURN_IF_ERROR(ChooseRestore(backup, log_path, db, now, &plan));
   const LogReader& reader = plan.reader;
 
   // Classification scan of the replay suffix: the committed set, the max

@@ -80,11 +80,9 @@ struct RecoveryStats {
 struct RecoveryResult {
   RecoveryStats stats;
   Lsn last_lsn = kInvalidLsn;      // highest LSN found in the log
-  uint64_t log_valid_bytes = 0;    // well-formed log prefix length
-  // Per-stream logical end offsets of the merged prefix (one entry per
-  // log stream; see LogReader::OpenStreams) — what LogManager needs to
-  // reopen the stream files after recovery.
-  std::vector<uint64_t> stream_valid_bytes;
+  // Logical end offset of the well-formed log prefix (base included) —
+  // what LogManager::OpenExisting keeps when it reopens the log.
+  uint64_t log_valid_bytes = 0;
   // Id of the newest end-checkpoint marker in the log (0 if none). Equals
   // stats.checkpoint_id except when recovery fell back to the older copy;
   // the engine must then skip past this id so a stale end marker is never
@@ -92,7 +90,7 @@ struct RecoveryResult {
   CheckpointId newest_end_id = 0;
   // Per-segment provenance of the restored image (DESIGN.md §18): which
   // checkpoint/copy supplied each segment's bytes, whether it was re-read
-  // from the older copy, and the frames/LSNs/streams replayed into it.
+  // from the older copy, and the frames/LSNs replayed into it.
   // Sized num_segments.
   std::vector<SegmentLineage> lineage;
 };
@@ -143,7 +141,7 @@ struct RedoScan {
 // wall time. Fails on the first undecodable frame, then on the first
 // committed record whose record id or operand lies outside the database
 // (log order). Rewrites the replay fields of every `lineage` entry
-// (frames, LSN span, streams) from the committed frames.
+// (frames, LSN span) from the committed frames.
 StatusOr<RedoScan> ScanRedo(const LogReader& reader, std::size_t start,
                             const DatabaseParams& db, ThreadPool* pool,
                             BusyMeter* busy,
@@ -165,7 +163,7 @@ double ReplayInstructions(const SystemParams& params, uint64_t full_applies,
                           uint64_t delta_applies);
 
 // Everything needed to rebuild the primary (DESIGN.md §14, §19), computed
-// before a single segment byte is read: the merged immutable log, the
+// before a single segment byte is read: the immutable log, the
 // restore decision, the per-segment REDO buckets, and a RecoveryResult
 // whose modeled stats and lineage are final unless the older-copy
 // fallback refines them. Produced by RecoveryManager::Plan and consumed
@@ -173,8 +171,8 @@ double ReplayInstructions(const SystemParams& params, uint64_t full_applies,
 // on demand.
 struct RecoveryPlan {
   RecoveryResult result;
-  // Placeholder-initialized (an empty log) until Plan moves the merged
-  // stream view in; LogReader has no default constructor.
+  // Placeholder-initialized (an empty log) until Plan moves the log in;
+  // LogReader has no default constructor.
   LogReader reader{std::string()};
   double crash_time = 0.0;  // the anchor of every modeled phase time
   bool have_checkpoint = false;
@@ -200,17 +198,17 @@ class RecoveryManager {
   RecoveryManager(Env* env, const SystemParams& params, CpuMeter* meter,
                   ThreadPool* pool = nullptr);
 
-  // `backup` must be Open()ed. `log_paths` is the per-shard stream file
-  // list (one path = the classic single log); the streams are LSN-merged
-  // into one logical log, so every downstream step is stream-count
-  // agnostic. Reads NO segment bytes and applies NO update: the plan's
-  // modeled stats are closed-form, and the replay CPU is charged to the
-  // meter here, once. `segments` is reset to the conservative
-  // post-recovery control state (all dirty). `now` is the crash instant.
-  // Journals recovery.streams and recovery.plan; the caller journals the
+  // `backup` must be Open()ed; `log_path` is the REDO log file. Reads NO
+  // segment bytes and applies NO update: the plan's modeled stats are
+  // closed-form, and the replay CPU is charged to the meter here, once.
+  // `segments` is reset to the conservative post-recovery control state
+  // (all dirty). `now` is the crash instant. FAILED_PRECONDITION, before
+  // anything is read or written, if the log's directory holds a
+  // `<log_path>.<k>` sibling (k >= 1): a stream of the retired
+  // multi-stream layout, whose commits the log file alone would lose.
+  // Journals recovery.log and recovery.plan; the caller journals the
   // outcome.
-  StatusOr<RecoveryPlan> Plan(BackupStore* backup,
-                              const std::vector<std::string>& log_paths,
+  StatusOr<RecoveryPlan> Plan(BackupStore* backup, const std::string& log_path,
                               Database* db, SegmentTable* segments,
                               double now);
 
@@ -231,11 +229,10 @@ class RecoveryManager {
   static uint32_t ResolveThreads(uint32_t configured);
 
  private:
-  // Phase 1: merges the streams, reconciles metadata with the log's end
-  // markers, journals recovery.streams / recovery.plan, repairs lagging
+  // Phase 1: reads the log, reconciles metadata with the log's end
+  // markers, journals recovery.log / recovery.plan, repairs lagging
   // metadata, and seeds the plan's lineage.
-  Status ChooseRestore(BackupStore* backup,
-                       const std::vector<std::string>& log_paths,
+  Status ChooseRestore(BackupStore* backup, const std::string& log_path,
                        Database* db, double now, RecoveryPlan* plan);
 
   Env* env_;

@@ -11,17 +11,6 @@
 
 namespace mmdb {
 
-std::vector<std::string> DiscoverLogStreams(Env* env,
-                                            const std::string& log_path) {
-  std::vector<std::string> paths = {log_path};
-  for (uint32_t k = 1;; ++k) {
-    std::string next = log_path + "." + std::to_string(k);
-    if (!env->FileExists(next)) break;
-    paths.push_back(std::move(next));
-  }
-  return paths;
-}
-
 std::string LogSummary::ToString() const {
   std::string out = StringPrintf(
       "log: base=%llu valid_bytes=%llu%s\n"
@@ -37,22 +26,6 @@ std::string LogSummary::ToString() const {
       static_cast<unsigned long long>(begin_markers),
       static_cast<unsigned long long>(end_markers),
       static_cast<unsigned long long>(distinct_txns));
-  // Stream lines only appear for sharded logs so the classic single-stream
-  // output stays byte-identical.
-  if (streams > 1) {
-    out += StringPrintf("streams: %u merged by LSN", streams);
-    if (torn_gang) {
-      out += StringPrintf(" | TORN GANG at lsn=%llu (dropped:",
-                          static_cast<unsigned long long>(gang_lsn));
-      for (size_t k = 0; k < stream_dropped_frames.size(); ++k) {
-        out += StringPrintf(" s%zu=%llu", k,
-                            static_cast<unsigned long long>(
-                                stream_dropped_frames[k]));
-      }
-      out += ")";
-    }
-    out += "\n";
-  }
   for (const CheckpointSpan& c : checkpoints) {
     out += StringPrintf("checkpoint %llu: begin@%llu %s\n",
                         static_cast<unsigned long long>(c.id),
@@ -63,17 +36,11 @@ std::string LogSummary::ToString() const {
 }
 
 StatusOr<LogSummary> SummarizeLog(Env* env, const std::string& log_path) {
-  MMDB_ASSIGN_OR_RETURN(
-      LogReader reader,
-      LogReader::OpenStreams(env, DiscoverLogStreams(env, log_path), nullptr));
+  MMDB_ASSIGN_OR_RETURN(LogReader reader, LogReader::Open(env, log_path));
   LogSummary summary;
   summary.base_offset = reader.base_offset();
   summary.valid_bytes = reader.valid_bytes();
   summary.torn_tail = reader.truncated_tail();
-  summary.streams = reader.num_streams();
-  summary.torn_gang = reader.torn_gang();
-  summary.gang_lsn = reader.torn_gang_lsn();
-  summary.stream_dropped_frames = reader.stream_dropped_frames();
 
   std::unordered_set<TxnId> txns;
   MMDB_RETURN_IF_ERROR(reader.ScanForward(
@@ -113,67 +80,30 @@ StatusOr<LogSummary> SummarizeLog(Env* env, const std::string& log_path) {
 
 StatusOr<uint64_t> DumpLog(Env* env, const std::string& log_path,
                            uint64_t from_offset, std::FILE* out) {
-  MMDB_ASSIGN_OR_RETURN(
-      LogReader reader,
-      LogReader::OpenStreams(env, DiscoverLogStreams(env, log_path), nullptr));
+  MMDB_ASSIGN_OR_RETURN(LogReader reader, LogReader::Open(env, log_path));
   uint64_t start = std::max(from_offset, reader.base_offset());
   size_t begin = 0;
   if (start > reader.base_offset()) {
     MMDB_ASSIGN_OR_RETURN(begin, reader.FrameIndexAt(start));
   }
-  // For a sharded log each frame gains an owning-stream column, and a
-  // marker line flags every stream hand-off in merged LSN order. Epochs
-  // are not persisted in the frames, but a gang flush drains whole epochs
-  // per stream, so a hand-off can only fall on a gang-epoch boundary —
-  // the markers are a faithful lower bound, not every boundary.
-  const bool sharded = reader.num_streams() > 1;
-  uint32_t prev_stream = 0;
   uint64_t printed = 0;
   for (size_t i = begin; i < reader.num_frames(); ++i) {
     MMDB_ASSIGN_OR_RETURN(LogRecord r, reader.RecordAtIndex(i));
-    const uint32_t stream = reader.FrameStream(i);
-    if (sharded && (printed == 0 || stream != prev_stream)) {
-      std::fprintf(out, "%10s  -- gang-epoch boundary: stream s%u --\n", "",
-                   stream);
-    }
-    prev_stream = stream;
-    if (sharded) {
-      std::fprintf(out, "%10llu  s%u  %s\n",
-                   static_cast<unsigned long long>(reader.FrameOffset(i)),
-                   stream, r.DebugString().c_str());
-    } else {
-      std::fprintf(out, "%10llu  %s\n",
-                   static_cast<unsigned long long>(reader.FrameOffset(i)),
-                   r.DebugString().c_str());
-    }
+    std::fprintf(out, "%10llu  %s\n",
+                 static_cast<unsigned long long>(reader.FrameOffset(i)),
+                 r.DebugString().c_str());
     ++printed;
   }
   if (reader.truncated_tail()) {
     std::fprintf(out, "%10llu  <torn tail>\n",
                  static_cast<unsigned long long>(reader.valid_bytes()));
   }
-  if (reader.torn_gang()) {
-    std::fprintf(out, "%10llu  <torn gang: lsn %llu never globally durable;"
-                 " dropped",
-                 static_cast<unsigned long long>(reader.valid_bytes()),
-                 static_cast<unsigned long long>(reader.torn_gang_lsn()));
-    const std::vector<uint64_t>& dropped = reader.stream_dropped_frames();
-    for (size_t k = 0; k < dropped.size(); ++k) {
-      std::fprintf(out, " s%zu=%llu", k,
-                   static_cast<unsigned long long>(dropped[k]));
-    }
-    std::fprintf(out, ">\n");
-  }
   return printed;
 }
 
 StatusOr<uint64_t> DumpLogJson(Env* env, const std::string& log_path,
                                uint64_t from_offset, std::string* out) {
-  std::vector<uint64_t> stream_valid_bytes;
-  MMDB_ASSIGN_OR_RETURN(
-      LogReader reader,
-      LogReader::OpenStreams(env, DiscoverLogStreams(env, log_path),
-                             &stream_valid_bytes));
+  MMDB_ASSIGN_OR_RETURN(LogReader reader, LogReader::Open(env, log_path));
   JsonWriter w;
   w.BeginObject();
   w.Key("base_offset");
@@ -182,20 +112,6 @@ StatusOr<uint64_t> DumpLogJson(Env* env, const std::string& log_path,
   w.Uint(reader.valid_bytes());
   w.Key("torn_tail");
   w.Bool(reader.truncated_tail());
-  w.Key("streams");
-  w.Uint(reader.num_streams());
-  w.Key("stream_valid_bytes");
-  w.BeginArray();
-  for (uint64_t bytes : stream_valid_bytes) w.Uint(bytes);
-  w.EndArray();
-  w.Key("torn_gang");
-  w.Bool(reader.torn_gang());
-  w.Key("gang_lsn");
-  w.Uint(reader.torn_gang_lsn());
-  w.Key("stream_dropped_frames");
-  w.BeginArray();
-  for (uint64_t dropped : reader.stream_dropped_frames()) w.Uint(dropped);
-  w.EndArray();
   w.Key("records");
   w.BeginArray();
   uint64_t emitted = 0;
@@ -209,8 +125,6 @@ StatusOr<uint64_t> DumpLogJson(Env* env, const std::string& log_path,
     w.BeginObject();
     w.Key("offset");
     w.Uint(reader.FrameOffset(i));
-    w.Key("stream");
-    w.Uint(reader.FrameStream(i));
     w.Key("record");
     r.AppendJsonTo(&w);
     w.EndObject();

@@ -19,27 +19,11 @@ namespace mmdb {
 // `mmdb_log_dump` and `mmdb_backup_inspect` command-line tools (and usable
 // programmatically, e.g. for monitoring). Everything here is read-only.
 
-// Per-shard stream files of `log_path` (stream k > 0 lives at
-// `log_path.k`, the LogManager::StreamPath layout), discovered by probing
-// the filesystem. Always returns at least {log_path}; the classic
-// single-stream layout yields exactly that.
-std::vector<std::string> DiscoverLogStreams(Env* env,
-                                            const std::string& log_path);
-
-// What a pass over a log file (all of its streams, LSN-merged) found.
+// What a pass over a log file found.
 struct LogSummary {
   uint64_t base_offset = 0;
   uint64_t valid_bytes = 0;  // logical end of the well-formed prefix
   bool torn_tail = false;
-  // Stream files merged (1 = classic single log). A torn gang means a
-  // group-commit batch was torn across streams at crash time: frames past
-  // the global LSN gap are dropped even where CRC-clean in their own
-  // stream; `gang_lsn` is the first LSN that never became globally
-  // durable and `stream_dropped_frames` counts each stream's casualties.
-  uint32_t streams = 1;
-  bool torn_gang = false;
-  Lsn gang_lsn = kInvalidLsn;
-  std::vector<uint64_t> stream_dropped_frames;
 
   uint64_t records = 0;
   uint64_t updates = 0;
@@ -71,9 +55,7 @@ StatusOr<uint64_t> DumpLog(Env* env, const std::string& log_path,
 
 // JSON form of DumpLog, appended to `*out` as a single document:
 //   {"base_offset":N,"valid_bytes":N,"torn_tail":b,
-//    "streams":N,"stream_valid_bytes":[N,...],
-//    "torn_gang":b,"gang_lsn":N,"stream_dropped_frames":[N,...],
-//    "records":[{"offset":N,"stream":N,"record":{...}},...]}
+//    "records":[{"offset":N,"record":{...}},...]}
 // The per-record objects come from LogRecord::AppendJsonTo — the same
 // formatter the trace layer's log events reference — so offline dumps and
 // live traces name fields identically. Returns the record count.

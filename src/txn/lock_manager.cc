@@ -6,21 +6,11 @@
 
 namespace mmdb {
 
-LockManager::LockManager(uint32_t stripes, uint64_t records_per_segment)
-    : records_per_segment_(records_per_segment) {
-  if (stripes == 0) stripes = 1;
-  stripes_.reserve(stripes);
-  for (uint32_t i = 0; i < stripes; ++i) {
-    stripes_.push_back(std::make_unique<Stripe>());
-  }
-}
-
 Status LockManager::Acquire(TxnId txn, RecordId record, Mode mode) {
-  Stripe& stripe = StripeOf(record);
   Status s;
   {
-    std::lock_guard<std::mutex> lock(stripe.mu);
-    s = AcquireImpl(stripe, txn, record, mode);
+    std::lock_guard<std::mutex> lock(mu_);
+    s = AcquireLocked(txn, record, mode);
   }
   if (m_acquires_ != nullptr) {
     if (s.ok()) {
@@ -32,9 +22,8 @@ Status LockManager::Acquire(TxnId txn, RecordId record, Mode mode) {
   return s;
 }
 
-Status LockManager::AcquireImpl(Stripe& stripe, TxnId txn, RecordId record,
-                                Mode mode) {
-  Entry& e = stripe.table[record];
+Status LockManager::AcquireLocked(TxnId txn, RecordId record, Mode mode) {
+  Entry& e = table_[record];
   const bool held_shared =
       std::find(e.shared.begin(), e.shared.end(), txn) != e.shared.end();
   if (mode == Mode::kShared) {
@@ -68,31 +57,28 @@ Status LockManager::AcquireImpl(Stripe& stripe, TxnId txn, RecordId record,
 }
 
 void LockManager::ReleaseAll(TxnId txn, const std::vector<RecordId>& records) {
+  std::lock_guard<std::mutex> lock(mu_);
   for (RecordId r : records) {
-    Stripe& stripe = StripeOf(r);
-    std::lock_guard<std::mutex> lock(stripe.mu);
-    auto it = stripe.table.find(r);
-    if (it == stripe.table.end()) continue;
+    auto it = table_.find(r);
+    if (it == table_.end()) continue;
     Entry& e = it->second;
     if (e.exclusive == txn) e.exclusive = kInvalidTxnId;
     std::erase(e.shared, txn);
     if (e.exclusive == kInvalidTxnId && e.shared.empty()) {
-      stripe.table.erase(it);
+      table_.erase(it);
     }
   }
 }
 
 bool LockManager::IsLocked(RecordId record) const {
-  const Stripe& stripe = StripeOf(record);
-  std::lock_guard<std::mutex> lock(stripe.mu);
-  return stripe.table.count(record) > 0;
+  std::lock_guard<std::mutex> lock(mu_);
+  return table_.count(record) > 0;
 }
 
 bool LockManager::Holds(TxnId txn, RecordId record, Mode mode) const {
-  const Stripe& stripe = StripeOf(record);
-  std::lock_guard<std::mutex> lock(stripe.mu);
-  auto it = stripe.table.find(record);
-  if (it == stripe.table.end()) return false;
+  std::lock_guard<std::mutex> lock(mu_);
+  auto it = table_.find(record);
+  if (it == table_.end()) return false;
   const Entry& e = it->second;
   if (e.exclusive == txn) return true;
   if (mode == Mode::kShared) {
@@ -102,19 +88,13 @@ bool LockManager::Holds(TxnId txn, RecordId record, Mode mode) const {
 }
 
 size_t LockManager::num_locked_records() const {
-  size_t total = 0;
-  for (const auto& stripe : stripes_) {
-    std::lock_guard<std::mutex> lock(stripe->mu);
-    total += stripe->table.size();
-  }
-  return total;
+  std::lock_guard<std::mutex> lock(mu_);
+  return table_.size();
 }
 
 void LockManager::Clear() {
-  for (const auto& stripe : stripes_) {
-    std::lock_guard<std::mutex> lock(stripe->mu);
-    stripe->table.clear();
-  }
+  std::lock_guard<std::mutex> lock(mu_);
+  table_.clear();
 }
 
 }  // namespace mmdb

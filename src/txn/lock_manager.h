@@ -2,7 +2,6 @@
 #define MMDB_TXN_LOCK_MANAGER_H_
 
 #include <cstdint>
-#include <memory>
 #include <mutex>
 #include <unordered_map>
 #include <vector>
@@ -17,15 +16,8 @@ namespace mmdb {
 // resolution: a conflicting request fails immediately with ABORTED instead
 // of blocking, which keeps the single-threaded engine deadlock-free. The
 // caller (TxnManager) retries the whole transaction, mirroring how the
-// paper's model treats transaction restarts.
-//
-// Striping (DESIGN.md §17). The table is split into `stripes` independent
-// hash tables, each under its own mutex, keyed by segment
-// (record / records_per_segment) so each engine shard's segment range maps
-// to its own stripe set and shards>1 never funnels through one lock. The
-// default single stripe takes the same uncontended-mutex fast path; the
-// lock protocol, grant/conflict outcomes, and metrics are identical at any
-// stripe count, so the modeled engine is stripe-count-invariant.
+// paper's model treats transaction restarts. One hash table under one
+// mutex.
 //
 // Cost note: record locking is part of the transaction's base cost C_trans
 // in the paper's model, so LockManager charges no instructions; only
@@ -34,11 +26,7 @@ class LockManager {
  public:
   enum class Mode : uint8_t { kShared, kExclusive };
 
-  // `stripes` internal partitions (>= 1); `records_per_segment` maps a
-  // record to its segment for stripe selection (0 stripes by raw record
-  // id — only sensible in unit tests).
-  explicit LockManager(uint32_t stripes = 1,
-                       uint64_t records_per_segment = 0);
+  LockManager() = default;
 
   LockManager(const LockManager&) = delete;
   LockManager& operator=(const LockManager&) = delete;
@@ -59,10 +47,6 @@ class LockManager {
 
   size_t num_locked_records() const;
 
-  uint32_t num_stripes() const {
-    return static_cast<uint32_t>(stripes_.size());
-  }
-
   void Clear();
 
   // Optional metrics sink (may be null): counts grants and no-wait
@@ -80,31 +64,11 @@ class LockManager {
     std::vector<TxnId> shared;
   };
 
-  // One independently locked partition of the table. unique_ptr keeps the
-  // stripe array stable (mutex is neither movable nor copyable).
-  struct Stripe {
-    mutable std::mutex mu;
-    std::unordered_map<RecordId, Entry> table;
-  };
+  // Caller holds mu_.
+  Status AcquireLocked(TxnId txn, RecordId record, Mode mode);
 
-  Stripe& StripeOf(RecordId record) {
-    return *stripes_[StripeIndex(record)];
-  }
-  const Stripe& StripeOf(RecordId record) const {
-    return *stripes_[StripeIndex(record)];
-  }
-  size_t StripeIndex(RecordId record) const {
-    uint64_t key = records_per_segment_ != 0
-                       ? record / records_per_segment_
-                       : record;
-    return static_cast<size_t>(key % stripes_.size());
-  }
-
-  static Status AcquireImpl(Stripe& stripe, TxnId txn, RecordId record,
-                            Mode mode);
-
-  std::vector<std::unique_ptr<Stripe>> stripes_;
-  uint64_t records_per_segment_;
+  mutable std::mutex mu_;
+  std::unordered_map<RecordId, Entry> table_;
   Counter* m_acquires_ = nullptr;
   Counter* m_conflicts_ = nullptr;
 };

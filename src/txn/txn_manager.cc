@@ -10,20 +10,14 @@ namespace mmdb {
 
 TxnManager::TxnManager(Database* db, SegmentTable* segments, LogManager* log,
                        TimestampOracle* timestamps, CpuMeter* meter,
-                       const SystemParams& params, const ShardLayout* shards)
+                       const SystemParams& params)
     : db_(db),
       segments_(segments),
       log_(log),
       meter_(meter),
       params_(params),
       hooks_(&null_hooks_),
-      shards_(shards != nullptr
-                  ? *shards
-                  : ShardLayout(1, static_cast<uint32_t>(
-                                       params.db.num_segments()))),
-      locks_(shards_.shards, params.db.records_per_segment()),
-      timestamps_(timestamps),
-      shard_commits_(shards_.shards, 0) {}
+      timestamps_(timestamps) {}
 
 void TxnManager::set_hooks(CheckpointHooks* hooks) {
   hooks_ = hooks != nullptr ? hooks : &null_hooks_;
@@ -161,33 +155,17 @@ StatusOr<Lsn> TxnManager::Commit(Transaction* txn, double now) {
 
   // Emit the REDO group: update records followed by the commit record, as
   // one contiguous block (commit-time logging under the shadow-copy
-  // scheme). Each update frame goes to the WAL stream of its segment's
-  // shard; the commit record lands on the transaction's home shard — the
-  // shard of its first emitted update — so replay finds it behind every
-  // frame it covers on that stream, and cross-shard frames resolve
-  // through the global LSN order.
-  uint32_t home_shard = 0;
-  bool home_set = false;
+  // scheme).
   for (const auto& [record, image] : txn->pending) {
-    uint32_t shard = shards_.ShardOfSegment(db_->SegmentOf(record));
-    if (!home_set) {
-      home_shard = shard;
-      home_set = true;
-    }
     LogRecord update = LogRecord::Update(txn->id, record, image);
-    log_->Append(&update, now, shard);
+    log_->Append(&update, now);
   }
   for (const auto& [key, delta] : txn->pending_deltas) {
-    uint32_t shard = shards_.ShardOfSegment(db_->SegmentOf(key.first));
-    if (!home_set) {
-      home_shard = shard;
-      home_set = true;
-    }
     LogRecord op = LogRecord::Delta(txn->id, key.first, key.second, delta);
-    log_->Append(&op, now, shard);
+    log_->Append(&op, now);
   }
   LogRecord commit = LogRecord::Commit(txn->id);
-  Lsn commit_lsn = log_->Append(&commit, now, home_shard);
+  Lsn commit_lsn = log_->Append(&commit, now);
 
   // Install the shadow copies. BeforeSegmentUpdate lets a running COU
   // checkpoint preserve the pre-update image (Figure 3.2). The write-ahead
@@ -241,7 +219,6 @@ StatusOr<Lsn> TxnManager::Commit(Transaction* txn, double now) {
   locks_.ReleaseAll(txn->id, txn->locked_records);
   txn->state = TxnState::kCommitted;
   ++commits_;
-  ++shard_commits_[home_shard];
   if (m_commits_ != nullptr) m_commits_->Increment();
   active_.erase(txn->id);
   return commit_lsn;

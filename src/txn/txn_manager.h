@@ -7,7 +7,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "core/shard.h"
 #include "sim/cost_model.h"
 #include "sim/cpu_meter.h"
 #include "storage/database.h"
@@ -43,14 +42,10 @@ enum class AbortReason : uint8_t {
 class TxnManager {
  public:
   // `timestamps` is the engine-wide oracle, shared with the COU
-  // checkpointer so tau(T) and tau(CH) draw from one sequence. `shards`
-  // (optional) is the engine's segment-range shard layout: it selects the
-  // WAL stream each REDO record is routed to and the lock-table stripe
-  // count; null behaves as a single shard (the pre-shard layout).
+  // checkpointer so tau(T) and tau(CH) draw from one sequence.
   TxnManager(Database* db, SegmentTable* segments, LogManager* log,
              TimestampOracle* timestamps, CpuMeter* meter,
-             const SystemParams& params,
-             const ShardLayout* shards = nullptr);
+             const SystemParams& params);
 
   TxnManager(const TxnManager&) = delete;
   TxnManager& operator=(const TxnManager&) = delete;
@@ -107,12 +102,6 @@ class TxnManager {
   uint64_t lock_aborts() const { return lock_aborts_; }
   uint64_t color_aborts() const { return color_aborts_; }
 
-  // Commits tallied by home shard (the shard whose WAL stream took the
-  // commit record); one entry per shard.
-  const std::vector<uint64_t>& shard_commits() const {
-    return shard_commits_;
-  }
-
   const LockManager& locks() const { return locks_; }
 
   // Optional observability sinks (either may be null); also wires the
@@ -138,14 +127,12 @@ class TxnManager {
   CheckpointHooks* hooks_;
   NullCheckpointHooks null_hooks_;
 
-  ShardLayout shards_;
   LockManager locks_;
   TimestampOracle* timestamps_;
   TxnId next_txn_id_ = 1;
   std::unordered_map<TxnId, std::unique_ptr<Transaction>> active_;
 
   uint64_t commits_ = 0;
-  std::vector<uint64_t> shard_commits_;
   uint64_t user_aborts_ = 0;
   uint64_t lock_aborts_ = 0;
   uint64_t color_aborts_ = 0;

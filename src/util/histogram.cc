@@ -61,16 +61,6 @@ void Histogram::Add(double value) {
   ++buckets_[BucketFor(value)];
 }
 
-void Histogram::Merge(const Histogram& other) {
-  assert(ratio_ == other.ratio_);
-  count_ += other.count_;
-  min_ = std::min(min_, other.min_);
-  max_ = std::max(max_, other.max_);
-  sum_ += other.sum_;
-  sum_squares_ += other.sum_squares_;
-  for (int i = 0; i < num_buckets_; ++i) buckets_[i] += other.buckets_[i];
-}
-
 double Histogram::Mean() const {
   return count_ == 0 ? 0.0 : sum_ / static_cast<double>(count_);
 }

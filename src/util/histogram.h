@@ -30,8 +30,6 @@ class Histogram {
   explicit Histogram(double ratio);
 
   void Add(double value);
-  // Requires the same bucket ratio on both sides.
-  void Merge(const Histogram& other);
   void Clear();
 
   uint64_t count() const { return count_; }

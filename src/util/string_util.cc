@@ -1,7 +1,11 @@
 #include "util/string_util.h"
 
+#include <cctype>
+#include <cerrno>
+#include <cmath>
 #include <cstdarg>
 #include <cstdio>
+#include <cstdlib>
 
 namespace mmdb {
 
@@ -52,6 +56,31 @@ std::string HumanReadableCount(double n) {
     ++i;
   }
   return StringPrintf("%.1f%s", n, kSuffixes[i]);
+}
+
+bool ParseNumber(std::string_view text, uint64_t* out) {
+  if (text.empty() || !std::isdigit(static_cast<unsigned char>(text[0]))) {
+    return false;
+  }
+  const std::string s(text);
+  char* end = nullptr;
+  errno = 0;
+  const unsigned long long v = std::strtoull(s.c_str(), &end, 10);
+  if (*end != '\0' || errno == ERANGE) return false;
+  *out = v;
+  return true;
+}
+
+bool ParseNumber(std::string_view text, double* out) {
+  if (text.empty() || std::isspace(static_cast<unsigned char>(text[0]))) {
+    return false;
+  }
+  const std::string s(text);
+  char* end = nullptr;
+  const double v = std::strtod(s.c_str(), &end);
+  if (*end != '\0' || !std::isfinite(v)) return false;
+  *out = v;
+  return true;
 }
 
 bool StartsWith(std::string_view s, std::string_view prefix) {

@@ -21,6 +21,13 @@ std::string WithThousandsSeparators(uint64_t n);
 // Human-readable byte/word counts: 8192 -> "8.0Ki".
 std::string HumanReadableCount(double n);
 
+// Parses all of `text` as a base-10 unsigned integer, or as a finite
+// double. False, leaving *out untouched, on an empty string, a leading
+// sign or space (unsigned) or space (double), trailing characters, or a
+// value out of range — so "banana", "5%" and "-1" never read as numbers.
+bool ParseNumber(std::string_view text, uint64_t* out);
+bool ParseNumber(std::string_view text, double* out);
+
 bool StartsWith(std::string_view s, std::string_view prefix);
 bool EndsWith(std::string_view s, std::string_view suffix);
 

@@ -36,138 +36,81 @@ std::string EncodeLogFileHeader(uint64_t base_offset) {
   return header;
 }
 
-std::string LogManager::StreamPath(const std::string& base, uint32_t k) {
-  if (k == 0) return base;
-  return base + "." + std::to_string(k);
-}
-
 LogManager::LogManager(Env* env, std::string path, const SystemParams& params,
                        CpuMeter* meter, bool stable_log_tail,
-                       double min_flush_spacing, uint32_t num_streams)
+                       double min_flush_spacing)
     : env_(env),
       path_(std::move(path)),
       params_(params),
       meter_(meter),
       stable_log_tail_(stable_log_tail),
-      min_flush_spacing_(min_flush_spacing) {
-  if (num_streams == 0) num_streams = 1;
-  streams_.resize(num_streams);
-  for (uint32_t k = 0; k < num_streams; ++k) {
-    streams_[k].path = StreamPath(path_, k);
-  }
-}
+      min_flush_spacing_(min_flush_spacing) {}
 
 Status LogManager::Open() {
-  for (Stream& s : streams_) {
-    MMDB_ASSIGN_OR_RETURN(s.file, env_->NewWritableFile(s.path));
-    s.base_offset = 0;
-    MMDB_RETURN_IF_ERROR(s.file->Append(EncodeLogFileHeader(0)));
-  }
+  MMDB_ASSIGN_OR_RETURN(file_, env_->NewWritableFile(path_));
+  MMDB_RETURN_IF_ERROR(file_->Append(EncodeLogFileHeader(0)));
   base_offset_ = 0;
   return Status::OK();
 }
 
-Status LogManager::PersistRewrite(const std::string& path,
-                                  const std::string& contents) {
-  const std::string tmp = path + ".tmp";
+Status LogManager::PersistRewrite(const std::string& contents) {
+  const std::string tmp = path_ + ".tmp";
   MMDB_RETURN_IF_ERROR(env_->WriteStringToFile(tmp, contents, /*sync=*/true));
-  return env_->RenameFile(tmp, path);
+  return env_->RenameFile(tmp, path_);
 }
 
-bool LogManager::AnyDamaged() const {
-  for (const Stream& s : streams_) {
-    if (s.damaged) return true;
-  }
-  return false;
-}
-
-Status LogManager::RepairStream(Stream* s) {
-  // A failed gang append may have deposited an arbitrary prefix of the
-  // stream's batch slice. Close may itself fail on a hosed device; the
-  // rewrite supersedes whatever state the handle left behind.
-  if (s->file != nullptr) (void)s->file->Close();
-  s->file.reset();
+Status LogManager::Repair() {
+  // A failed append may have deposited an arbitrary prefix of the batch.
+  // Close may itself fail on a hosed device; the rewrite supersedes
+  // whatever state the handle left behind.
+  if (file_ != nullptr) (void)file_->Close();
+  file_.reset();
   std::string contents;
-  MMDB_RETURN_IF_ERROR(env_->ReadFileToString(s->path, &contents));
-  uint64_t keep = kLogFileHeaderBytes + (s->written_bytes - s->base_offset);
+  MMDB_RETURN_IF_ERROR(env_->ReadFileToString(path_, &contents));
+  uint64_t keep = kLogFileHeaderBytes + (written_bytes_ - base_offset_);
   if (contents.size() < keep) {
     return CorruptionError("log file lost bytes that were already flushed");
   }
   contents.resize(keep);
-  Status rewrite = PersistRewrite(s->path, contents);
+  Status rewrite = PersistRewrite(contents);
   // Reopen even if the rewrite failed (the original file is intact — temp
-  // plus rename) so the manager stays usable; damaged then remains set
+  // plus rename) so the manager stays usable; damaged_ then remains set
   // and the next Flush retries the repair.
-  MMDB_ASSIGN_OR_RETURN(s->file, env_->NewAppendableFile(s->path));
+  MMDB_ASSIGN_OR_RETURN(file_, env_->NewAppendableFile(path_));
   MMDB_RETURN_IF_ERROR(rewrite);
-  s->damaged = false;
+  damaged_ = false;
   return Status::OK();
 }
 
-Status LogManager::Repair() {
-  for (Stream& s : streams_) {
-    if (s.damaged) MMDB_RETURN_IF_ERROR(RepairStream(&s));
+Status LogManager::OpenExisting(uint64_t valid_bytes, Lsn next_lsn) {
+  std::string contents;
+  MMDB_RETURN_IF_ERROR(env_->ReadFileToString(path_, &contents));
+  uint64_t base = 0;
+  if (contents.size() >= kLogFileHeaderBytes &&
+      DecodeFixed32(contents.data()) == kLogFileMagic) {
+    base = DecodeFixed64(contents.data() + 8);
+    contents.erase(0, kLogFileHeaderBytes);
   }
-  return Status::OK();
-}
-
-Status LogManager::OpenExisting(
-    const std::vector<uint64_t>& stream_valid_bytes, Lsn next_lsn) {
-  if (stream_valid_bytes.size() != streams_.size()) {
-    return InvalidArgumentError(
-        "OpenExisting: one valid-bytes entry per stream required");
+  if (base + contents.size() < valid_bytes || valid_bytes < base) {
+    return CorruptionError("log file shorter than its valid prefix");
   }
-  uint64_t total_valid = 0;
-  uint64_t total_base = 0;
-  for (size_t k = 0; k < streams_.size(); ++k) {
-    Stream& s = streams_[k];
-    const uint64_t valid = stream_valid_bytes[k];
-    std::string contents;
-    MMDB_RETURN_IF_ERROR(env_->ReadFileToString(s.path, &contents));
-    uint64_t base = 0;
-    if (contents.size() >= kLogFileHeaderBytes &&
-        DecodeFixed32(contents.data()) == kLogFileMagic) {
-      base = DecodeFixed64(contents.data() + 8);
-      contents.erase(0, kLogFileHeaderBytes);
-    }
-    if (base + contents.size() < valid || valid < base) {
-      return CorruptionError("log file shorter than its valid prefix");
-    }
-    contents.resize(valid - base);
-    std::string rewritten = EncodeLogFileHeader(base);
-    rewritten += contents;
-    MMDB_RETURN_IF_ERROR(PersistRewrite(s.path, rewritten));
-    MMDB_ASSIGN_OR_RETURN(s.file, env_->NewAppendableFile(s.path));
-    s.base_offset = base;
-    s.damaged = false;
-    s.written_bytes = valid;
-    s.appended_bytes = valid;
-    s.durable_bytes_floor = valid;
-    s.tail.clear();
-    total_valid += valid;
-    total_base += base;
-  }
-  base_offset_ = total_base;
-  written_bytes_ = total_valid;
-  appended_bytes_ = total_valid;
-  tail_bytes_ = 0;
+  contents.resize(valid_bytes - base);
+  std::string rewritten = EncodeLogFileHeader(base);
+  rewritten += contents;
+  MMDB_RETURN_IF_ERROR(PersistRewrite(rewritten));
+  MMDB_ASSIGN_OR_RETURN(file_, env_->NewAppendableFile(path_));
+  damaged_ = false;
+  tail_.clear();
+  base_offset_ = base;
+  written_bytes_ = valid_bytes;
+  appended_bytes_ = valid_bytes;
   next_lsn_ = next_lsn;
   tail_last_lsn_ = kInvalidLsn;
   pending_.clear();
-  checkpoint_cuts_.clear();
   flushed_lsn_ = next_lsn > 0 ? next_lsn - 1 : kInvalidLsn;
   durable_floor_ = flushed_lsn_;
-  durable_bytes_floor_ = total_valid;
-  epoch_floor_ = epoch_seq_;
+  durable_bytes_floor_ = valid_bytes;
   return Status::OK();
-}
-
-Status LogManager::OpenExisting(uint64_t existing_bytes, Lsn next_lsn) {
-  if (streams_.size() != 1) {
-    return InvalidArgumentError(
-        "single-offset OpenExisting requires a single-stream log");
-  }
-  return OpenExisting(std::vector<uint64_t>{existing_bytes}, next_lsn);
 }
 
 void LogManager::set_obs(MetricsRegistry* registry, Tracer* tracer) {
@@ -182,29 +125,12 @@ void LogManager::set_obs(MetricsRegistry* registry, Tracer* tracer) {
   m_flush_seconds_ = registry->timer("log.flush_seconds");
 }
 
-Lsn LogManager::Append(LogRecord* record, double now, uint32_t stream) {
-  Stream& s = streams_[stream];
-  if (streams_.size() > 1 && record->type == LogRecordType::kBeginCheckpoint) {
-    // Snapshot the per-stream split at the marker's global offset so a
-    // later TruncateBefore(this offset) knows where to cut each stream.
-    std::vector<uint64_t> split(streams_.size());
-    for (size_t k = 0; k < streams_.size(); ++k) {
-      split[k] = streams_[k].appended_bytes;
-    }
-    checkpoint_cuts_[appended_bytes_] = std::move(split);
-    while (checkpoint_cuts_.size() > kCheckpointCutsKept) {
-      checkpoint_cuts_.erase(checkpoint_cuts_.begin());
-    }
-  }
+Lsn LogManager::Append(LogRecord* record, double now) {
   record->lsn = next_lsn_++;
-  size_t before = s.tail.size();
-  EncodeLogFrame(*record, &s.tail);
-  size_t frame_bytes = s.tail.size() - before;
+  size_t before = tail_.size();
+  EncodeLogFrame(*record, &tail_);
+  size_t frame_bytes = tail_.size() - before;
   appended_bytes_ += frame_bytes;
-  tail_bytes_ += frame_bytes;
-  s.appended_bytes += frame_bytes;
-  ++s.appends;
-  s.append_bytes += frame_bytes;
   tail_last_lsn_ = record->lsn;
   // Log creation is data movement into the log buffer: 1 instr/word. This
   // is base logging work, excluded from checkpoint-overhead metrics.
@@ -224,48 +150,29 @@ Lsn LogManager::Append(LogRecord* record, double now, uint32_t stream) {
   return record->lsn;
 }
 
-std::vector<uint64_t> LogManager::StreamWrittenSnapshot() const {
-  std::vector<uint64_t> snap(streams_.size());
-  for (size_t k = 0; k < streams_.size(); ++k) {
-    snap[k] = streams_[k].written_bytes;
-  }
-  return snap;
-}
-
 StatusOr<double> LogManager::Flush(double now) {
-  if (tail_bytes_ == 0) return now;
-  if (AnyDamaged()) MMDB_RETURN_IF_ERROR(Repair());
-  // One gang batch over every stream's tail: the modeled flush is sized by
-  // the COMBINED byte count (a single ceil, never per-stream sums), which
-  // keeps the schedule bit-identical to the single-stream log.
-  uint64_t words = (tail_bytes_ + kWordBytes - 1) / kWordBytes;
-  uint64_t batch_bytes = tail_bytes_;
+  if (tail_.empty()) return now;
+  if (damaged_) MMDB_RETURN_IF_ERROR(Repair());
+  uint64_t words = (tail_.size() + kWordBytes - 1) / kWordBytes;
+  uint64_t batch_bytes = tail_.size();
 
-  // The bytes go to the Env files immediately; Crash() rolls back anything
-  // whose modeled completion hadn't been reached. The gang batch lands
-  // atomically from the scheduler's point of view: if any stream's append
-  // fails, every stream keeps its tail (no durability promise is made for
-  // any of them) and every file is repaired before the retry — bytes an
-  // earlier stream did take were never promised and are cut back then.
-  for (Stream& s : streams_) {
-    if (s.tail.empty()) continue;
-    Status st = s.file->Append(s.tail);
-    if (!st.ok()) {
-      for (Stream& d : streams_) d.damaged = true;
-      if (m_flush_errors_ != nullptr) m_flush_errors_->Increment();
-      if (tracer_ != nullptr) {
-        tracer_->Record(TraceEventType::kLogFlushError, now, 0.0,
-                        static_cast<int64_t>(tail_last_lsn_));
-      }
-      return st;
+  // The bytes go to the Env file immediately; Crash() rolls back anything
+  // whose modeled completion hadn't been reached. If the append fails the
+  // tail is kept (no durability promise is made) and the file is repaired
+  // before the retry — bytes it did take were never promised and are cut
+  // back then.
+  Status st = file_->Append(tail_);
+  if (!st.ok()) {
+    damaged_ = true;
+    if (m_flush_errors_ != nullptr) m_flush_errors_->Increment();
+    if (tracer_ != nullptr) {
+      tracer_->Record(TraceEventType::kLogFlushError, now, 0.0,
+                      static_cast<int64_t>(tail_last_lsn_));
     }
+    return st;
   }
-  for (Stream& s : streams_) {
-    s.written_bytes += s.tail.size();
-    s.tail.clear();
-  }
-  written_bytes_ += tail_bytes_;
-  tail_bytes_ = 0;
+  written_bytes_ += batch_bytes;
+  tail_.clear();
   flushed_lsn_ = tail_last_lsn_;
   if (m_flush_bytes_ != nullptr) m_flush_bytes_->Increment(batch_bytes);
 
@@ -282,8 +189,7 @@ StatusOr<double> LogManager::Flush(double now) {
                            batch.start_time + FlushSeconds(batch_words));
     flush_busy_seconds_ += done - batch.done_time;
     pending_.push_back(PendingFlush{tail_last_lsn_, written_bytes_,
-                                    batch_words, batch.start_time, done,
-                                    batch.epoch, StreamWrittenSnapshot()});
+                                    batch_words, batch.start_time, done});
     if (m_group_merges_ != nullptr) m_group_merges_->Increment();
     if (tracer_ != nullptr) {
       tracer_->Record(TraceEventType::kLogFlush, now, done,
@@ -304,9 +210,8 @@ StatusOr<double> LogManager::Flush(double now) {
   double done = start + FlushSeconds(words);
   flush_busy_seconds_ += done - start;
   ++flush_count_;
-  pending_.push_back(PendingFlush{tail_last_lsn_, written_bytes_, words, start,
-                                  done, ++epoch_seq_,
-                                  StreamWrittenSnapshot()});
+  pending_.push_back(
+      PendingFlush{tail_last_lsn_, written_bytes_, words, start, done});
   if (m_flush_batches_ != nullptr) {
     m_flush_batches_->Increment();
     m_flush_seconds_->Record(done - start);
@@ -340,56 +245,36 @@ double LogManager::WhenDurable(Lsn lsn, double now) const {
   return std::numeric_limits<double>::infinity();
 }
 
-uint64_t LogManager::DurableEpoch(double now) const {
-  if (stable_log_tail_) return epoch_seq_;
-  uint64_t durable = epoch_floor_;
-  for (const PendingFlush& f : pending_) {
-    if (f.done_time <= now) durable = f.epoch;
-  }
-  return durable;
-}
-
 Status LogManager::Crash(double now) {
-  std::vector<uint64_t> surviving(streams_.size());
-  for (size_t k = 0; k < streams_.size(); ++k) {
-    surviving[k] = streams_[k].durable_bytes_floor;
-  }
+  uint64_t surviving = durable_bytes_floor_;
   if (stable_log_tail_) {
-    // Stable RAM: both the flushed prefix and the tails survive. Persist
-    // the tails so recovery sees them in the files (cutting any garbage a
+    // Stable RAM: both the flushed prefix and the tail survive. Persist
+    // the tail so recovery sees it in the file (cutting any garbage a
     // failed append left in between first).
-    if (AnyDamaged()) MMDB_RETURN_IF_ERROR(Repair());
-    for (size_t k = 0; k < streams_.size(); ++k) {
-      Stream& s = streams_[k];
-      if (!s.tail.empty()) {
-        MMDB_RETURN_IF_ERROR(s.file->Append(s.tail));
-        s.written_bytes += s.tail.size();
-        written_bytes_ += s.tail.size();
-        tail_bytes_ -= s.tail.size();
-        s.tail.clear();
-      }
-      surviving[k] = s.written_bytes;
+    if (damaged_) MMDB_RETURN_IF_ERROR(Repair());
+    if (!tail_.empty()) {
+      MMDB_RETURN_IF_ERROR(file_->Append(tail_));
+      written_bytes_ += tail_.size();
+      tail_.clear();
     }
+    surviving = written_bytes_;
   } else {
     for (const PendingFlush& f : pending_) {
-      if (f.done_time <= now) surviving = f.stream_bytes;
+      if (f.done_time <= now) surviving = f.bytes_upto;
     }
   }
-  for (size_t k = 0; k < streams_.size(); ++k) {
-    Stream& s = streams_[k];
-    if (s.file != nullptr) {
-      MMDB_RETURN_IF_ERROR(s.file->Close());
-      s.file.reset();
-    }
-    std::string contents;
-    MMDB_RETURN_IF_ERROR(env_->ReadFileToString(s.path, &contents));
-    uint64_t physical_keep =
-        kLogFileHeaderBytes +
-        (surviving[k] > s.base_offset ? surviving[k] - s.base_offset : 0);
-    if (contents.size() > physical_keep) {
-      contents.resize(physical_keep);
-      MMDB_RETURN_IF_ERROR(PersistRewrite(s.path, contents));
-    }
+  if (file_ != nullptr) {
+    MMDB_RETURN_IF_ERROR(file_->Close());
+    file_.reset();
+  }
+  std::string contents;
+  MMDB_RETURN_IF_ERROR(env_->ReadFileToString(path_, &contents));
+  uint64_t physical_keep =
+      kLogFileHeaderBytes +
+      (surviving > base_offset_ ? surviving - base_offset_ : 0);
+  if (contents.size() > physical_keep) {
+    contents.resize(physical_keep);
+    MMDB_RETURN_IF_ERROR(PersistRewrite(contents));
   }
   return Status::OK();
 }
@@ -402,51 +287,29 @@ StatusOr<uint64_t> LogManager::TruncateBefore(uint64_t cut) {
   }
   if (cut == base_offset_) return uint64_t{0};
 
-  // Per-stream cut points. Single stream: the global offset IS the stream
-  // offset. Multiple streams: only offsets snapshotted at a
-  // begin-checkpoint append can be split; any other cut is skipped
-  // (truncation is an optimization, not a correctness requirement).
-  std::vector<uint64_t> stream_cuts;
-  if (streams_.size() == 1) {
-    stream_cuts.push_back(cut);
-  } else {
-    auto it = checkpoint_cuts_.find(cut);
-    if (it == checkpoint_cuts_.end()) return uint64_t{0};
-    stream_cuts = it->second;
-  }
-
   // A failed append's trailing garbage must not ride along into the
-  // rewritten files.
-  if (AnyDamaged()) MMDB_RETURN_IF_ERROR(Repair());
+  // rewritten file.
+  if (damaged_) MMDB_RETURN_IF_ERROR(Repair());
 
-  uint64_t total_dropped = 0;
-  for (size_t k = 0; k < streams_.size(); ++k) {
-    Stream& s = streams_[k];
-    if (stream_cuts[k] <= s.base_offset) continue;
-    uint64_t dropped = stream_cuts[k] - s.base_offset;
-    std::string contents;
-    MMDB_RETURN_IF_ERROR(env_->ReadFileToString(s.path, &contents));
-    if (contents.size() < kLogFileHeaderBytes + dropped) {
-      return CorruptionError("log file shorter than its truncation point");
-    }
-    std::string rewritten = EncodeLogFileHeader(stream_cuts[k]);
-    rewritten.append(contents, kLogFileHeaderBytes + dropped,
-                     contents.size() - kLogFileHeaderBytes - dropped);
-    MMDB_RETURN_IF_ERROR(s.file->Close());
-    s.file.reset();
-    Status rewrite = PersistRewrite(s.path, rewritten);
-    // On failure the original file is intact (temp + rename); reopen it so
-    // the manager stays usable — truncation is only an optimization and
-    // the caller may treat the error as non-fatal.
-    MMDB_ASSIGN_OR_RETURN(s.file, env_->NewAppendableFile(s.path));
-    MMDB_RETURN_IF_ERROR(rewrite);
-    s.base_offset = stream_cuts[k];
-    total_dropped += dropped;
-    base_offset_ += dropped;
+  const uint64_t dropped = cut - base_offset_;
+  std::string contents;
+  MMDB_RETURN_IF_ERROR(env_->ReadFileToString(path_, &contents));
+  if (contents.size() < kLogFileHeaderBytes + dropped) {
+    return CorruptionError("log file shorter than its truncation point");
   }
-  checkpoint_cuts_.erase(checkpoint_cuts_.begin(),
-                         checkpoint_cuts_.upper_bound(cut));
-  return total_dropped;
+  std::string rewritten = EncodeLogFileHeader(cut);
+  rewritten.append(contents, kLogFileHeaderBytes + dropped,
+                   contents.size() - kLogFileHeaderBytes - dropped);
+  MMDB_RETURN_IF_ERROR(file_->Close());
+  file_.reset();
+  Status rewrite = PersistRewrite(rewritten);
+  // On failure the original file is intact (temp + rename); reopen it so
+  // the manager stays usable — truncation is only an optimization and the
+  // caller may treat the error as non-fatal.
+  MMDB_ASSIGN_OR_RETURN(file_, env_->NewAppendableFile(path_));
+  MMDB_RETURN_IF_ERROR(rewrite);
+  base_offset_ = cut;
+  return dropped;
 }
 
 }  // namespace mmdb

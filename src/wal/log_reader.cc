@@ -43,128 +43,6 @@ StatusOr<LogReader> LogReader::Open(Env* env, const std::string& path) {
   return reader;
 }
 
-StatusOr<LogReader> LogReader::OpenStreams(
-    Env* env, const std::vector<std::string>& paths,
-    std::vector<uint64_t>* stream_valid_bytes) {
-  if (paths.empty()) {
-    return InvalidArgumentError("OpenStreams: no stream paths");
-  }
-  if (paths.size() == 1) {
-    MMDB_ASSIGN_OR_RETURN(LogReader reader, Open(env, paths[0]));
-    if (stream_valid_bytes != nullptr) {
-      *stream_valid_bytes = {reader.valid_bytes()};
-    }
-    return reader;
-  }
-  if (!env->FileExists(paths[0])) {
-    return NotFoundError("no log file at '" + paths[0] + "'");
-  }
-  std::vector<LogReader> streams;
-  streams.reserve(paths.size());
-  for (const std::string& path : paths) {
-    if (!env->FileExists(path)) {
-      // Stream 0 exists but a sibling does not: the directory was written
-      // at a different stream count than it is being opened with.
-      return CorruptionError("log stream '" + path +
-                             "' is missing (shard count mismatch?)");
-    }
-    MMDB_ASSIGN_OR_RETURN(LogReader reader, Open(env, path));
-    streams.push_back(std::move(reader));
-  }
-
-  // K-way merge by LSN. Per-stream frames are already LSN-sorted (gang
-  // appends assign LSNs in append order), so a cursor per stream and a
-  // min-LSN pick per step reconstructs the global sequence; the global
-  // sequence must be consecutive, so a gap is a torn gang batch (stop) and
-  // anything else out of order is corruption.
-  struct Cursor {
-    size_t next_frame = 0;
-    uint64_t consumed_end = 0;  // stream-local end offset of merged prefix
-  };
-  std::vector<Cursor> cursors(streams.size());
-  auto head_lsn = [&](size_t k, Lsn* lsn) -> Status {
-    LogRecordHeader h;
-    MMDB_RETURN_IF_ERROR(streams[k].HeaderAt(cursors[k].next_frame, &h));
-    *lsn = h.lsn;
-    return Status::OK();
-  };
-
-  uint64_t merged_base = 0;
-  size_t merged_bytes = 0;
-  for (const LogReader& s : streams) {
-    merged_base += s.base_offset();
-    merged_bytes += s.contents_.size();
-  }
-  std::string merged;
-  merged.reserve(kLogFileHeaderBytes + merged_bytes);
-  merged += EncodeLogFileHeader(merged_base);
-
-  bool dropped_after_gap = false;
-  Lsn prev_lsn = kInvalidLsn;
-  std::vector<uint32_t> frame_streams;
-  for (;;) {
-    size_t pick = streams.size();
-    Lsn pick_lsn = kInvalidLsn;
-    for (size_t k = 0; k < streams.size(); ++k) {
-      if (cursors[k].next_frame >= streams[k].num_frames()) continue;
-      Lsn lsn;
-      MMDB_RETURN_IF_ERROR(head_lsn(k, &lsn));
-      if (pick == streams.size() || lsn < pick_lsn) {
-        pick = k;
-        pick_lsn = lsn;
-      }
-    }
-    if (pick == streams.size()) break;  // every stream exhausted
-    if (prev_lsn != kInvalidLsn) {
-      if (pick_lsn <= prev_lsn) {
-        return CorruptionError(StringPrintf(
-            "log streams carry duplicate or out-of-order LSN %llu",
-            static_cast<unsigned long long>(pick_lsn)));
-      }
-      if (pick_lsn != prev_lsn + 1) {
-        // A gap: the gang batch containing prev_lsn+1 never fully landed.
-        // Everything at or past the gap was never globally durable.
-        dropped_after_gap = true;
-        break;
-      }
-    }
-    const LogReader& s = streams[pick];
-    const FrameRef& f = s.index_[cursors[pick].next_frame];
-    uint64_t frame_end = f.offset + 4 + f.payload_size + 8;
-    merged.append(s.contents_, f.offset, frame_end - f.offset);
-    frame_streams.push_back(static_cast<uint32_t>(pick));
-    cursors[pick].consumed_end = frame_end;
-    ++cursors[pick].next_frame;
-    prev_lsn = pick_lsn;
-  }
-
-  if (stream_valid_bytes != nullptr) {
-    stream_valid_bytes->clear();
-    for (size_t k = 0; k < streams.size(); ++k) {
-      stream_valid_bytes->push_back(streams[k].base_offset() +
-                                    cursors[k].consumed_end);
-    }
-  }
-  LogReader reader(std::move(merged));
-  MMDB_RETURN_IF_ERROR(reader.status());
-  // The merged buffer holds exactly the frames appended above, all
-  // CRC-clean, so the fresh index aligns one-to-one with the merge order.
-  reader.frame_streams_ = std::move(frame_streams);
-  reader.num_streams_ = static_cast<uint32_t>(streams.size());
-  if (dropped_after_gap) {
-    reader.truncated_tail_ = true;
-    reader.torn_gang_ = true;
-    reader.torn_gang_lsn_ = prev_lsn + 1;
-  }
-  reader.stream_dropped_frames_.reserve(streams.size());
-  for (size_t k = 0; k < streams.size(); ++k) {
-    reader.stream_dropped_frames_.push_back(streams[k].num_frames() -
-                                            cursors[k].next_frame);
-    if (streams[k].truncated_tail()) reader.truncated_tail_ = true;
-  }
-  return reader;
-}
-
 void LogReader::BuildIndex() {
   uint64_t pos = 0;
   const uint64_t size = contents_.size();

@@ -41,26 +41,6 @@ class LogReader {
   // unsupported version, bit-flipped header) or has mid-log damage.
   static StatusOr<LogReader> Open(Env* env, const std::string& path);
 
-  // Opens N per-shard stream files (LogManager::StreamPath layout) and
-  // k-way merges their frames by LSN into ONE logical log view, exactly
-  // as if the engine had written a single stream: the merged base offset
-  // is the sum of the per-stream bases, frames appear in global LSN
-  // order, and every global offset published in checkpoint metadata
-  // resolves because gang flushes preserve "append order == LSN order"
-  // per stream. The merge stops at the first LSN gap — a gang batch torn
-  // across streams at crash time; frames past the gap in any stream were
-  // never globally promised and are dropped (a torn tail, not an error).
-  // A duplicate or out-of-order LSN across streams is CORRUPTION, as is a
-  // missing stream file when stream 0 exists (e.g. the engine was
-  // reopened with a different shard count). NOT_FOUND if stream 0 is
-  // missing. If `stream_valid_bytes` is non-null it receives, per
-  // stream, the logical end offset (base-inclusive) of that stream's
-  // merged prefix — what LogManager::OpenExisting needs to reopen the
-  // streams. A single path delegates to Open().
-  static StatusOr<LogReader> OpenStreams(
-      Env* env, const std::vector<std::string>& paths,
-      std::vector<uint64_t>* stream_valid_bytes);
-
   // OK, or Corruption when frames were damaged mid-log (intact frames
   // exist past the first bad one, so this is not a torn tail).
   const Status& status() const { return status_; }
@@ -87,30 +67,6 @@ class LogReader {
 
   // Logical offset (base included) of frame `i`. i < num_frames().
   uint64_t FrameOffset(size_t i) const { return base_offset_ + index_[i].offset; }
-
-  // Stream file that carried frame `i`, for readers built by the
-  // OpenStreams merge; always 0 for single-stream readers. Provenance
-  // (which WAL stream each replayed frame came from) and the log-dump
-  // tool's per-frame stream column both read this.
-  uint32_t FrameStream(size_t i) const {
-    return frame_streams_.empty() ? 0 : frame_streams_[i];
-  }
-
-  // Stream files merged into this view (1 for Open()).
-  uint32_t num_streams() const { return num_streams_; }
-
-  // Whether the merge stopped at a global LSN gap — a gang batch torn
-  // across streams at crash time — and the first LSN that never became
-  // globally durable. Distinct from a plain torn tail: the dropped frames
-  // may be CRC-clean in their own streams.
-  bool torn_gang() const { return torn_gang_; }
-  Lsn torn_gang_lsn() const { return torn_gang_lsn_; }
-
-  // Per stream, CRC-clean frames dropped beyond the merge frontier (the
-  // torn gang's casualties). Empty for single-stream readers.
-  const std::vector<uint64_t>& stream_dropped_frames() const {
-    return stream_dropped_frames_;
-  }
 
   // Index of the frame starting at logical byte `offset`, or
   // INVALID_ARGUMENT / NOT_FOUND when `offset` is not a frame boundary —
@@ -165,14 +121,6 @@ class LogReader {
   bool truncated_tail_ = false;
   uint64_t valid_bytes_ = 0;
   Status status_;
-  // Stream attribution, populated only by the OpenStreams merge:
-  // frame_streams_[i] is the source stream of index_[i] (they are built
-  // from the same merge sequence, so they align one-to-one).
-  std::vector<uint32_t> frame_streams_;
-  uint32_t num_streams_ = 1;
-  bool torn_gang_ = false;
-  Lsn torn_gang_lsn_ = kInvalidLsn;
-  std::vector<uint64_t> stream_dropped_frames_;
 };
 
 }  // namespace mmdb

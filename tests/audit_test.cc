@@ -38,10 +38,6 @@ class AuditJournalTest : public testing::Test {
         w.Uint(100 * i);
         w.Key("reclaimed");
         w.Uint(64);
-        w.Key("stream_bases");
-        w.BeginArray();
-        w.Uint(100 * i);
-        w.EndArray();
       });
     }
     std::string text;
@@ -111,9 +107,6 @@ TEST_F(AuditJournalTest, ReopenDropsTornTailAndResumesNumbering) {
     w.Uint(300);
     w.Key("reclaimed");
     w.Uint(64);
-    w.Key("stream_bases");
-    w.BeginArray();
-    w.EndArray();
   });
 
   std::string resumed;
@@ -220,7 +213,7 @@ class AuditEngineTest : public testing::Test {
     }
     MMDB_ASSERT_OK(engine->RunCheckpointToCompletion());
     // Post-checkpoint commits in the first and the middle segment, so
-    // replay has work in more than one shard at any shard count.
+    // replay has work in more than one segment.
     const RecordId mid =
         static_cast<RecordId>(engine->db().num_segments() / 2) * rps;
     MMDB_ASSERT_OK(
@@ -257,7 +250,7 @@ TEST_F(AuditEngineTest, FullLifeVerifiesAgainstTheEngineDump) {
   // Every lifecycle stage left its event.
   for (const char* want :
        {"ckpt.begin", "ckpt.flush", "ckpt.end", "recovery.begin",
-        "recovery.streams", "recovery.plan", "recovery.lineage",
+        "recovery.log", "recovery.plan", "recovery.lineage",
         "recovery.end"}) {
     bool found = false;
     for (const AuditEntry& e : *entries) {
@@ -432,32 +425,10 @@ TEST_F(AuditEngineTest, ExplainSegmentTellsTheWholeStory) {
   EXPECT_EQ(oor.status().code(), StatusCode::kOutOfRange) << oor.status();
 }
 
-TEST_F(AuditEngineTest, ShardedRecoveryAttributesStreams) {
-  EngineOptions opt = TinyOptions();
-  opt.shards = 4;
-  auto engine = MustOpen(opt);
-  RunLife(engine.get());
-
-  // The lineage must name real stream ids: with four streams and commits
-  // in every segment, replay touched more than stream 0.
-  bool beyond_stream0 = false;
-  uint64_t replayed = 0;
-  for (const SegmentLineage& l : engine->last_lineage()) {
-    if (l.frames > 0) ++replayed;
-    for (uint32_t s : l.streams) {
-      EXPECT_LT(s, 4u);
-      if (s > 0) beyond_stream0 = true;
-    }
-  }
-  EXPECT_GT(replayed, 0u);
-  EXPECT_TRUE(beyond_stream0);
-  VerifyAuditTrail(engine.get());
-}
-
 TEST_F(AuditEngineTest, AuditingNeverPerturbsModeledResults) {
   // Identical lives with the journal on and off: everything outside the
-  // dump's "audit" member — metrics registry, trace, recovery stats,
-  // shard accounting — must be byte-identical. This is the determinism
+  // dump's "audit" member — metrics registry, trace, recovery stats —
+  // must be byte-identical. This is the determinism
   // contract that lets bench_diff treat "audit" as the only sanctioned
   // drift.
   auto run = [&](bool audit_on) {

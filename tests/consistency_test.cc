@@ -19,7 +19,6 @@ struct ConsistencyCase {
   Algorithm algorithm;
   CheckpointMode mode;
   bool stable_tail;
-  uint32_t shards = 1;
 };
 
 std::string CaseName(const testing::TestParamInfo<ConsistencyCase>& info) {
@@ -29,9 +28,6 @@ std::string CaseName(const testing::TestParamInfo<ConsistencyCase>& info) {
   }
   name += info.param.mode == CheckpointMode::kFull ? "_full" : "_partial";
   name += info.param.stable_tail ? "_stable" : "_volatile";
-  if (info.param.shards > 1) {
-    name += "_shards" + std::to_string(info.param.shards);
-  }
   return name;
 }
 
@@ -42,7 +38,6 @@ class ConsistencyTest : public testing::TestWithParam<ConsistencyCase> {
     opt.algorithm = GetParam().algorithm;
     opt.checkpoint_mode = GetParam().mode;
     opt.stable_log_tail = GetParam().stable_tail;
-    opt.shards = GetParam().shards;
     return opt;
   }
 };
@@ -220,11 +215,8 @@ TEST_P(ConsistencyTest, VolatileCommitsAreLostStableCommitsSurvive) {
 
 // Every algorithm in {partial, full} with a volatile log tail (stable for
 // FASTFUZZY, which requires it), plus a stable-tail partial spot-check per
-// algorithm so the LSN-cost-free path stays covered, plus a 4-shard
-// partial case per algorithm so record routing across per-shard WAL
-// streams and the k-way merged recovery scan hold the same durability
-// properties. Generated from kAllAlgorithms so a new enum value is
-// exercised here automatically.
+// algorithm so the LSN-cost-free path stays covered. Generated from
+// kAllAlgorithms so a new enum value is exercised here automatically.
 std::vector<ConsistencyCase> AllConsistencyCases() {
   std::vector<ConsistencyCase> cases;
   for (Algorithm a : kAllAlgorithms) {
@@ -234,7 +226,6 @@ std::vector<ConsistencyCase> AllConsistencyCases() {
     if (!needs_stable) {
       cases.push_back({a, CheckpointMode::kPartial, true});
     }
-    cases.push_back({a, CheckpointMode::kPartial, needs_stable, 4});
   }
   return cases;
 }

@@ -27,6 +27,7 @@
 #include "env/fault_injection_env.h"
 #include "gtest/gtest.h"
 #include "tests/test_util.h"
+#include "wal/log_manager.h"
 #include "wal/log_reader.h"
 
 namespace mmdb {
@@ -873,12 +874,74 @@ TEST_F(RecoveryFallbackTest, TornLogAppendLosesOnlyTheTornSuffix) {
   MMDB_ASSERT_OK(engine_->Crash());
   auto stats = engine_->Recover();
   MMDB_ASSERT_OK(stats);
+  const uint64_t reopened_end = engine_->log()->NextOffset();
   // Everything durable before the tear is intact; the torn transaction is
   // gone (that is precisely the damage a silent tear does).
   ASSERT_NO_FATAL_FAILURE(
       Audit(*engine_, oracle_, durable_before_tear));
   const std::string zeros(engine_->db().record_bytes(), '\0');
   EXPECT_EQ(engine_->ReadRecordRaw(40), zeros);
+
+  // The restart journaled the torn tail, and the reopened log — in memory
+  // and on disk — ends exactly at the valid prefix it reported.
+  const std::vector<AuditEntry> entries = JournalEntries();
+  const AuditEntry* log_event = nullptr;
+  for (const AuditEntry& e : entries) {
+    if (e.event == "recovery.log") log_event = &e;
+  }
+  ASSERT_NE(log_event, nullptr);
+  const JsonValue* torn = log_event->object.Find("torn_tail");
+  ASSERT_NE(torn, nullptr);
+  EXPECT_TRUE(torn->bool_value());
+  const uint64_t valid_bytes = Field(*log_event, "valid_bytes");
+  EXPECT_EQ(valid_bytes, reopened_end);
+  auto file_size = base_->FileSize(engine_->LogPath());
+  MMDB_ASSERT_OK(file_size);
+  EXPECT_EQ(*file_size, kLogFileHeaderBytes +
+                            (valid_bytes - engine_->log()->BaseOffset()));
+}
+
+TEST_F(RecoveryFallbackTest, MultiStreamDirectoryIsRefusedUntouched) {
+  // A wal.log.<k> sibling is a stream of the retired multi-stream log
+  // layout and holds commits wal.log lacks. Restarting from wal.log alone
+  // would silently lose them, so the restart must refuse before touching
+  // either file, and journal the refusal.
+  OpenEngine();
+  Commit(1, 1);
+  MMDB_ASSERT_OK(engine_->RunCheckpointToCompletion());
+  Commit(40, 2);
+  Settle();
+  const EngineOptions opt = engine_->options();
+  const std::string log_path = engine_->LogPath();
+  const std::string audit_path = engine_->AuditLogPath();
+  engine_.reset();
+
+  const std::string sibling = log_path + ".1";
+  MMDB_ASSERT_OK(
+      base_->WriteStringToFile(sibling, EncodeLogFileHeader(0), true));
+  std::string log_before, sibling_before;
+  MMDB_ASSERT_OK(base_->ReadFileToString(log_path, &log_before));
+  MMDB_ASSERT_OK(base_->ReadFileToString(sibling, &sibling_before));
+
+  auto reopened = Engine::OpenExisting(opt, &fenv_);
+  ASSERT_FALSE(reopened.ok());
+  EXPECT_TRUE(reopened.status().IsFailedPrecondition()) << reopened.status();
+  EXPECT_NE(reopened.status().message().find(sibling), std::string::npos)
+      << reopened.status();
+
+  std::string log_after, sibling_after;
+  MMDB_ASSERT_OK(base_->ReadFileToString(log_path, &log_after));
+  MMDB_ASSERT_OK(base_->ReadFileToString(sibling, &sibling_after));
+  EXPECT_EQ(log_after, log_before);
+  EXPECT_EQ(sibling_after, sibling_before);
+
+  std::string text;
+  MMDB_ASSERT_OK(base_->ReadFileToString(audit_path, &text));
+  auto entries = ParseAuditJournal(text);
+  MMDB_ASSERT_OK(entries);
+  ASSERT_FALSE(entries->empty());
+  EXPECT_EQ(entries->back().event, "recovery.error");
+  MMDB_EXPECT_OK(VerifyAuditStructure(*entries));
 }
 
 // --- crashes and faults around post-checkpoint log truncation ------------

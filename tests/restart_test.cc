@@ -13,25 +13,18 @@
 namespace mmdb {
 namespace {
 
-struct RestartCase {
-  Algorithm algorithm;
-  uint32_t shards;
-};
-
-// Parameterized over every algorithm x {1, 4} shards: restart and
-// truncation invariants (checkpoint numbering, ping-pong alternation, log
-// base handling) must be algorithm-independent and hold identically when
-// the log is split into per-shard streams, and the modern snapshot
-// algorithms reuse backup state across restarts just like the 1989 six.
-class RestartTest : public testing::TestWithParam<RestartCase> {
+// Parameterized over every algorithm: restart and truncation invariants
+// (checkpoint numbering, ping-pong alternation, log base handling) must be
+// algorithm-independent, and the modern snapshot algorithms reuse backup
+// state across restarts just like the 1989 six.
+class RestartTest : public testing::TestWithParam<Algorithm> {
  protected:
   void SetUp() override { env_ = NewMemEnv(); }
 
   EngineOptions Options() const {
     EngineOptions opt = TinyOptions();
-    opt.algorithm = GetParam().algorithm;
-    opt.stable_log_tail = GetParam().algorithm == Algorithm::kFastFuzzy;
-    opt.shards = GetParam().shards;
+    opt.algorithm = GetParam();
+    opt.stable_log_tail = GetParam() == Algorithm::kFastFuzzy;
     return opt;
   }
 
@@ -211,16 +204,12 @@ TEST_P(RestartTest, TruncationBoundsLogAndKeepsRecoveryWorking) {
   MMDB_ASSERT_OK(result);
   ASSERT_GE(result->checkpoints_completed, 2u);
 
-  // The log's base moved: the stream files together hold only the
-  // replayable suffix (physically smaller than the logical history).
+  // The log's base moved: the file holds only the replayable suffix
+  // (physically smaller than the logical history).
   EXPECT_GT(engine->log()->BaseOffset(), 0u);
-  uint64_t physical = 0;
-  for (const std::string& path : engine->LogPaths()) {
-    auto file_size = env_->FileSize(path);
-    MMDB_ASSERT_OK(file_size);
-    physical += *file_size;
-  }
-  EXPECT_LT(physical, engine->log()->NextOffset());
+  auto physical = env_->FileSize(engine->LogPath());
+  MMDB_ASSERT_OK(physical);
+  EXPECT_LT(*physical, engine->log()->NextOffset());
 
   // Metadata offsets still resolve against the truncated file.
   Lsn durable = engine->DurableLsn();
@@ -254,8 +243,7 @@ TEST_P(RestartTest, TruncatedPrefixIsGoneFromTheReader) {
   EngineOptions opt = Options();
   opt.truncate_log_at_checkpoint = true;
   auto engine = MustOpen(opt);
-  // Touch one record per segment so every shard's stream takes frames and
-  // the truncation cut moves every stream's base, not just stream 0's.
+  // Touch one record per segment so the checkpoint has frames to cut.
   const uint32_t rps = engine->params().db.records_per_segment();
   for (SegmentId s = 0; s < engine->db().num_segments(); ++s) {
     RecordId rec = s * rps;
@@ -270,15 +258,8 @@ TEST_P(RestartTest, TruncatedPrefixIsGoneFromTheReader) {
   ASSERT_GT(base, 0u);
   MMDB_ASSERT_OK(engine->Crash());
 
-  // The merged view of the stream files (the plain single-file reader at
-  // one shard) carries the global base forward; offsets below it are gone.
-  // Branch on the engine's EFFECTIVE layout, not the configured case: the
-  // MMDB_SHARDS override (check.sh's tsan shard lane) can widen a
-  // nominally single-shard case, and stream 0 alone is then not the log.
-  auto reader =
-      engine->shards().shards == 1
-          ? LogReader::Open(env_.get(), engine->LogPath())
-          : LogReader::OpenStreams(env_.get(), engine->LogPaths(), nullptr);
+  // The reader carries the base forward; offsets below it are gone.
+  auto reader = LogReader::Open(env_.get(), engine->LogPath());
   MMDB_ASSERT_OK(reader);
   EXPECT_EQ(reader->base_offset(), base);
   // Scanning from 0 is now invalid; scanning from the base works.
@@ -289,22 +270,10 @@ TEST_P(RestartTest, TruncatedPrefixIsGoneFromTheReader) {
       base, [](const LogRecord&, uint64_t) { return true; }));
 }
 
-std::vector<RestartCase> AllRestartCases() {
-  std::vector<RestartCase> cases;
-  for (Algorithm a : kAllAlgorithms) {
-    for (uint32_t shards : {1u, 4u}) cases.push_back({a, shards});
-  }
-  return cases;
-}
-
 INSTANTIATE_TEST_SUITE_P(
-    AllAlgorithms, RestartTest, testing::ValuesIn(AllRestartCases()),
-    [](const testing::TestParamInfo<RestartCase>& info) {
-      std::string name(AlgorithmName(info.param.algorithm));
-      if (info.param.shards > 1) {
-        name += "_shards" + std::to_string(info.param.shards);
-      }
-      return name;
+    AllAlgorithms, RestartTest, testing::ValuesIn(kAllAlgorithms),
+    [](const testing::TestParamInfo<Algorithm>& info) {
+      return std::string(AlgorithmName(info.param));
     });
 
 }  // namespace

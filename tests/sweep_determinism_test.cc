@@ -160,93 +160,6 @@ TEST(SweepDeterminismTest, Jobs4SidecarEqualsJobs1) {
   EXPECT_EQ(serial_view->find("sample_seconds"), std::string::npos);
 }
 
-// Removes the top-level "shards" member from an engine dump — the one
-// member that legitimately differs between shard counts (it carries the
-// per-shard breakdown). It sits immediately before "checkpoints" in
-// Engine::DumpMetricsJson's fixed key order.
-std::string StripShardsMember(const std::string& json) {
-  size_t begin = json.find("\"shards\":");
-  size_t end = json.find("\"checkpoints\":");
-  EXPECT_NE(begin, std::string::npos);
-  EXPECT_NE(end, std::string::npos);
-  EXPECT_LT(begin, end);
-  if (begin == std::string::npos || end == std::string::npos || begin >= end) {
-    return json;
-  }
-  std::string out = json;
-  out.erase(begin, end - begin);
-  return out;
-}
-
-TEST(SweepDeterminismTest, ShardCountDoesNotChangeModeledResults) {
-  // N-way sharding partitions only the mechanical subsystems — per-shard
-  // WAL stream files, lock-table stripes, per-shard tallies. The logical
-  // engine still executes in one deterministic order on one virtual clock,
-  // so every modeled quantity must be bit-identical between shards=1 and
-  // shards=4, for every algorithm, through crash and multi-stream-merged
-  // recovery.
-  ASSERT_EQ(unsetenv("MMDB_SHARDS"), 0);
-  for (Algorithm a : kAllAlgorithms) {
-    SCOPED_TRACE(AlgorithmName(a));
-    auto run = [a](uint32_t shards) {
-      EngineOptions opt = SmallOptions(a, 1);
-      opt.stable_log_tail = (a == Algorithm::kFastFuzzy);
-      opt.shards = shards;
-      return MeasureEngine(opt, /*seconds=*/0.2, /*seed=*/1);
-    };
-    StatusOr<MeasuredPoint> one = run(1);
-    StatusOr<MeasuredPoint> four = run(4);
-    ASSERT_TRUE(one.ok()) << one.status().ToString();
-    ASSERT_TRUE(four.ok()) << four.status().ToString();
-
-    const WorkloadResult& w1 = one->workload;
-    const WorkloadResult& w4 = four->workload;
-    EXPECT_EQ(w1.committed, w4.committed);
-    EXPECT_EQ(w1.attempts, w4.attempts);
-    EXPECT_EQ(w1.color_restarts, w4.color_restarts);
-    EXPECT_EQ(w1.lock_restarts, w4.lock_restarts);
-    EXPECT_EQ(w1.checkpoints_completed, w4.checkpoints_completed);
-    EXPECT_EQ(w1.overhead_per_txn, w4.overhead_per_txn);
-    EXPECT_EQ(w1.sync_per_txn, w4.sync_per_txn);
-    EXPECT_EQ(w1.async_per_txn, w4.async_per_txn);
-    EXPECT_EQ(w1.latency_total_seconds, w4.latency_total_seconds);
-    EXPECT_EQ(w1.stall_quiesce_seconds, w4.stall_quiesce_seconds);
-    EXPECT_EQ(w1.stall_ckpt_lock_seconds, w4.stall_ckpt_lock_seconds);
-    EXPECT_EQ(w1.queue_seconds, w4.queue_seconds);
-
-    // The global latency histogram is the shard-order merge of the
-    // per-shard histograms: bucket-exact, so percentiles match to the bit.
-    EXPECT_EQ(w1.latency.count(), w4.latency.count());
-    for (double p : {50.0, 99.0, 99.9}) {
-      EXPECT_EQ(w1.latency.Percentile(p), w4.latency.Percentile(p)) << p;
-    }
-    ASSERT_EQ(w1.shard_latency.size(), 1u);
-    ASSERT_EQ(w4.shard_latency.size(), 4u);
-    uint64_t shard_sum = 0;
-    for (const Histogram& h : w4.shard_latency) shard_sum += h.count();
-    EXPECT_EQ(shard_sum, w4.latency.count());
-
-    // Modeled recovery is invariant through the k-way merged log scan.
-    EXPECT_EQ(one->recovery.total_seconds, four->recovery.total_seconds);
-    EXPECT_EQ(one->recovery.updates_applied, four->recovery.updates_applied);
-    EXPECT_EQ(one->recovery.txns_redone, four->recovery.txns_redone);
-    EXPECT_EQ(one->recovery.log_bytes_read, four->recovery.log_bytes_read);
-
-    // The whole engine dump — registry metrics, trace ring, checkpoint
-    // history, recovery block — must match exactly once the per-shard
-    // breakdown and the machine-dependent wall fields are stripped.
-    BenchDiffOptions exact;
-    exact.rel_tol = 0.0;
-    exact.abs_tol = 0.0;
-    auto diff = DiffBenchJson(StripShardsMember(one->metrics_json),
-                              StripShardsMember(four->metrics_json), exact);
-    ASSERT_TRUE(diff.ok()) << diff.status().ToString();
-    EXPECT_TRUE(diff->equal()) << diff->mismatches << " mismatches; first: "
-                               << (diff->reports.empty() ? ""
-                                                         : diff->reports[0]);
-  }
-}
-
 // Flips one byte inside segment `s`'s slot of backup copy `copy`, leaving
 // the stored CRC stale.
 Status RotSegment(Env* env, const Engine& engine, uint32_t copy, SegmentId s) {
@@ -401,7 +314,6 @@ TEST(SweepDeterminismTest, InstantRecoveryConvergesToBlockingState) {
       EXPECT_EQ(la.frames, lb.frames) << s;
       EXPECT_EQ(la.first_lsn, lb.first_lsn) << s;
       EXPECT_EQ(la.last_lsn, lb.last_lsn) << s;
-      EXPECT_EQ(la.streams, lb.streams) << s;
     }
 
     // Every record byte.

@@ -9,7 +9,6 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <map>
 #include <set>
 #include <string>
 
@@ -277,88 +276,6 @@ TEST(TraceExportTest, SidecarBecomesOneProcessPerPoint) {
   EXPECT_EQ(process_names, (std::set<std::string>{"A", "B"}));
   EXPECT_GT(stats.events_exported, 0u);
   EXPECT_EQ(stats.events_skipped, 0u);
-}
-
-// TraceExportOptions::shard_tracks routes segment writes onto per-shard
-// checkpoint.io tracks using the same range partition as core/shard.h:
-// with 8 segments over 4 shards, segments {0,1} -> shard0, {2,3} ->
-// shard1, {4,5} -> shard2, {6,7} -> shard3.
-TEST(TraceExportTest, ShardTracksRouteSegmentWritesByRangePartition) {
-  Tracer tracer(64);
-  for (uint32_t seg : {0u, 2u, 5u, 7u}) {
-    tracer.Record(TraceEventType::kCheckpointSegmentWrite, 0.125 * (seg + 1),
-                  0.125 * (seg + 2), seg, 0, 4096);
-  }
-  std::string doc_json = tracer.ToJsonString();
-  StatusOr<JsonValue> parsed = JsonValue::Parse(doc_json);
-  ASSERT_TRUE(parsed.ok());
-
-  TraceExportOptions options;
-  options.shard_tracks = 4;
-  options.num_segments = 8;
-  JsonWriter w;
-  w.BeginArray();
-  TraceExportStats stats;
-  ASSERT_TRUE(
-      AppendChromeTraceEvents(*parsed, 1, &w, &stats, options).ok());
-  w.EndArray();
-  StatusOr<JsonValue> events = JsonValue::Parse(w.str());
-  ASSERT_TRUE(events.ok());
-
-  std::set<std::string> thread_names;
-  std::map<double, double> segment_to_tid;
-  double shard_io_base = -1;
-  for (const JsonValue& e : events->array_items()) {
-    const JsonValue* name = e.Find("name");
-    if (name->string_value() == "thread_name") {
-      std::string track = e.FindPath({"args", "name"})->string_value();
-      thread_names.insert(track);
-      if (track == "checkpoint.io.shard0") {
-        shard_io_base = e.Find("tid")->number_value();
-      }
-      continue;
-    }
-    if (name->string_value() != "checkpoint.segment_write") continue;
-    segment_to_tid[e.FindPath({"args", "segment"})->number_value()] =
-        e.Find("tid")->number_value();
-  }
-  // The single checkpoint.io track is replaced by one track per shard.
-  EXPECT_EQ(thread_names.count("checkpoint.io"), 0u);
-  for (int k = 0; k < 4; ++k) {
-    EXPECT_EQ(thread_names.count("checkpoint.io.shard" + std::to_string(k)),
-              1u)
-        << k;
-  }
-  ASSERT_GE(shard_io_base, 0);
-  ASSERT_EQ(segment_to_tid.size(), 4u);
-  EXPECT_DOUBLE_EQ(segment_to_tid[0], shard_io_base + 0);  // shard 0
-  EXPECT_DOUBLE_EQ(segment_to_tid[2], shard_io_base + 1);  // shard 1
-  EXPECT_DOUBLE_EQ(segment_to_tid[5], shard_io_base + 2);  // shard 2
-  EXPECT_DOUBLE_EQ(segment_to_tid[7], shard_io_base + 3);  // shard 3
-
-  // With num_segments left to be inferred, the max segment observed (7)
-  // yields the same 8-segment partition.
-  TraceExportOptions inferred;
-  inferred.shard_tracks = 4;
-  JsonWriter w2;
-  w2.BeginArray();
-  ASSERT_TRUE(
-      AppendChromeTraceEvents(*parsed, 1, &w2, nullptr, inferred).ok());
-  w2.EndArray();
-  EXPECT_EQ(w2.str(), w.str());
-
-  // Default options keep the classic single-track layout byte for byte.
-  JsonWriter classic_opt, classic;
-  classic_opt.BeginArray();
-  classic.BeginArray();
-  ASSERT_TRUE(AppendChromeTraceEvents(*parsed, 1, &classic_opt, nullptr,
-                                      TraceExportOptions{})
-                  .ok());
-  ASSERT_TRUE(AppendChromeTraceEvents(*parsed, 1, &classic).ok());
-  classic_opt.EndArray();
-  classic.EndArray();
-  EXPECT_EQ(classic_opt.str(), classic.str());
-  EXPECT_NE(classic.str().find("checkpoint.io"), std::string::npos);
 }
 
 TEST(TraceExportTest, RejectsDocumentsWithoutTraceData) {

@@ -306,16 +306,6 @@ TEST(HistogramTest, PercentilesMonotone) {
   EXPECT_NEAR(h.Percentile(50), 500.0, 60.0);
 }
 
-TEST(HistogramTest, MergeCombines) {
-  Histogram a, b;
-  a.Add(1.0);
-  b.Add(3.0);
-  a.Merge(b);
-  EXPECT_EQ(a.count(), 2u);
-  EXPECT_DOUBLE_EQ(a.Mean(), 2.0);
-  EXPECT_DOUBLE_EQ(a.max(), 3.0);
-}
-
 TEST(HistogramTest, EmptyIsZero) {
   Histogram h;
   EXPECT_EQ(h.count(), 0u);
@@ -347,82 +337,6 @@ TEST(HistogramTest, PercentileEdgeCases) {
   EXPECT_DOUBLE_EQ(neg.min(), 0.0);
   EXPECT_DOUBLE_EQ(neg.Percentile(0), 0.0);
   EXPECT_DOUBLE_EQ(neg.Percentile(100), 5.0);
-}
-
-TEST(HistogramTest, MergeEdgeCases) {
-  // Merging an empty histogram is a no-op, in both directions: the empty
-  // side's sentinel min must not leak through.
-  Histogram a, empty;
-  a.Add(2.0);
-  a.Merge(empty);
-  EXPECT_EQ(a.count(), 1u);
-  EXPECT_DOUBLE_EQ(a.min(), 2.0);
-  EXPECT_DOUBLE_EQ(a.max(), 2.0);
-
-  Histogram b;
-  b.Merge(a);
-  EXPECT_EQ(b.count(), 1u);
-  EXPECT_DOUBLE_EQ(b.min(), 2.0);
-  EXPECT_DOUBLE_EQ(b.Percentile(50), 2.0);
-
-  // Merge must equal adding the same samples to one histogram, including
-  // the bucketed percentile state.
-  Histogram left, right, combined;
-  Random rng(7);
-  for (int i = 0; i < 500; ++i) {
-    double v = rng.NextDouble() * 100.0;
-    left.Add(v);
-    combined.Add(v);
-  }
-  for (int i = 0; i < 500; ++i) {
-    double v = 100.0 + rng.NextDouble() * 900.0;
-    right.Add(v);
-    combined.Add(v);
-  }
-  left.Merge(right);
-  EXPECT_EQ(left.count(), combined.count());
-  EXPECT_DOUBLE_EQ(left.sum(), combined.sum());
-  EXPECT_DOUBLE_EQ(left.min(), combined.min());
-  EXPECT_DOUBLE_EQ(left.max(), combined.max());
-  for (double p : {10.0, 50.0, 90.0, 99.0}) {
-    EXPECT_DOUBLE_EQ(left.Percentile(p), combined.Percentile(p)) << p;
-  }
-}
-
-TEST(HistogramTest, ShardOrderMergeIsBitExact) {
-  // The workload driver's per-shard latency histograms are merged in shard
-  // order into the global histogram. Because Merge adds bucket counts and
-  // running sums, partitioning samples across any number of histograms and
-  // merging them back must reproduce the direct accumulation bit-for-bit —
-  // the property the shards=1-vs-N determinism gate relies on. Exercised at
-  // the latency ratio, the exact production configuration.
-  constexpr int kShards = 4;
-  std::vector<Histogram> parts(kShards, Histogram(Histogram::kLatencyRatio));
-  Histogram direct(Histogram::kLatencyRatio);
-  Random rng(11);
-  for (int i = 0; i < 2000; ++i) {
-    // Heavy body with a sparse far tail, like a real latency population.
-    double v = rng.NextDouble() < 0.99 ? rng.NextDouble() * 50.0
-                                       : 1e4 + rng.NextDouble() * 1e6;
-    parts[i % kShards].Add(v);
-    direct.Add(v);
-  }
-  Histogram merged(Histogram::kLatencyRatio);
-  for (const Histogram& h : parts) merged.Merge(h);
-  // Bucket counts, count, and extremes are integers/order statistics:
-  // partitioning cannot perturb them, so percentiles match bit-for-bit.
-  EXPECT_EQ(merged.count(), direct.count());
-  EXPECT_DOUBLE_EQ(merged.min(), direct.min());
-  EXPECT_DOUBLE_EQ(merged.max(), direct.max());
-  for (double p : {10.0, 50.0, 90.0, 99.0, 99.9, 100.0}) {
-    EXPECT_DOUBLE_EQ(merged.Percentile(p), direct.Percentile(p)) << p;
-  }
-  // The running sums are accumulated in a different order, so they are
-  // only near-exact (float addition is not associative).
-  EXPECT_NEAR(merged.sum(), direct.sum(), 1e-9 * direct.sum());
-  EXPECT_NEAR(merged.Mean(), direct.Mean(), 1e-9 * direct.Mean());
-  EXPECT_NEAR(merged.StandardDeviation(), direct.StandardDeviation(),
-              1e-9 * direct.StandardDeviation());
 }
 
 TEST(HistogramTest, FinerRatioBoundsTailError) {
@@ -603,6 +517,33 @@ TEST(StringUtilTest, PrefixSuffix) {
   EXPECT_FALSE(StartsWith("db", "backup_"));
   EXPECT_TRUE(EndsWith("wal.log", ".log"));
   EXPECT_FALSE(EndsWith("wal.log", ".db"));
+}
+
+TEST(StringUtilTest, ParseNumberTakesOnlyWholeValues) {
+  uint64_t u = 7;
+  EXPECT_TRUE(ParseNumber("0", &u));
+  EXPECT_EQ(u, 0u);
+  EXPECT_TRUE(ParseNumber("18446744073709551615", &u));
+  EXPECT_EQ(u, UINT64_MAX);
+  // Garbage, partial numbers, signs, spaces and overflow leave *out alone.
+  u = 7;
+  for (const char* bad : {"", "banana", "12x", "5%", "-1", "+1", " 1", "1 ",
+                          "18446744073709551616", "0x10"}) {
+    EXPECT_FALSE(ParseNumber(bad, &u)) << bad;
+    EXPECT_EQ(u, 7u) << bad;
+  }
+
+  double d = 7;
+  EXPECT_TRUE(ParseNumber("0.05", &d));
+  EXPECT_DOUBLE_EQ(d, 0.05);
+  EXPECT_TRUE(ParseNumber("-2.5e-3", &d));
+  EXPECT_DOUBLE_EQ(d, -2.5e-3);
+  d = 7;
+  for (const char* bad :
+       {"", "banana", "5%", "0.05x", " 1", "1 ", "nan", "inf", "1e999"}) {
+    EXPECT_FALSE(ParseNumber(bad, &d)) << bad;
+    EXPECT_EQ(d, 7.0) << bad;
+  }
 }
 
 }  // namespace

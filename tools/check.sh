@@ -5,7 +5,7 @@
 #   tools/check.sh plain      # just the plain build (-Werror)
 #   tools/check.sh sanitize   # just the ASan+UBSan build
 #   tools/check.sh tsan       # just the TSan build (--tsan also accepted)
-#   tools/check.sh bench-smoke  # fig4a vs the committed baseline
+#   tools/check.sh bench-smoke  # figure benches vs the committed baselines
 #   tools/check.sh hostbench  # hostbench_test + two short hostbench runs
 #
 # Build trees live in build/ (plain), build-sanitize/, build-tsan/ and
@@ -16,12 +16,11 @@
 # figure benches and runs them at --jobs=2 as a threaded smoke; the
 # engines themselves are single-threaded, so the full suite under TSan
 # would just re-test serial code at 10x the cost. The one exception is
-# the MMDB_SHARDS=4 lane: the engine/txn/recovery/torture suites re-run
-# under TSan with every engine forced to four shards, exercising the
-# striped lock table, the N WAL stream files, and merged-stream recovery
-# in the partitioned configuration (DESIGN.md §17).
+# the engine lane: the engine/txn/recovery/consistency/restart/torture
+# suites re-run under TSan, driving the recovery worker pool through
+# real restarts.
 #
-# The sanitize full suite and the MMDB_SHARDS=4 tsan lane both run with
+# The sanitize full suite and the tsan engine lane both run with
 # MMDB_AUDIT_EXPORT_DIR set, so every crash/recovery test exports its
 # provenance journal and engine dump; each pair is then re-verified with
 # the mmdb_audit binary (DESIGN.md §18), keeping the CLI verifier honest
@@ -35,22 +34,20 @@
 # includes the logical-logging, COU and modern-algorithm suites, so delta
 # REDO and their restarts also pass through the on-demand applier.
 #
-# The bench-smoke gate replays fig4a, fig_modern, fig_interference,
-# fig_shard_scaling --quick, and recovery_bench at --jobs=2 with a
-# shrunken trace ring
+# The bench-smoke gate replays fig4a, fig_modern, fig_interference
+# and recovery_bench at --jobs=2 with a shrunken trace ring
 # (MMDB_TRACE_CAPACITY=64 — the capacity the committed baselines were
 # recorded at; ring drop counts depend on it) and diffs each fresh
 # sidecar against bench/baselines/*.json with mmdb_bench_diff:
 # deterministic leaves must match exactly, timing leaves within 5%.
-# fig4a, fig_modern, and fig_shard_scaling additionally pin
+# fig4a and fig_modern additionally pin
 # MMDB_RECOVERY_THREADS=2 — their engines use the automatic
 # (hardware-dependent) recovery width, and the recovery fan-out trace
 # event records the thread count, so the baseline must be replayed at
 # the width it was recorded at. recovery_bench is the opposite: every
 # point sets its own recovery_threads, so the variable must be UNSET
 # there (it would override all of them). fig_interference never
-# recovers, so the variable is irrelevant to it. fig_shard_scaling
-# unsets MMDB_SHARDS itself (the shard count is its swept axis).
+# recovers, so the variable is irrelevant to it.
 # Regenerate the baselines after an intentional engine/model change with
 #   MMDB_TRACE_CAPACITY=64 MMDB_RECOVERY_THREADS=2 \
 #       MMDB_METRICS_SIDECAR=bench/baselines/fig4a.json \
@@ -63,9 +60,6 @@
 #       ./build/bench/fig_interference --jobs=2 > /dev/null
 #   MMDB_TRACE_CAPACITY=64 MMDB_METRICS_SIDECAR=bench/baselines/recovery.json \
 #       ./build/bench/recovery_bench --jobs=2 > /dev/null
-#   MMDB_TRACE_CAPACITY=64 MMDB_RECOVERY_THREADS=2 \
-#       MMDB_METRICS_SIDECAR=bench/baselines/shard.json \
-#       ./build/bench/fig_shard_scaling --quick --jobs=2 > /dev/null
 #
 # The hostbench gate builds the host-time benchmark (hostbench/, its own
 # CMake project over the engine sources), runs hostbench_test, then runs
@@ -141,19 +135,15 @@ run_tsan() {
       --target parallel_test recovery_parallel_test engine_test txn_test \
       recovery_test consistency_test restart_test torture_test mmdb_audit \
       fig4a_overhead_recovery \
-      fig_modern fig_interference fig_shard_scaling recovery_bench
+      fig_modern fig_interference recovery_bench
   ctest --test-dir build-tsan --output-on-failure \
       -R '^(parallel_test|recovery_parallel_test)$'
-  echo "check.sh: tsan shard lane (MMDB_SHARDS=4 engine/txn/recovery suites)"
+  echo "check.sh: tsan engine lane (engine/txn/recovery suites)"
   rm -rf build-tsan/audit-export
-  MMDB_SHARDS=4 MMDB_AUDIT_EXPORT_DIR="$PWD/build-tsan/audit-export" \
+  MMDB_AUDIT_EXPORT_DIR="$PWD/build-tsan/audit-export" \
       ctest --test-dir build-tsan --output-on-failure \
       -R '^(engine_test|txn_test|recovery_test|recovery_parallel_test|consistency_test|restart_test|torture_test)$'
   verify_audit_exports build-tsan build-tsan/audit-export
-  echo "check.sh: tsan bench smoke (fig_shard_scaling --quick --jobs=2)"
-  MMDB_RECOVERY_THREADS=2 \
-      MMDB_METRICS_SIDECAR=build-tsan/fig_shard_tsan_smoke.json \
-      ./build-tsan/bench/fig_shard_scaling --quick --jobs=2 > /dev/null
   echo "check.sh: tsan bench smoke (fig4a --jobs=2)"
   MMDB_RECOVERY_THREADS=2 \
       MMDB_METRICS_SIDECAR=build-tsan/fig4a_tsan_smoke.json \
@@ -175,7 +165,7 @@ run_bench_smoke() {
   cmake -B build -S .
   cmake --build build -j "$jobs" \
       --target fig4a_overhead_recovery fig_modern fig_interference \
-      fig_shard_scaling recovery_bench mmdb_bench_diff
+      recovery_bench mmdb_bench_diff
   echo "check.sh: bench smoke (fig4a --jobs=2 vs bench/baselines/fig4a.json)"
   MMDB_TRACE_CAPACITY=64 MMDB_RECOVERY_THREADS=2 \
       MMDB_METRICS_SIDECAR=build/fig4a_bench_smoke.json \
@@ -200,12 +190,6 @@ run_bench_smoke() {
       ./build/bench/recovery_bench --jobs=2 > /dev/null
   ./build/tools/mmdb_bench_diff bench/baselines/recovery.json \
       build/recovery_bench_smoke.json
-  echo "check.sh: bench smoke (fig_shard_scaling --quick --jobs=2 vs bench/baselines/shard.json)"
-  MMDB_TRACE_CAPACITY=64 MMDB_RECOVERY_THREADS=2 \
-      MMDB_METRICS_SIDECAR=build/fig_shard_bench_smoke.json \
-      ./build/bench/fig_shard_scaling --quick --jobs=2 > /dev/null
-  ./build/tools/mmdb_bench_diff bench/baselines/shard.json \
-      build/fig_shard_bench_smoke.json
 }
 
 run_hostbench() {

@@ -13,7 +13,6 @@
 //       any divergence.
 
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <vector>
@@ -21,6 +20,7 @@
 #include "env/env.h"
 #include "obs/audit.h"
 #include "util/json.h"
+#include "util/string_util.h"
 
 namespace {
 
@@ -97,18 +97,11 @@ int RunExplain(const std::vector<mmdb::AuditEntry>& entries,
   if (p->lineage.frames == 0) {
     std::printf("  replay:        no committed records touched it\n");
   } else {
-    std::string streams;
-    for (uint32_t s : p->lineage.streams) {
-      if (!streams.empty()) streams += ",";
-      streams += std::to_string(s);
-    }
-    std::printf("  replay:        %llu committed record%s, LSN %llu..%llu, "
-                "stream%s [%s]\n",
+    std::printf("  replay:        %llu committed record%s, LSN %llu..%llu\n",
                 static_cast<unsigned long long>(p->lineage.frames),
                 p->lineage.frames == 1 ? "" : "s",
                 static_cast<unsigned long long>(p->lineage.first_lsn),
-                static_cast<unsigned long long>(p->lineage.last_lsn),
-                p->lineage.streams.size() == 1 ? "" : "s", streams.c_str());
+                static_cast<unsigned long long>(p->lineage.last_lsn));
   }
   return 0;
 }
@@ -156,7 +149,7 @@ int main(int argc, char** argv) {
   uint64_t segment = 0;
   for (int i = 2; i < argc; ++i) {
     if (std::strncmp(argv[i], "--segment=", 10) == 0) {
-      segment = std::strtoull(argv[i] + 10, nullptr, 10);
+      if (!mmdb::ParseNumber(argv[i] + 10, &segment)) return Usage(argv[0]);
       have_segment = true;
     } else if (std::strncmp(argv[i], "--dump=", 7) == 0) {
       dump_path = argv[i] + 7;

@@ -12,13 +12,13 @@
 // 1 = drift (mismatches listed on stderr), 2 = usage or unreadable input.
 
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 
 #include "env/env.h"
 #include "obs/bench_diff.h"
 #include "util/status.h"
+#include "util/string_util.h"
 
 namespace mmdb {
 namespace {
@@ -61,6 +61,19 @@ int Run(const std::string& baseline_path, const std::string& current_path,
   return 0;
 }
 
+int Usage(const char* argv0) {
+  std::fprintf(stderr,
+               "usage: %s <baseline.json> <current.json> "
+               "[--rel-tol=R] [--abs-tol=A] [--strict]\n",
+               argv0);
+  return 2;
+}
+
+// A tolerance flag's value: a finite number >= 0, or false.
+bool ParseTolerance(const char* text, double* out) {
+  return ParseNumber(text, out) && *out >= 0;
+}
+
 }  // namespace
 }  // namespace mmdb
 
@@ -69,9 +82,13 @@ int main(int argc, char** argv) {
   std::string baseline_path, current_path;
   for (int i = 1; i < argc; ++i) {
     if (std::strncmp(argv[i], "--rel-tol=", 10) == 0) {
-      options.rel_tol = std::strtod(argv[i] + 10, nullptr);
+      if (!mmdb::ParseTolerance(argv[i] + 10, &options.rel_tol)) {
+        return mmdb::Usage(argv[0]);
+      }
     } else if (std::strncmp(argv[i], "--abs-tol=", 10) == 0) {
-      options.abs_tol = std::strtod(argv[i] + 10, nullptr);
+      if (!mmdb::ParseTolerance(argv[i] + 10, &options.abs_tol)) {
+        return mmdb::Usage(argv[0]);
+      }
     } else if (std::strcmp(argv[i], "--strict") == 0) {
       options.rel_tol = 0;
       options.abs_tol = 0;
@@ -85,11 +102,7 @@ int main(int argc, char** argv) {
     }
   }
   if (baseline_path.empty() || current_path.empty()) {
-    std::fprintf(stderr,
-                 "usage: %s <baseline.json> <current.json> "
-                 "[--rel-tol=R] [--abs-tol=A] [--strict]\n",
-                 argv[0]);
-    return 2;
+    return mmdb::Usage(argv[0]);
   }
   return mmdb::Run(baseline_path, current_path, options);
 }

@@ -4,27 +4,28 @@
 //   mmdb_log_dump <wal.log> --summary   counts, checkpoints, torn-tail flag
 //   mmdb_log_dump <wal.log> --from=N    dump from logical offset N
 //   mmdb_log_dump <wal.log> --json      one JSON document (machine-readable)
-//
-// Sharded logs (wal.log.1, wal.log.2, ... beside the base file) are
-// discovered automatically and LSN-merged: each frame then carries its
-// owning stream id, stream hand-offs print gang-epoch boundary markers,
-// and a torn gang (a group commit torn across streams at crash) is
-// reported with the per-stream dropped-frame counts.
 
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 
 #include "env/env.h"
 #include "tools/inspect.h"
+#include "util/string_util.h"
+
+namespace {
+
+int Usage(const char* argv0) {
+  std::fprintf(stderr,
+               "usage: %s <log-file> [--summary] [--from=offset] [--json]\n",
+               argv0);
+  return 2;
+}
+
+}  // namespace
 
 int main(int argc, char** argv) {
-  if (argc < 2) {
-    std::fprintf(stderr, "usage: %s <log-file> [--summary] [--from=offset]\n",
-                 argv[0]);
-    return 2;
-  }
+  if (argc < 2) return Usage(argv[0]);
   std::string path = argv[1];
   bool summary = false;
   bool json = false;
@@ -35,7 +36,7 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--json") == 0) {
       json = true;
     } else if (std::strncmp(argv[i], "--from=", 7) == 0) {
-      from = std::strtoull(argv[i] + 7, nullptr, 10);
+      if (!mmdb::ParseNumber(argv[i] + 7, &from)) return Usage(argv[0]);
     } else {
       std::fprintf(stderr, "unknown flag '%s'\n", argv[i]);
       return 2;

@@ -44,9 +44,9 @@ double NumberOr(const JsonValue* v, double fallback) {
 }
 
 // --filter=<prefix> narrows the report to matching subtrees. Paths are
-// dotted: a bare section name ("recovery", "audit", "shards") selects a
-// whole block, "counters.txn" selects the txn_* counters, "timers.log"
-// the log_* timers. Matching is mutual-prefix so "counters.txn" still
+// dotted: a bare section name ("recovery", "audit") selects a whole
+// block, "counters.txn" selects the txn_* counters, "timers.log" the
+// log_* timers. Matching is mutual-prefix so "counters.txn" still
 // prints the "counters:" heading on the way down. Empty = everything.
 std::string g_filter;
 
@@ -231,32 +231,6 @@ void PrintAvailability(const JsonValue& engine) {
               100.0 * wait_g->number_value() / total_g->number_value());
 }
 
-// Per-shard breakdown of the partitioned engine (the dump's "shards"
-// member): segment-range sizes, home-shard commits, per-stream WAL volume,
-// stall attribution, and checkpoint flush counts.
-void PrintShards(const JsonValue& engine) {
-  const JsonValue* shards = engine.Find("shards");
-  if (shards == nullptr || !shards->is_object() || !Selected("shards")) return;
-  std::printf("shards: count=%.0f durable_epoch=%.0f\n",
-              NumberOr(shards->Find("count"), 1),
-              NumberOr(shards->Find("durable_epoch"), 0));
-  const JsonValue* per = shards->Find("per_shard");
-  if (per == nullptr || !per->is_array()) return;
-  std::printf("  %-5s %7s %10s %10s %12s %10s %10s %9s\n", "shard", "segs",
-              "commits", "appends", "log_bytes", "quiesce_s", "cklock_s",
-              "flushed");
-  for (const JsonValue& s : per->array_items()) {
-    std::printf("  %-5.0f %7.0f %10.0f %10.0f %12.0f %10.4f %10.4f %9.0f\n",
-                NumberOr(s.Find("shard"), 0), NumberOr(s.Find("segments"), 0),
-                NumberOr(s.Find("txn_commits"), 0),
-                NumberOr(s.Find("log_appends"), 0),
-                NumberOr(s.Find("log_bytes"), 0),
-                NumberOr(s.Find("stall_quiesce_seconds"), 0),
-                NumberOr(s.Find("stall_ckpt_lock_seconds"), 0),
-                NumberOr(s.Find("ckpt_segments_flushed"), 0));
-  }
-}
-
 void PrintCheckpoints(const JsonValue& engine) {
   const JsonValue* ckpts = engine.Find("checkpoints");
   if (ckpts == nullptr || !ckpts->is_object() || !Selected("checkpoints")) {
@@ -394,7 +368,6 @@ void PrintEngineDoc(const JsonValue& engine, bool events, bool percentiles) {
   PrintTimeSeries(engine);
   PrintRecovery(engine);
   PrintAvailability(engine);
-  PrintShards(engine);
   PrintCheckpoints(engine);
   PrintAudit(engine);
   PrintTrace(engine, events);

@@ -8,15 +8,11 @@
 //
 //   mmdb_trace_report <metrics.json>              write to stdout
 //   mmdb_trace_report <metrics.json> -o out.json  write to a file
-//   mmdb_trace_report <metrics.json> --shards=4   per-shard checkpoint.io
-//                                                 tracks (segment-range
-//                                                 partition, DESIGN.md §17)
 //
 // Exits non-zero when the input is malformed or carries no trace data
 // (e.g. the sidecar was produced with tracing disabled).
 
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 
@@ -27,8 +23,7 @@
 namespace mmdb {
 namespace {
 
-int Run(const std::string& in_path, const std::string& out_path,
-        uint32_t shards) {
+int Run(const std::string& in_path, const std::string& out_path) {
   std::string contents;
   Status read = Env::Posix()->ReadFileToString(in_path, &contents);
   if (!read.ok()) {
@@ -36,10 +31,7 @@ int Run(const std::string& in_path, const std::string& out_path,
     return 1;
   }
   TraceExportStats stats;
-  TraceExportOptions options;
-  options.shard_tracks = shards;
-  StatusOr<std::string> trace =
-      ChromeTraceFromMetricsJson(contents, &stats, options);
+  StatusOr<std::string> trace = ChromeTraceFromMetricsJson(contents, &stats);
   if (!trace.ok()) {
     std::fprintf(stderr, "error: %s: %s\n", in_path.c_str(),
                  trace.status().ToString().c_str());
@@ -69,7 +61,6 @@ int Run(const std::string& in_path, const std::string& out_path,
 int main(int argc, char** argv) {
   std::string in_path;
   std::string out_path;
-  uint32_t shards = 0;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "-o") == 0) {
       if (i + 1 >= argc) {
@@ -77,14 +68,6 @@ int main(int argc, char** argv) {
         return 2;
       }
       out_path = argv[++i];
-    } else if (std::strncmp(argv[i], "--shards=", 9) == 0) {
-      char* end = nullptr;
-      long v = std::strtol(argv[i] + 9, &end, 10);
-      if (end == argv[i] + 9 || *end != '\0' || v < 1) {
-        std::fprintf(stderr, "--shards requires a positive integer\n");
-        return 2;
-      }
-      shards = static_cast<uint32_t>(v);
     } else if (in_path.empty()) {
       in_path = argv[i];
     } else {
@@ -94,9 +77,9 @@ int main(int argc, char** argv) {
   }
   if (in_path.empty()) {
     std::fprintf(stderr,
-                 "usage: %s <metrics.json> [-o out.json] [--shards=N]\n",
+                 "usage: %s <metrics.json> [-o out.json]\n",
                  argv[0]);
     return 2;
   }
-  return mmdb::Run(in_path, out_path, shards);
+  return mmdb::Run(in_path, out_path);
 }
