@@ -29,6 +29,7 @@
 #include "model/model_oracle.h"
 #include "obs/sidecar.h"
 #include "parallel/parallel.h"
+#include "util/string_util.h"
 
 namespace mmdb {
 namespace bench {
@@ -115,22 +116,30 @@ inline StatusOr<MeasuredPoint> MeasureEngine(const EngineOptions& options,
 
 // Sweep width for this bench process: --jobs=N beats MMDB_BENCH_JOBS beats
 // min(points, hardware_concurrency). 1 selects the serial path (no worker
-// threads at all).
+// threads at all). A width that is not a whole number >= 1 prints a
+// one-line error naming the flag or variable and exits 2.
 inline std::size_t ParseJobs(int argc, char** argv) {
-  long parsed = -1;
+  const char* source = nullptr;
+  const char* text = nullptr;
   for (int i = 1; i < argc; ++i) {
     if (std::strncmp(argv[i], "--jobs=", 7) == 0) {
-      parsed = std::strtol(argv[i] + 7, nullptr, 10);
+      source = "--jobs";
+      text = argv[i] + 7;
     }
   }
-  if (parsed < 0) {
-    const char* env_jobs = std::getenv("MMDB_BENCH_JOBS");
-    if (env_jobs != nullptr && *env_jobs != '\0') {
-      parsed = std::strtol(env_jobs, nullptr, 10);
-    }
+  const char* env_jobs = std::getenv("MMDB_BENCH_JOBS");
+  if (text == nullptr && env_jobs != nullptr && *env_jobs != '\0') {
+    source = "MMDB_BENCH_JOBS";
+    text = env_jobs;
   }
-  if (parsed >= 1) return static_cast<std::size_t>(parsed);
-  return DefaultSweepWidth(~std::size_t{0});
+  if (text == nullptr) return DefaultSweepWidth(~std::size_t{0});
+  uint64_t jobs = 0;
+  if (!ParseNumber(text, &jobs) || jobs < 1) {
+    std::fprintf(stderr, "%s: %s=%s is not a whole number >= 1\n", argv[0],
+                 source, text);
+    std::exit(2);
+  }
+  return static_cast<std::size_t>(jobs);
 }
 
 // One declarative sweep point: a sidecar label plus the closure producing

@@ -1,44 +1,35 @@
-// recovery_bench: wall-clock scaling of the parallel recovery pipeline
-// (DESIGN.md §14) across --recovery-threads 1/2/4/8 at two database
-// sizes.
+// recovery_bench: blocking vs instant restart of the same crash at two
+// database sizes (DESIGN.md §14, §19).
 //
 // Every point runs the same deterministic history — workload, crash,
-// recover — varying ONLY EngineOptions::recovery_threads, so the modeled
-// (virtual-clock) columns on stdout must read bit-identically down each
-// size block; the bench itself exits nonzero if they do not. What the
-// thread count is allowed to change is real wall time, which is reported
-// on stderr and in the sidecar's "recovery.wall" blocks (stripped from
-// every determinism comparison by IsWallClockField).
-//
-// Each size block also carries an "<size>/instant" row (DESIGN.md §19):
-// the same crash restarted with EngineOptions::instant_recovery, a probe
-// workload served against the half-recovered store, then DrainRecovery().
-// Its drained stats feed the same modeled-identity gate — instant
-// recovery must land on the blocking rows bit-for-bit — and it fills the
-// availability columns: t_first_s (time to first transaction), t_full_s
-// (time to full recovery; blocking rows print total_s for both) and the
-// p99 per-transaction recovery-latch wait in ms. On the large config the
-// bench additionally fails unless t_first_s <= 10% of t_full_s.
+// recover. The "<size>/blocking" row restarts with a blocking Recover();
+// the "<size>/instant" row restarts the same crash with
+// EngineOptions::instant_recovery, serves a probe workload against the
+// half-recovered store, then calls DrainRecovery(). The drained stats must
+// equal the blocking row's modeled columns bit for bit; the bench exits
+// nonzero if they do not. The instant row fills the availability columns:
+// t_first_s (time to first transaction), t_full_s (time to full recovery;
+// the blocking row prints total_s for both) and the p99 per-transaction
+// recovery-latch wait in ms. On the large config the bench additionally
+// fails unless t_first_s <= 10% of t_full_s. Real wall time goes to stderr
+// and to the sidecar's "recovery.wall" blocks (stripped from every
+// determinism comparison by IsWallClockField).
 //
 //   recovery_bench [--jobs=N] [--quick]
 //
-// --quick: small size and threads {1,2} only — the TSan smoke
-// configuration (full-size points under TSan are 10x slower and add no
-// new interleavings). Honest speedups want --jobs=1 so concurrent points
-// don't steal each other's cores; the check.sh gate runs --jobs=2 and
-// ignores wall fields.
+// --quick: the small size only (the sanitizer smoke configuration).
+// Honest wall times want --jobs=1 so concurrent points don't steal each
+// other's cores; the check.sh gate runs --jobs=2 and ignores wall fields.
 //
 // Baseline regeneration (the committed bench/baselines/recovery.json), as
 // one command line:
 //   MMDB_TRACE_CAPACITY=64 MMDB_METRICS_SIDECAR=bench/baselines/recovery.json
 //       ./build/bench/recovery_bench --jobs=2 > /dev/null
-// (MMDB_RECOVERY_THREADS must be UNSET: it would override every point's
-// per-point thread count.)
 
-#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -48,7 +39,6 @@
 #include "core/workload.h"
 #include "env/env.h"
 #include "obs/sidecar.h"
-#include "parallel/parallel.h"
 
 namespace mmdb {
 namespace bench {
@@ -73,10 +63,9 @@ struct RecoveryPoint {
 };
 
 StatusOr<RecoveryPoint> MeasureRecovery(const SizeConfig& size,
-                                        uint32_t threads, bool instant) {
+                                        bool instant) {
   EngineOptions opt;
   opt.params.db.db_words = size.db_words;
-  opt.recovery_threads = threads;
   opt.instant_recovery = instant;
   std::unique_ptr<Env> env = NewMemEnv();
   MMDB_ASSIGN_OR_RETURN(std::unique_ptr<Engine> engine,
@@ -114,7 +103,7 @@ StatusOr<RecoveryPoint> MeasureRecovery(const SizeConfig& size,
     MMDB_RETURN_IF_ERROR(probe_driver.Run().status());
     MMDB_RETURN_IF_ERROR(engine->DrainRecovery());
     // The drained stats are the blocking-equivalence contract: Run() below
-    // gates on them matching the t1 blocking row bit-for-bit.
+    // gates on them matching the blocking row bit-for-bit.
     point.stats = engine->last_recovery();
     point.time_to_full_recovery = engine->time_to_full_recovery();
     if (engine->metrics() != nullptr) {
@@ -134,7 +123,7 @@ StatusOr<RecoveryPoint> MeasureRecovery(const SizeConfig& size,
 }
 
 // True when the rows' modeled quantities differ anywhere — the
-// parallel-equivalence contract a thread count must never break.
+// equivalence contract the instant schedule must never break.
 bool ModeledDiffers(const RecoveryStats& a, const RecoveryStats& b) {
   return a.checkpoint_id != b.checkpoint_id || a.copy != b.copy ||
          a.backup_read_seconds != b.backup_read_seconds ||
@@ -161,55 +150,37 @@ int Run(int argc, char** argv) {
       {"small", 1ull << 20, 0.5},  // 128 segments, 4 MiB
       {"large", 1ull << 25, 1.0},  // 4096 segments, 128 MiB
   };
-  std::vector<uint32_t> thread_counts = {1, 2, 4, 8};
-  if (quick) {
-    sizes.resize(1);
-    thread_counts = {1, 2};
-  }
+  if (quick) sizes.resize(1);
 
   MetricsSidecar sidecar("recovery");
   BenchWallClock bench_wall;
   SweepRunner runner(jobs);
 
-  PrintHeader("recovery_bench",
-              "parallel recovery: wall-clock scaling vs recovery_threads");
+  PrintHeader("recovery_bench", "blocking vs instant restart");
   std::printf("modeled columns are virtual-clock quantities and must be\n"
               "identical down each size block; wall seconds go to stderr\n");
 
   int rc = 0;
   for (const SizeConfig& size : sizes) {
-    std::vector<std::function<StatusOr<RecoveryPoint>()>> tasks;
-    std::vector<std::string> labels;
-    for (uint32_t t : thread_counts) {
-      labels.push_back(std::string(size.name) + "/t" + std::to_string(t));
-      tasks.push_back(
-          [size, t]() { return MeasureRecovery(size, t, /*instant=*/false); });
-    }
-    // Instant-recovery twin of the t1 row: same history, on-demand restart
-    // with a probe workload served mid-recovery, drained before its stats
-    // are read — so its modeled columns must still match the block.
-    labels.push_back(std::string(size.name) + "/instant");
-    tasks.push_back(
-        [size]() { return MeasureRecovery(size, 1, /*instant=*/true); });
+    const std::vector<std::string> labels = {
+        std::string(size.name) + "/blocking",
+        std::string(size.name) + "/instant"};
+    std::vector<std::function<StatusOr<RecoveryPoint>()>> tasks = {
+        [size]() { return MeasureRecovery(size, /*instant=*/false); },
+        [size]() { return MeasureRecovery(size, /*instant=*/true); }};
     std::vector<StatusOr<RecoveryPoint>> results =
         RunSweep<RecoveryPoint>(jobs, tasks);
 
     std::printf("\n%s (%llu words, %.2fs workload)\n", size.name,
                 static_cast<unsigned long long>(size.db_words),
                 size.workload_seconds);
-    std::size_t label_width = std::strlen("point");
-    for (const std::string& label : labels) {
-      label_width = std::max(label_width, label.size());
-    }
-    const int lw = static_cast<int>(label_width);
+    const int lw = static_cast<int>(labels[0].size());
     std::printf("%-*s %12s %12s %12s %12s %10s %10s %9s %12s %12s %14s\n",
                 lw, "point", "total_s", "backup_s", "log_s", "replay_s",
                 "segments", "updates", "txns", "t_first_s", "t_full_s",
                 "recwait_p99_ms");
-    const RecoveryPoint* first_ok = nullptr;
-    double t1_wall = 0.0;
     for (std::size_t i = 0; i < results.size(); ++i) {
-      const bool is_instant = i >= thread_counts.size();
+      const bool is_instant = i == 1;
       if (!results[i].ok()) {
         runner.NoteFailure(labels[i].c_str(), results[i].status(), &sidecar);
         std::printf("%-*s %12s\n", lw, labels[i].c_str(), "ERR");
@@ -227,47 +198,37 @@ int Run(int argc, char** argv) {
                   p.time_to_first_txn, p.time_to_full_recovery,
                   p.recwait_p99_ms);
       sidecar.Add(labels[i], std::string(p.metrics_json), std::string());
-      if (first_ok == nullptr) {
-        first_ok = &p;
-      } else if (ModeledDiffers(first_ok->stats, s)) {
+      if (!is_instant) {
         std::fprintf(stderr,
-                     "FAIL: %s modeled stats differ from the first row — "
-                     "%s broke determinism\n",
-                     labels[i].c_str(),
-                     is_instant ? "instant recovery (drained)"
-                                : "parallel recovery");
-        rc = 1;
-      }
-      if (is_instant) {
-        // The availability contract on the large config: the engine is
-        // serving transactions within 10% of the full-recovery window.
-        if (std::strcmp(size.name, "large") == 0 &&
-            p.time_to_first_txn > 0.1 * p.time_to_full_recovery) {
-          std::fprintf(stderr,
-                       "FAIL: %s time_to_first_txn=%.6fs exceeds 10%% of "
-                       "time_to_full_recovery=%.6fs\n",
-                       labels[i].c_str(), p.time_to_first_txn,
-                       p.time_to_full_recovery);
-          rc = 1;
-        }
-        std::fprintf(stderr,
-                     "%s: recover_wall=%.4fs t_first=%.6fs t_full=%.6fs\n",
-                     labels[i].c_str(), p.recover_wall, p.time_to_first_txn,
-                     p.time_to_full_recovery);
+                     "%s: recover_wall=%.4fs (backup=%.4fs scan=%.4fs "
+                     "replay=%.4fs)\n",
+                     labels[i].c_str(), p.recover_wall,
+                     s.backup_read_wall_seconds, s.log_scan_wall_seconds,
+                     s.replay_wall_seconds);
         continue;
       }
-      if (thread_counts[i] == 1) t1_wall = p.recover_wall;
+      if (results[0].ok() && ModeledDiffers(results[0]->stats, s)) {
+        std::fprintf(stderr,
+                     "FAIL: %s modeled stats differ from the blocking row — "
+                     "instant recovery (drained) broke determinism\n",
+                     labels[i].c_str());
+        rc = 1;
+      }
+      // The availability contract on the large config: the engine is
+      // serving transactions within 10% of the full-recovery window.
+      if (std::strcmp(size.name, "large") == 0 &&
+          p.time_to_first_txn > 0.1 * p.time_to_full_recovery) {
+        std::fprintf(stderr,
+                     "FAIL: %s time_to_first_txn=%.6fs exceeds 10%% of "
+                     "time_to_full_recovery=%.6fs\n",
+                     labels[i].c_str(), p.time_to_first_txn,
+                     p.time_to_full_recovery);
+        rc = 1;
+      }
       std::fprintf(stderr,
-                   "%s: recover_wall=%.4fs (backup=%.4fs scan=%.4fs "
-                   "replay=%.4fs threads=%u)%s\n",
-                   labels[i].c_str(), p.recover_wall,
-                   s.backup_read_wall_seconds, s.log_scan_wall_seconds,
-                   s.replay_wall_seconds, s.threads_used,
-                   t1_wall > 0.0 && thread_counts[i] != 1
-                       ? (" speedup_vs_t1=" +
-                          std::to_string(t1_wall / p.recover_wall))
-                             .c_str()
-                       : "");
+                   "%s: recover_wall=%.4fs t_first=%.6fs t_full=%.6fs\n",
+                   labels[i].c_str(), p.recover_wall, p.time_to_first_txn,
+                   p.time_to_full_recovery);
     }
   }
 

@@ -60,15 +60,16 @@ Engine::~Engine() {
 
 bool Engine::ResolveInstantRecovery(bool configured) {
   const char* env = std::getenv("MMDB_INSTANT_RECOVERY");
-  if (env != nullptr && *env != '\0') {
-    char* end = nullptr;
-    long parsed = std::strtol(env, &end, 10);
-    if (end != nullptr && *end == '\0' && (parsed == 0 || parsed == 1)) {
-      return parsed == 1;
-    }
+  uint64_t parsed = 0;
+  if (env != nullptr && ParseNumber(env, &parsed) && parsed <= 1) {
+    return parsed == 1;
   }
   return configured;
 }
+
+// Samples the time-series sampler retains; beyond this the oldest are
+// dropped (with a drop count), bounding the dump size of long runs.
+constexpr size_t kTimeSeriesCapacity = 512;
 
 Status Engine::Init(bool fresh) {
   const SystemParams& p = options_.params;
@@ -91,8 +92,7 @@ Status Engine::Init(bool fresh) {
       owned_metrics_ = std::make_unique<MetricsRegistry>();
       metrics_ = owned_metrics_.get();
     }
-    tracer_ = std::make_unique<Tracer>(
-        Tracer::ResolveCapacity(options_.trace_capacity));
+    tracer_ = std::make_unique<Tracer>(Tracer::ResolveCapacity());
     m_admission_wait_ = metrics_->timer("engine.admission_wait_seconds");
     m_stall_quiesce_ = metrics_->timer("engine.stall_quiesce_seconds");
     m_stall_ckpt_lock_ = metrics_->timer("engine.stall_ckpt_lock_seconds");
@@ -163,7 +163,7 @@ Status Engine::Init(bool fresh) {
   if (metrics_ != nullptr && options_.timeseries_epoch > 0.0) {
     TimeSeriesSampler::Options ts;
     ts.epoch = options_.timeseries_epoch;
-    ts.capacity = options_.timeseries_capacity;
+    ts.capacity = kTimeSeriesCapacity;
     sampler_ = std::make_unique<TimeSeriesSampler>(ts);
     // Foreground progress and interference counters next to checkpoint
     // progress, so the exported counter tracks line up with the
@@ -554,8 +554,12 @@ Status Engine::MaybeTruncateLog() {
   return reclaimed.status();
 }
 
+// Group commit: the engine flushes the log tail once it holds this many
+// bytes; WorkloadDriver also flushes every log_flush_interval.
+constexpr uint64_t kLogGroupBytes = 16 * 1024;
+
 Status Engine::MaybeGroupFlush() {
-  if (log_->TailBytes() >= options_.log_group_bytes) {
+  if (log_->TailBytes() >= kLogGroupBytes) {
     return log_->Flush(clock_.now()).status();
   }
   return Status::OK();
@@ -595,18 +599,12 @@ StatusOr<RecoveryStats> Engine::Recover() {
     });
   }
   restarting_ = false;
-  uint32_t threads = RecoveryManager::ResolveThreads(options_.recovery_threads);
-  if (threads > 1 &&
-      (recovery_pool_ == nullptr || recovery_pool_->num_threads() < threads)) {
-    recovery_pool_ = std::make_unique<ThreadPool>(threads);
-  }
-  ThreadPool* pool = threads > 1 ? recovery_pool_.get() : nullptr;
   // One pipeline (DESIGN.md §14, §19): plan, then load every segment
   // eagerly (blocking, or retrying a restart that failed mid-service) or on
   // demand while transactions run (instant), then FinishRecovery.
   recovery_crash_now_ = clock_.now();
   avail_ = Availability{};
-  RecoveryManager rm(env_, options_.params, &meter_, pool);
+  RecoveryManager rm(env_, options_.params, &meter_);
   rm.set_audit(audit_.get());
   StatusOr<RecoveryPlan> plan = rm.Plan(backup_.get(), LogPath(), db_.get(),
                                         segments_.get(), recovery_crash_now_);
@@ -614,7 +612,7 @@ StatusOr<RecoveryStats> Engine::Recover() {
   newest_end_id_ = plan->result.newest_end_id;
   instant_ = std::make_unique<InstantRecovery>(
       std::move(*plan), options_.params, backup_.get(), db_.get(), &meter_,
-      metrics_, tracer_.get(), audit_.get(), pool);
+      metrics_, tracer_.get(), audit_.get());
   const bool eager = !instant_enabled_ || retry_eagerly_;
   if (eager) {
     Status loaded = instant_->LoadAll();
@@ -754,7 +752,7 @@ void Engine::FinishRecovery() {
     audit_->Sync();
   }
   RecoveryManager::Publish(metrics_, tracer_.get(), r.stats,
-                           recovery_crash_now_, ir->replay_buckets());
+                           recovery_crash_now_);
   last_lineage_ = std::move(r.lineage);
 }
 
@@ -840,18 +838,12 @@ std::string Engine::DumpMetricsJson() const {
     w.EndObject();
     w.Key("wall");
     w.BeginObject();
-    w.Key("threads");
-    w.Uint(r.threads_used);
     w.Key("backup_read_seconds");
     w.Double(r.backup_read_wall_seconds);
     w.Key("log_scan_seconds");
     w.Double(r.log_scan_wall_seconds);
     w.Key("replay_seconds");
     w.Double(r.replay_wall_seconds);
-    w.Key("thread_busy_seconds");
-    w.BeginArray();
-    for (double busy : r.thread_busy_seconds) w.Double(busy);
-    w.EndArray();
     w.EndObject();
     w.EndObject();
   } else {

@@ -342,9 +342,6 @@ class Engine {
   std::unique_ptr<Checkpointer> checkpointer_;
   CheckpointScheduler scheduler_;
 
-  // Lazily built on the first Recover() that resolves to > 1 thread and
-  // reused by later recoveries (ThreadPool is reusable across rounds).
-  std::unique_ptr<ThreadPool> recovery_pool_;
   // Stats of the most recent successful Recover(), surfaced by
   // DumpMetricsJson()'s "recovery" member (wall vs modeled breakdown).
   RecoveryStats last_recovery_;

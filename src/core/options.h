@@ -7,7 +7,6 @@
 
 #include "checkpoint/checkpointer.h"
 #include "obs/metrics_registry.h"
-#include "obs/trace.h"
 #include "sim/cost_model.h"
 #include "util/status.h"
 
@@ -35,10 +34,8 @@ struct EngineOptions {
   // Algorithm::kFastFuzzy.
   bool stable_log_tail = false;
 
-  // Group-commit policy: the engine flushes the log tail whenever it
-  // exceeds this many bytes, and the workload driver additionally flushes
-  // on this time cadence.
-  uint64_t log_group_bytes = 16 * 1024;
+  // Group-commit cadence: WorkloadDriver flushes the log tail this often
+  // (the engine also flushes once the tail reaches 16 KiB).
   double log_flush_interval = 0.05;
 
   // Cap on segment-sized snapshot buffers (COU old copies and staging
@@ -76,15 +73,6 @@ struct EngineOptions {
   // enable_metrics.
   bool audit_journal = true;
 
-  // Trace ring size in events; the oldest events are overwritten (and
-  // counted as dropped) beyond this. Default Tracer::kDefaultCapacity =
-  // 8192 events (~300 KiB of ring). The MMDB_TRACE_CAPACITY environment
-  // variable, when set to a positive integer, overrides this value for
-  // every engine (Tracer::ResolveCapacity) — used by tooling such as
-  // check.sh's bench-smoke gate to bound sidecar sizes without touching
-  // bench code.
-  size_t trace_capacity = Tracer::kDefaultCapacity;
-
   // Completed-checkpoint stats retained by Checkpointer::history().
   // 0 = unbounded (the historical behaviour, for long diagnostic runs).
   size_t checkpoint_history_cap = 256;
@@ -95,21 +83,12 @@ struct EngineOptions {
   // stalls, log tail) is snapshotted into a bounded ring, exported in
   // DumpMetricsJson's "timeseries" member and as Perfetto counter tracks
   // by mmdb_trace_report. 0 disables sampling (the default; the dump's
-  // member is then null). Requires enable_metrics.
+  // member is then null); at most 512 samples are kept. Requires
+  // enable_metrics.
   double timeseries_epoch = 0.0;
-  // Max retained samples; beyond this the oldest samples are dropped
-  // (with a drop count), bounding the dump size of long runs.
-  size_t timeseries_capacity = 512;
 
-  // Worker threads for Recover()'s parallel pipeline (concurrent backup
-  // segment reloads, pipelined log scan, partitioned REDO replay —
-  // DESIGN.md §14). 0 = hardware concurrency; 1 = the exact legacy
-  // serial path. Every modeled RecoveryStats quantity is bit-identical
-  // across settings — only real wall-clock changes. The
-  // MMDB_RECOVERY_THREADS environment variable, when set to a positive
-  // integer, overrides this value for every engine
-  // (RecoveryManager::ResolveThreads) — used by check.sh to pin the
-  // thread count recorded in trace baselines.
+  // Read by nothing: every restart runs on the calling thread. It remains
+  // only because hostbench/workloads.cc assigns it; drop both together.
   uint32_t recovery_threads = 0;
 
   // Serve transactions during restart (DESIGN.md §19): OpenExisting

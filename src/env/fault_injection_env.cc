@@ -39,10 +39,9 @@ struct FaultInjectionEnv::State {
     bool unlimited;
   };
 
-  // Guards everything below: parallel recovery issues reads from pool
-  // workers, so op numbering, rule budgets, and listener firing must be
-  // serialized (the listener itself runs under the lock — keep them
-  // cheap). Serial callers see the exact pre-lock behavior.
+  // Guards everything below, so op numbering, rule budgets, and listener
+  // firing stay serialized for callers on several threads (the listener
+  // itself runs under the lock — keep them cheap).
   std::mutex mu;
   uint64_t op_count = 0;
   uint64_t faults_fired = 0;

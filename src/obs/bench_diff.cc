@@ -3,14 +3,11 @@
 #include <cmath>
 #include <cstdio>
 
+#include "util/string_util.h"
+
 namespace mmdb {
 
 namespace {
-
-bool EndsWith(std::string_view s, std::string_view suffix) {
-  return s.size() >= suffix.size() &&
-         s.substr(s.size() - suffix.size()) == suffix;
-}
 
 const char* TypeName(JsonValue::Type type) {
   switch (type) {
@@ -170,8 +167,7 @@ bool IsTimingField(std::string_view key) {
 }
 
 bool IsWallClockField(std::string_view key) {
-  return key == "wall" || EndsWith(key, "wall_seconds") ||
-         EndsWith(key, "busy_seconds");
+  return key == "wall" || EndsWith(key, "wall_seconds");
 }
 
 StatusOr<BenchDiffResult> DiffBenchDocs(const JsonValue& baseline,

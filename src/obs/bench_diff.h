@@ -20,9 +20,9 @@ namespace mmdb {
 // Comparison rules:
 //   * The top-level "run" member (jobs + wall_seconds) is ignored on both
 //     sides, as is any member IsWallClockField names (nested "wall"
-//     objects and *wall_seconds / *busy_seconds leaves) — the sidecar's
-//     sanctioned nondeterminism (MetricsSidecar::DeterministicView strips
-//     the same members).
+//     objects and *wall_seconds leaves) — the sidecar's sanctioned
+//     nondeterminism (MetricsSidecar::DeterministicView strips the same
+//     members).
 //   * Leaves whose key names a virtual-clock timing or model quantity
 //     (see IsTimingField) compare within max(abs_tol, rel_tol * max(|a|,
 //     |b|)) — headroom for cross-toolchain floating-point drift.
@@ -57,9 +57,9 @@ struct BenchDiffResult {
 // block (predicted/measured/...residual).
 bool IsTimingField(std::string_view key);
 
-// True when `key` names REAL wall-clock state — a nested "wall" object or
-// a leaf ending in "wall_seconds"/"busy_seconds" (parallel recovery's
-// phase breakdown). Unlike timing fields these are machine-dependent, so
+// True when `key` names REAL wall-clock state — a nested "wall" object
+// (recovery's host phase timers) or a leaf ending in "wall_seconds".
+// Unlike timing fields these are machine-dependent, so
 // the differ skips them entirely rather than applying a tolerance, and
 // MetricsSidecar::DeterministicView strips them recursively.
 bool IsWallClockField(std::string_view key);

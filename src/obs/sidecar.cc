@@ -133,8 +133,8 @@ void MetricsSidecar::Write() const {
 namespace {
 
 // Re-emits `value` minus every wall-clock member (IsWallClockField), at
-// any depth — engine dumps now carry a machine-dependent "recovery.wall"
-// block that must not participate in cross-width byte comparisons.
+// any depth — engine dumps carry a machine-dependent "recovery.wall"
+// block that must not participate in byte comparisons across runs.
 void DumpDeterministic(const JsonValue& value, JsonWriter* w) {
   switch (value.type()) {
     case JsonValue::Type::kObject:

@@ -7,6 +7,7 @@
 // owning libraries.
 #include "checkpoint/checkpointer.h"
 #include "env/fault_injection_env.h"
+#include "util/string_util.h"
 #include "wal/log_record.h"
 
 namespace mmdb {
@@ -39,8 +40,6 @@ std::string_view TraceEventTypeName(TraceEventType type) {
       return "recovery.phase";
     case TraceEventType::kRecoveryEnd:
       return "recovery.end";
-    case TraceEventType::kRecoveryFanout:
-      return "recovery.fanout";
     case TraceEventType::kRecoverySegmentOnDemand:
       return "recovery.segment_on_demand";
   }
@@ -130,11 +129,6 @@ constexpr TraceEventFields kTraceEventFields[kNumTraceEventTypes] = {
      {"checkpoint", TraceFieldCoding::kInt},
      {nullptr, TraceFieldCoding::kNone},
      {nullptr, TraceFieldCoding::kNone}},
-    // kRecoveryFanout: a=worker threads, b=segments, c=replay buckets
-    {nullptr, false,
-     {"threads", TraceFieldCoding::kInt},
-     {"segments", TraceFieldCoding::kInt},
-     {"buckets", TraceFieldCoding::kInt}},
     // kRecoverySegmentOnDemand: t2=availability, a=segment, b=trigger,
     // c=first-materialization ordinal
     {"available_at", true,
@@ -156,16 +150,13 @@ Tracer::Tracer(size_t capacity)
   ring_.reserve(std::min<size_t>(capacity_, 1024));
 }
 
-size_t Tracer::ResolveCapacity(size_t configured) {
+size_t Tracer::ResolveCapacity() {
   const char* env = std::getenv("MMDB_TRACE_CAPACITY");
-  if (env != nullptr && *env != '\0') {
-    char* end = nullptr;
-    long parsed = std::strtol(env, &end, 10);
-    if (end != nullptr && *end == '\0' && parsed > 0) {
-      return static_cast<size_t>(parsed);
-    }
+  uint64_t parsed = 0;
+  if (env != nullptr && ParseNumber(env, &parsed) && parsed > 0) {
+    return static_cast<size_t>(parsed);
   }
-  return configured;
+  return kDefaultCapacity;
 }
 
 void Tracer::Record(const TraceEvent& event) {

@@ -29,7 +29,6 @@ enum class TraceEventType : uint8_t {
   kRecoveryBegin,           // a=1 if restart (OpenExisting), else 0
   kRecoveryPhase,           // t2=seconds, a=phase, b/c=phase counts
   kRecoveryEnd,             // t2=total seconds, a=checkpoint id restored
-  kRecoveryFanout,          // a=threads, b=segments, c=replay buckets
   // Instant recovery (DESIGN.md §19): one event per on-demand segment
   // materialization. time=modeled submission of the backup read,
   // t2=availability (absolute), a=segment, b=trigger (0 touch,
@@ -104,13 +103,12 @@ class Tracer {
 
   explicit Tracer(size_t capacity = kDefaultCapacity);
 
-  // The capacity an engine should actually use: the MMDB_TRACE_CAPACITY
-  // environment variable (a positive event count) when set and parseable,
-  // otherwise `configured` (EngineOptions::trace_capacity, default
-  // kDefaultCapacity = 8192 events). The override exists so tools like
-  // check.sh's bench-smoke gate can shrink every engine's ring without
+  // The capacity an engine's ring uses: the MMDB_TRACE_CAPACITY
+  // environment variable when it is a whole number >= 1, otherwise
+  // kDefaultCapacity (8192 events, ~300 KiB of ring). The override lets
+  // check.sh's bench-smoke gate shrink every engine's ring without
   // touching bench code.
-  static size_t ResolveCapacity(size_t configured);
+  static size_t ResolveCapacity();
 
   void Record(const TraceEvent& event);
   // Convenience for call sites building events inline.

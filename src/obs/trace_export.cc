@@ -300,10 +300,6 @@ Status AppendChromeTraceEvents(const JsonValue& trace_doc, int pid,
         }
         break;
       }
-      case TraceEventType::kRecoveryFanout:
-        AppendEvent(kind, cat, "i", ts, -1, pid, kTrackRecovery, true, event,
-                    writer);
-        break;
       case TraceEventType::kRecoverySegmentOnDemand: {
         // One span per on-demand materialization: modeled backup-read
         // submission to availability. Touch-triggered loads additionally

@@ -1,7 +1,7 @@
 #ifndef MMDB_PARALLEL_PARALLEL_H_
 #define MMDB_PARALLEL_PARALLEL_H_
 
-#include <atomic>
+#include <algorithm>
 #include <condition_variable>
 #include <cstddef>
 #include <exception>
@@ -72,8 +72,8 @@ inline Status CurrentExceptionToStatus() {
 // StatusOr in its slot.
 //
 // The pool is reused, not consumed: the call leaves it running, so a
-// long-lived owner (SweepRunner, the recovery pipeline) amortizes thread
-// start-up across many rounds.
+// long-lived owner (SweepRunner) amortizes thread start-up across many
+// rounds.
 template <typename T>
 std::vector<StatusOr<T>> RunSweep(
     ThreadPool* pool, const std::vector<std::function<StatusOr<T>()>>& tasks) {
@@ -123,71 +123,6 @@ std::vector<StatusOr<T>> RunSweep(
   if (jobs <= 1 || tasks.size() <= 1) return RunSweep<T>(nullptr, tasks);
   ThreadPool pool(std::min(jobs, tasks.size()));
   return RunSweep<T>(&pool, tasks);
-}
-
-// Status-only fan-out: body(i) for i in [0, n). Returns the first non-OK
-// Status in index order (all iterations still run to completion).
-inline Status ParallelFor(std::size_t jobs, std::size_t n,
-                          const std::function<Status(std::size_t)>& body) {
-  std::vector<std::function<StatusOr<bool>()>> tasks;
-  tasks.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    tasks.push_back([&body, i]() -> StatusOr<bool> {
-      MMDB_RETURN_IF_ERROR(body(i));
-      return true;
-    });
-  }
-  std::vector<StatusOr<bool>> results = RunSweep<bool>(jobs, tasks);
-  for (const StatusOr<bool>& r : results) {
-    if (!r.ok()) return r.status();
-  }
-  return Status::OK();
-}
-
-// Chunked range fan-out: partitions [0, n) into contiguous chunks of (at
-// most) `chunk` indices and runs body(begin, end) per chunk across `pool`
-// (null = serially inline, over the SAME chunk decomposition, so a serial
-// run is bit-identical to a parallel one for any chunk-deterministic
-// body). One enqueue per chunk, not per index — the difference between
-// submitting 128 segment loads and submitting 8 batches of 16. Returns the
-// first non-OK Status in CHUNK ORDER (every chunk still runs).
-inline Status ParallelFor(ThreadPool* pool, std::size_t n, std::size_t chunk,
-                          const std::function<Status(std::size_t, std::size_t)>&
-                              body) {
-  if (n == 0) return Status::OK();
-  chunk = std::max<std::size_t>(1, chunk);
-  const std::size_t num_chunks = (n + chunk - 1) / chunk;
-
-  std::vector<Status> statuses(num_chunks);
-  auto run_chunk = [&](std::size_t c) {
-    std::size_t begin = c * chunk;
-    std::size_t end = std::min(n, begin + chunk);
-    try {
-      statuses[c] = body(begin, end);
-    } catch (...) {
-      statuses[c] = parallel_internal::CurrentExceptionToStatus();
-    }
-  };
-
-  if (pool == nullptr || num_chunks <= 1) {
-    for (std::size_t c = 0; c < num_chunks; ++c) run_chunk(c);
-  } else {
-    parallel_internal::SweepLatch latch(num_chunks);
-    for (std::size_t c = 0; c < num_chunks; ++c) {
-      if (!pool->Submit([&run_chunk, &latch, c] {
-            run_chunk(c);
-            latch.Done();
-          })) {
-        run_chunk(c);
-        latch.Done();
-      }
-    }
-    latch.Wait();
-  }
-  for (const Status& s : statuses) {
-    if (!s.ok()) return s;
-  }
-  return Status::OK();
 }
 
 }  // namespace mmdb

@@ -5,20 +5,13 @@
 
 namespace mmdb {
 
-namespace {
-// -1 off-pool; workers set their index for the thread's lifetime.
-thread_local int tls_worker_index = -1;
-}  // namespace
-
 ThreadPool::ThreadPool(std::size_t num_threads) {
   num_threads = std::max<std::size_t>(1, num_threads);
   workers_.reserve(num_threads);
   for (std::size_t i = 0; i < num_threads; ++i) {
-    workers_.emplace_back([this, i] { WorkerLoop(i); });
+    workers_.emplace_back([this] { WorkerLoop(); });
   }
 }
-
-int ThreadPool::CurrentWorkerIndex() { return tls_worker_index; }
 
 ThreadPool::~ThreadPool() { Shutdown(); }
 
@@ -45,13 +38,7 @@ void ThreadPool::Shutdown() {
   workers_.clear();
 }
 
-std::size_t ThreadPool::QueueDepth() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return queue_.size();
-}
-
-void ThreadPool::WorkerLoop(std::size_t worker_index) {
-  tls_worker_index = static_cast<int>(worker_index);
+void ThreadPool::WorkerLoop() {
   for (;;) {
     std::function<void()> task;
     {

@@ -27,10 +27,9 @@ namespace mmdb {
 // their own synchronization — the engines driven by the sweep runner are
 // single-threaded and each worker owns its engine outright (DESIGN.md §12).
 //
-// Pools are reusable: a pool outlives any number of RunSweep/ParallelFor
-// rounds (parallel.h's pool-taking overloads), so long-lived owners — the
-// bench SweepRunner, the engine's recovery pipeline — pay thread start-up
-// once instead of per call.
+// Pools are reusable: a pool outlives any number of RunSweep rounds
+// (parallel.h's pool-taking overload), so a long-lived owner — the bench
+// SweepRunner — pays thread start-up once instead of per call.
 class ThreadPool {
  public:
   // Spawns exactly `num_threads` workers (at least 1).
@@ -53,19 +52,10 @@ class ThreadPool {
 
   std::size_t num_threads() const { return workers_.size(); }
 
-  // Tasks currently queued (not yet picked up). Mostly for tests.
-  std::size_t QueueDepth() const;
-
-  // Index of the calling thread within its owning pool ([0, num_threads)),
-  // or -1 when called off-pool (the coordinating thread, the serial path).
-  // Lets per-phase instrumentation (recovery's per-thread busy accounting)
-  // attribute work without threading ids through every closure.
-  static int CurrentWorkerIndex();
-
  private:
-  void WorkerLoop(std::size_t worker_index);
+  void WorkerLoop();
 
-  mutable std::mutex mu_;
+  std::mutex mu_;
   std::condition_variable work_available_;
   std::deque<std::function<void()>> queue_;
   bool shutting_down_ = false;

@@ -1,11 +1,10 @@
 #include "recovery/instant.h"
 
 #include <algorithm>
+#include <chrono>
 #include <limits>
-#include <numeric>
 #include <string>
 
-#include "parallel/parallel.h"
 #include "util/coding.h"
 #include "util/string_util.h"
 #include "wal/log_record.h"
@@ -33,9 +32,10 @@ bool Survivable(const Status& st) {
   return st.IsCorruption() || st.IsIoError();
 }
 
-double SecondsSince(BusyMeter::Clock::time_point start) {
-  return std::chrono::duration<double>(BusyMeter::Clock::now() - start)
-      .count();
+using Clock = std::chrono::steady_clock;
+
+double SecondsSince(Clock::time_point start) {
+  return std::chrono::duration<double>(Clock::now() - start).count();
 }
 
 }  // namespace
@@ -43,8 +43,7 @@ double SecondsSince(BusyMeter::Clock::time_point start) {
 InstantRecovery::InstantRecovery(RecoveryPlan plan, const SystemParams& params,
                                  BackupStore* backup, Database* db,
                                  CpuMeter* meter, MetricsRegistry* metrics,
-                                 Tracer* tracer, AuditJournal* audit,
-                                 ThreadPool* pool)
+                                 Tracer* tracer, AuditJournal* audit)
     : plan_(std::move(plan)),
       params_(params),
       backup_(backup),
@@ -53,7 +52,6 @@ InstantRecovery::InstantRecovery(RecoveryPlan plan, const SystemParams& params,
       metrics_(metrics),
       tracer_(tracer),
       audit_(audit),
-      pool_(pool),
       num_segments_(db->num_segments()),
       disks_(params.disk) {
   availability_.assign(num_segments_, -1.0);
@@ -66,60 +64,38 @@ InstantRecovery::InstantRecovery(RecoveryPlan plan, const SystemParams& params,
 
 Status InstantRecovery::LoadAll() {
   RecoveryStats& stats = plan_.result.stats;
-  BusyMeter busy(stats.threads_used);
-  // Runs `fn` on every segment of `ids` across the pool, in chunks, with
-  // per-segment outcomes in `out` (a worker never stops at a failure, so
-  // the outcome does not depend on scheduling).
-  auto for_each = [&](const std::vector<SegmentId>& ids, auto&& fn,
-                      std::vector<Status>* out) -> Status {
-    out->assign(ids.size(), Status::OK());
-    return ParallelFor(
-        pool_, ids.size(), RecoveryChunk(ids.size(), stats.threads_used),
-        [&](std::size_t begin, std::size_t end) -> Status {
-          const BusyMeter::Clock::time_point start = BusyMeter::Clock::now();
-          for (std::size_t i = begin; i < end; ++i) (*out)[i] = fn(ids[i]);
-          busy.Charge(start);
-          return Status::OK();
-        });
-  };
-  auto read = [this](SegmentId s) { return ReadSegment(s); };
-  std::vector<SegmentId> all(num_segments_);
-  std::iota(all.begin(), all.end(), SegmentId{0});
-  std::vector<Status> status;
-
-  // Every segment's read + CRC check, collecting failures rather than
-  // stopping at one: the fallback needs the complete failed set.
-  const BusyMeter::Clock::time_point read_start = BusyMeter::Clock::now();
+  const Clock::time_point read_start = Clock::now();
   if (plan_.have_checkpoint) {
-    MMDB_RETURN_IF_ERROR(for_each(all, read, &status));
+    // Every segment's read + CRC check, collecting failures rather than
+    // stopping at one: the fallback needs the complete failed set.
     std::vector<SegmentId> failed;
-    for (SegmentId s : all) {
-      if (status[s].ok()) continue;
-      if (!Survivable(status[s])) return status[s];
+    Status trigger;
+    for (SegmentId s = 0; s < num_segments_; ++s) {
+      Status st = ReadSegment(s);
+      if (st.ok()) continue;
+      if (!Survivable(st)) return st;
+      if (failed.empty()) trigger = st;
       failed.push_back(s);
     }
     if (!failed.empty()) {
-      const Status trigger = status[failed.front()];
       MMDB_RETURN_IF_ERROR(FallBack(std::move(failed), trigger,
                                     /*failed_set_complete=*/true,
                                     plan_.crash_time));
-      std::vector<SegmentId> retry;
-      for (SegmentId s : all) {
-        if (plan_.result.lineage[s].retried) retry.push_back(s);
+      for (SegmentId s = 0; s < num_segments_; ++s) {
+        // A failure here means neither copy is readable: fatal.
+        if (plan_.result.lineage[s].retried) {
+          MMDB_RETURN_IF_ERROR(ReadSegment(s));
+        }
       }
-      // A failure here means neither copy is readable: fatal.
-      MMDB_RETURN_IF_ERROR(for_each(retry, read, &status));
-      for (const Status& st : status) MMDB_RETURN_IF_ERROR(st);
     }
   }
   stats.backup_read_wall_seconds = SecondsSince(read_start);
 
-  const BusyMeter::Clock::time_point replay_start = BusyMeter::Clock::now();
-  MMDB_RETURN_IF_ERROR(
-      for_each(all, [this](SegmentId s) { return ApplyRedo(s); }, &status));
-  for (const Status& st : status) MMDB_RETURN_IF_ERROR(st);
+  const Clock::time_point replay_start = Clock::now();
+  for (SegmentId s = 0; s < num_segments_; ++s) {
+    MMDB_RETURN_IF_ERROR(ApplyRedo(s));
+  }
   stats.replay_wall_seconds = SecondsSince(replay_start);
-  busy.AddTo(&stats.thread_busy_seconds);
   loaded_.assign(num_segments_, true);
   loaded_count_ = num_segments_;
   // Nothing reads the log snapshot or the buckets again: free them before
@@ -323,8 +299,8 @@ Status InstantRecovery::FallBack(std::vector<SegmentId> failed,
   MMDB_ASSIGN_OR_RETURN(std::size_t prev_start,
                         reader.FrameIndexAt(prev_offset));
   std::vector<SegmentLineage> lineage = result.lineage;
-  MMDB_ASSIGN_OR_RETURN(RedoScan redo, ScanRedo(reader, prev_start, params_.db,
-                                                pool_, nullptr, &lineage));
+  MMDB_ASSIGN_OR_RETURN(RedoScan redo,
+                        ScanRedo(reader, prev_start, params_.db, &lineage));
 
   // Retry protocol (DESIGN.md §14): with full-image (UPDATE) replay only,
   // re-reading JUST the failed segments is sound — commit-time logging

@@ -11,7 +11,6 @@
 #include "obs/audit.h"
 #include "obs/metrics_registry.h"
 #include "obs/trace.h"
-#include "parallel/thread_pool.h"
 #include "recovery/recovery_manager.h"
 #include "sim/cost_model.h"
 #include "sim/cpu_meter.h"
@@ -28,13 +27,14 @@ namespace mmdb {
 // fallback on CRC/IO damage; it consumes no virtual time (the plan
 // already charged the replay CPU and computed the phase durations in
 // closed form), and buckets are per-segment log-order frame lists, so one
-// segment's load never depends on another's.
+// segment's load never depends on another's. Every load runs on the
+// calling thread.
 //
 // Two schedules drive it:
 //
-//   - EAGER (blocking restart): LoadAll reads every segment across the
-//     pool, runs the fallback once with the complete failed set, and
-//     replays every bucket in parallel.
+//   - EAGER (blocking restart): LoadAll reads every segment, runs the
+//     fallback once with the complete failed set, and replays every
+//     bucket.
 //
 //   - ON DEMAND (instant restart): pure virtual-clock arithmetic on the
 //     same disk array a blocking restart would have used. StartClock
@@ -62,15 +62,15 @@ class InstantRecovery {
   };
 
   // All pointers are borrowed and must outlive this object. `metrics`,
-  // `tracer`, `audit` and `pool` may be null (null pool = serial).
+  // `tracer` and `audit` may be null.
   InstantRecovery(RecoveryPlan plan, const SystemParams& params,
                   BackupStore* backup, Database* db, CpuMeter* meter,
                   MetricsRegistry* metrics, Tracer* tracer,
-                  AuditJournal* audit, ThreadPool* pool);
+                  AuditJournal* audit);
 
-  // The eager schedule: loads every segment now, fanning the backup reads
-  // and the bucket replays out across the pool. Journals no per-segment
-  // events. Errors are fatal to the restart.
+  // The eager schedule: loads every segment now, reading each backup
+  // segment in id order and then replaying each bucket. Journals no
+  // per-segment events. Errors are fatal to the restart.
   Status LoadAll();
 
   // Starts the on-demand schedule at virtual time `now` (the clock
@@ -116,7 +116,6 @@ class InstantRecovery {
   // Moves the finished restart's result out, once every segment loaded.
   RecoveryResult TakeResult() { return std::move(plan_.result); }
   const RecoveryStats& stats() const { return plan_.result.stats; }
-  uint64_t replay_buckets() const { return plan_.redo.replay_buckets; }
 
   // On-demand load counters for the engine's availability accounting.
   uint64_t touch_loads() const { return touch_loads_; }
@@ -169,7 +168,6 @@ class InstantRecovery {
   MetricsRegistry* metrics_;
   Tracer* tracer_;
   AuditJournal* audit_;
-  ThreadPool* pool_;
 
   SegmentId num_segments_ = 0;
   bool clock_started_ = false;

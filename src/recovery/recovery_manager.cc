@@ -1,41 +1,16 @@
 #include "recovery/recovery_manager.h"
 
 #include <algorithm>
-#include <cstdlib>
-#include <thread>
+#include <chrono>
 #include <unordered_set>
 #include <utility>
 
-#include "parallel/parallel.h"
 #include "sim/disk_model.h"
 #include "util/string_util.h"
 #include "wal/log_reader.h"
 #include "wal/log_record.h"
 
 namespace mmdb {
-
-std::size_t RecoveryChunk(std::size_t n, uint32_t threads) {
-  std::size_t target = static_cast<std::size_t>(threads) * 4;
-  return std::max<std::size_t>(1, (n + target - 1) / target);
-}
-
-void BusyMeter::Charge(Clock::time_point start) {
-  int w = ThreadPool::CurrentWorkerIndex();
-  std::size_t slot = w < 0 ? 0 : static_cast<std::size_t>(w);
-  if (slot >= ns_.size()) slot = 0;
-  auto d = std::chrono::duration_cast<std::chrono::nanoseconds>(
-      Clock::now() - start);
-  ns_[slot].fetch_add(static_cast<uint64_t>(d.count()),
-                      std::memory_order_relaxed);
-}
-
-void BusyMeter::AddTo(std::vector<double>* out) const {
-  out->resize(ns_.size(), 0.0);
-  for (std::size_t i = 0; i < ns_.size(); ++i) {
-    (*out)[i] +=
-        static_cast<double>(ns_[i].load(std::memory_order_relaxed)) * 1e-9;
-  }
-}
 
 double ReplayInstructions(const SystemParams& params, uint64_t full_applies,
                           uint64_t delta_applies) {
@@ -77,18 +52,14 @@ void ModelRecoveryTimes(const SystemParams& params, double now,
 }
 
 StatusOr<RedoScan> ScanRedo(const LogReader& reader, std::size_t start,
-                            const DatabaseParams& db, ThreadPool* pool,
-                            BusyMeter* busy,
+                            const DatabaseParams& db,
                             std::vector<SegmentLineage>* lineage) {
-  const uint32_t threads =
-      pool != nullptr ? static_cast<uint32_t>(pool->num_threads()) : 1;
-  const std::size_t frames = reader.num_frames() - start;
   const uint64_t num_records = db.num_records();
   const uint64_t record_bytes = db.record_bytes();
 
-  // Pass over the frames: disjoint chunks decode concurrently (the reader
-  // is immutable). A data frame whose operand lies outside the database
-  // is flagged here and rejected below only if its transaction committed.
+  // Pass over the frames: the tallies, the committed set and the data
+  // frames. A data frame whose operand lies outside the database is
+  // flagged here and rejected below only if its transaction committed.
   struct DataFrame {
     std::size_t frame;
     RecordId record_id;
@@ -97,89 +68,53 @@ StatusOr<RedoScan> ScanRedo(const LogReader& reader, std::size_t start,
     bool delta;
     bool malformed;
   };
-  struct Chunk {
-    uint64_t records = 0;
-    Lsn max_lsn = kInvalidLsn;
-    std::vector<TxnId> commits;
-    std::vector<DataFrame> data;
-  };
-  const std::size_t chunk = RecoveryChunk(frames, threads);
-  std::vector<Chunk> chunks(frames == 0 ? 0 : (frames + chunk - 1) / chunk);
-  MMDB_RETURN_IF_ERROR(ParallelFor(
-      pool, frames, chunk, [&](std::size_t begin, std::size_t end) -> Status {
-        const BusyMeter::Clock::time_point t0 = BusyMeter::Clock::now();
-        Chunk& out = chunks[begin / chunk];
-        for (std::size_t i = begin; i < end; ++i) {
-          const std::size_t frame = start + i;
-          LogRecordHeader h;
-          MMDB_RETURN_IF_ERROR(reader.HeaderAt(frame, &h));
-          ++out.records;
-          if (out.max_lsn == kInvalidLsn || h.lsn > out.max_lsn) {
-            out.max_lsn = h.lsn;
-          }
-          if (h.type == LogRecordType::kCommit) {
-            out.commits.push_back(h.txn_id);
-          } else if (h.type == LogRecordType::kUpdate ||
-                     h.type == LogRecordType::kDelta) {
-            const bool delta = h.type == LogRecordType::kDelta;
-            const bool malformed =
-                h.record_id >= num_records ||
-                (delta ? h.field_offset + uint64_t{8} > record_bytes
-                       : h.image_size != record_bytes);
-            out.data.push_back(
-                DataFrame{frame, h.record_id, h.txn_id, h.lsn, delta,
-                          malformed});
-          }
-        }
-        if (busy != nullptr) busy->Charge(t0);
-        return Status::OK();
-      }));
-
-  // Serial merge in chunk order, so every bucket lists its frames in
-  // global log order — the invariant partitioned replay relies on.
   RedoScan out;
   std::unordered_set<TxnId> committed;
-  for (const Chunk& c : chunks) {
-    out.records += c.records;
-    if (c.max_lsn != kInvalidLsn &&
-        (out.max_lsn == kInvalidLsn || c.max_lsn > out.max_lsn)) {
-      out.max_lsn = c.max_lsn;
+  std::vector<DataFrame> data;
+  for (std::size_t frame = start; frame < reader.num_frames(); ++frame) {
+    LogRecordHeader h;
+    MMDB_RETURN_IF_ERROR(reader.HeaderAt(frame, &h));
+    ++out.records;
+    if (out.max_lsn == kInvalidLsn || h.lsn > out.max_lsn) out.max_lsn = h.lsn;
+    if (h.type == LogRecordType::kCommit) {
+      committed.insert(h.txn_id);
+    } else if (h.type == LogRecordType::kUpdate ||
+               h.type == LogRecordType::kDelta) {
+      const bool delta = h.type == LogRecordType::kDelta;
+      const bool malformed =
+          h.record_id >= num_records ||
+          (delta ? h.field_offset + uint64_t{8} > record_bytes
+                 : h.image_size != record_bytes);
+      data.push_back(
+          DataFrame{frame, h.record_id, h.txn_id, h.lsn, delta, malformed});
     }
-    committed.insert(c.commits.begin(), c.commits.end());
   }
   out.txns = committed.size();
-  const SegmentId num_segments = db.num_segments();
+
+  // Bucket the committed data frames by segment, in log order — the order
+  // each segment's replay relies on.
   const uint64_t records_per_segment = db.records_per_segment();
-  out.buckets.assign(num_segments, {});
+  out.buckets.assign(db.num_segments(), {});
   for (SegmentLineage& l : *lineage) {
     l.frames = 0;
     l.first_lsn = kInvalidLsn;
     l.last_lsn = kInvalidLsn;
   }
-  std::vector<bool> seen(num_segments + 1, false);
-  for (const Chunk& c : chunks) {
-    for (const DataFrame& d : c.data) {
-      const SegmentId s = std::min<uint64_t>(d.record_id / records_per_segment,
-                                             num_segments);
-      if (!seen[s]) {
-        seen[s] = true;
-        ++out.replay_buckets;
-      }
-      out.has_delta = out.has_delta || d.delta;
-      if (committed.count(d.txn_id) == 0) continue;
-      if (d.malformed) {
-        return CorruptionError(StringPrintf(
-            "%s record for txn %llu is malformed", d.delta ? "delta" : "update",
-            static_cast<unsigned long long>(d.txn_id)));
-      }
-      // In range, so `s` is a real segment.
-      out.buckets[s].push_back(d.frame);
-      ++(d.delta ? out.delta_applies : out.full_applies);
-      SegmentLineage& l = (*lineage)[s];
-      ++l.frames;
-      if (l.first_lsn == kInvalidLsn) l.first_lsn = d.lsn;
-      l.last_lsn = d.lsn;
+  for (const DataFrame& d : data) {
+    out.has_delta = out.has_delta || d.delta;
+    if (committed.count(d.txn_id) == 0) continue;
+    if (d.malformed) {
+      return CorruptionError(StringPrintf(
+          "%s record for txn %llu is malformed", d.delta ? "delta" : "update",
+          static_cast<unsigned long long>(d.txn_id)));
     }
+    const SegmentId s = d.record_id / records_per_segment;
+    out.buckets[s].push_back(d.frame);
+    ++(d.delta ? out.delta_applies : out.full_applies);
+    SegmentLineage& l = (*lineage)[s];
+    ++l.frames;
+    if (l.first_lsn == kInvalidLsn) l.first_lsn = d.lsn;
+    l.last_lsn = d.lsn;
   }
   return out;
 }
@@ -215,26 +150,11 @@ Status RefuseStreamSiblings(Env* env, const std::string& log_path) {
 }  // namespace
 
 RecoveryManager::RecoveryManager(Env* env, const SystemParams& params,
-                                 CpuMeter* meter, ThreadPool* pool)
-    : env_(env), params_(params), meter_(meter), pool_(pool) {}
-
-uint32_t RecoveryManager::ResolveThreads(uint32_t configured) {
-  const char* env = std::getenv("MMDB_RECOVERY_THREADS");
-  if (env != nullptr && *env != '\0') {
-    char* end = nullptr;
-    long parsed = std::strtol(env, &end, 10);
-    if (end != nullptr && *end == '\0' && parsed > 0) {
-      return static_cast<uint32_t>(parsed);
-    }
-  }
-  if (configured != 0) return configured;
-  unsigned hw = std::thread::hardware_concurrency();
-  return hw == 0 ? 1 : static_cast<uint32_t>(hw);
-}
+                                 CpuMeter* meter)
+    : env_(env), params_(params), meter_(meter) {}
 
 void RecoveryManager::Publish(MetricsRegistry* metrics, Tracer* tracer,
-                              const RecoveryStats& stats, double now,
-                              uint64_t replay_buckets) {
+                              const RecoveryStats& stats, double now) {
   if (metrics != nullptr) {
     metrics->counter("recovery.runs")->Increment();
     metrics->counter("recovery.segments_loaded")
@@ -272,10 +192,6 @@ void RecoveryManager::Publish(MetricsRegistry* metrics, Tracer* tracer,
                    static_cast<int64_t>(RecoveryPhase::kReplay),
                    static_cast<int64_t>(stats.updates_applied),
                    static_cast<int64_t>(stats.txns_redone));
-    tracer->Record(TraceEventType::kRecoveryFanout, now, 0.0,
-                   static_cast<int64_t>(stats.threads_used),
-                   static_cast<int64_t>(stats.segments_loaded),
-                   static_cast<int64_t>(replay_buckets));
     tracer->Record(TraceEventType::kRecoveryEnd, now, stats.total_seconds,
                    static_cast<int64_t>(stats.checkpoint_id));
   }
@@ -429,10 +345,6 @@ StatusOr<RecoveryPlan> RecoveryManager::Plan(BackupStore* backup,
   plan.crash_time = now;
   RecoveryResult& result = plan.result;
   RecoveryStats& stats = result.stats;
-  const uint32_t threads =
-      pool_ != nullptr ? static_cast<uint32_t>(pool_->num_threads()) : 1;
-  stats.threads_used = threads;
-  BusyMeter busy(threads);
 
   MMDB_RETURN_IF_ERROR(RefuseStreamSiblings(env_, log_path));
   MMDB_RETURN_IF_ERROR(ChooseRestore(backup, log_path, db, now, &plan));
@@ -440,14 +352,14 @@ StatusOr<RecoveryPlan> RecoveryManager::Plan(BackupStore* backup,
 
   // Classification scan of the replay suffix: the committed set, the max
   // LSN, the per-segment buckets, and the lineage and apply tallies.
-  const BusyMeter::Clock::time_point scan_start = BusyMeter::Clock::now();
+  const auto scan_start = std::chrono::steady_clock::now();
   std::size_t start_frame = 0;
   if (reader.num_frames() > 0) {
     MMDB_ASSIGN_OR_RETURN(start_frame,
                           reader.FrameIndexAt(plan.replay_from_offset));
   }
   MMDB_ASSIGN_OR_RETURN(plan.redo, ScanRedo(reader, start_frame, params_.db,
-                                            pool_, &busy, &result.lineage));
+                                            &result.lineage));
   // LSNs are monotone in file order, but records before the marker can
   // carry higher ids after a previous recovery reopened the log. Take the
   // global max.
@@ -459,9 +371,9 @@ StatusOr<RecoveryPlan> RecoveryManager::Plan(BackupStore* backup,
       }));
   result.last_lsn = last_lsn;
   stats.log_scan_wall_seconds =
-      std::chrono::duration<double>(BusyMeter::Clock::now() - scan_start)
+      std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                    scan_start)
           .count();
-  busy.AddTo(&stats.thread_busy_seconds);
 
   // Modeled stats, closed-form: one backup read per segment, the suffix
   // from the marker, and the replay tallies. The recovery CPU is charged

@@ -1,8 +1,6 @@
 #ifndef MMDB_RECOVERY_RECOVERY_MANAGER_H_
 #define MMDB_RECOVERY_RECOVERY_MANAGER_H_
 
-#include <atomic>
-#include <chrono>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -12,7 +10,6 @@
 #include "obs/audit.h"
 #include "obs/metrics_registry.h"
 #include "obs/trace.h"
-#include "parallel/thread_pool.h"
 #include "sim/cost_model.h"
 #include "sim/cpu_meter.h"
 #include "storage/database.h"
@@ -31,13 +28,11 @@ namespace mmdb {
 //
 // Two clocks coexist here. The modeled fields (backup_read_seconds,
 // log_read_seconds, replay_cpu_seconds, total_seconds) are virtual-clock
-// quantities computed from the cost model and are BIT-IDENTICAL for any
-// recovery_threads setting — parallelizing the real work does not change
-// what the simulated 1989 hardware would have done. The wall fields
-// (`*_wall_seconds`, `thread_busy_seconds`) measure the real CPU doing
-// that work and are the quantity recovery_bench sweeps; they are
-// machine-dependent and excluded from every determinism comparison
-// (IsWallClockField in obs/bench_diff.h).
+// quantities computed from the cost model, bit-identical for either
+// schedule (blocking or drained instant). The `*_wall_seconds` fields
+// time the real work on the host; they are machine-dependent and
+// excluded from every determinism comparison (IsWallClockField in
+// obs/bench_diff.h).
 struct RecoveryStats {
   CheckpointId checkpoint_id = 0;  // checkpoint restored (0 = cold start)
   uint32_t copy = 0;
@@ -49,8 +44,7 @@ struct RecoveryStats {
 
   // Successful segment reads applied to the database, across BOTH load
   // attempts when recovery fell back (first-attempt survivors plus every
-  // segment re-read from the older copy) — a sum, so it is identical for
-  // any thread count.
+  // segment re-read from the older copy).
   uint64_t segments_loaded = 0;
   // Segments re-read from the older copy after the newest copy failed
   // (num_segments when delta records forced a full reload; the failed-set
@@ -67,13 +61,9 @@ struct RecoveryStats {
   bool fell_back_to_older_copy = false;
 
   // --- real wall clock (machine-dependent; see the struct comment) ------
-  uint32_t threads_used = 1;           // 1 = exact legacy serial path
   double backup_read_wall_seconds = 0.0;
   double log_scan_wall_seconds = 0.0;  // classification scan
-  double replay_wall_seconds = 0.0;    // partitioned REDO apply
-  // Per-thread busy time summed across the three phases: slot i is pool
-  // worker i (serial path: one slot, the calling thread).
-  std::vector<double> thread_busy_seconds;
+  double replay_wall_seconds = 0.0;    // per-segment REDO apply
 };
 
 // Outputs the engine needs to resume normal processing after recovery.
@@ -95,27 +85,6 @@ struct RecoveryResult {
   std::vector<SegmentLineage> lineage;
 };
 
-// Chunk size targeting ~4 chunks per worker. The chunk DECOMPOSITION never
-// affects results — every merge is by index or a commutative reduction —
-// so this is purely a scheduling knob.
-std::size_t RecoveryChunk(std::size_t n, uint32_t threads);
-
-// Per-thread busy-time sink for the wall-clock breakdown. Nanosecond
-// integer accumulators (not atomic<double>) so concurrent adds stay
-// lock-free and exact.
-class BusyMeter {
- public:
-  using Clock = std::chrono::steady_clock;
-  explicit BusyMeter(uint32_t threads) : ns_(threads) {}
-  // Charges the elapsed time since `start` to the calling thread's slot.
-  void Charge(Clock::time_point start);
-  // Adds each slot's seconds to `out` (resized to the slot count).
-  void AddTo(std::vector<double>* out) const;
-
- private:
-  std::vector<std::atomic<uint64_t>> ns_;
-};
-
 // The REDO work of one log suffix, as the classification scan finds it:
 // per segment, the frame indices of the committed UPDATE/DELTA records in
 // log order — exactly what the applier replays, already validated — plus
@@ -126,25 +95,18 @@ struct RedoScan {
   uint64_t txns = 0;          // committed transactions
   uint64_t full_applies = 0;
   uint64_t delta_applies = 0;
-  // Buckets (segments plus one overflow bucket for out-of-range record
-  // ids) holding any data frame, committed or not: the replay fan-out
-  // width the recovery.fanout trace event records.
-  uint64_t replay_buckets = 0;
   bool has_delta = false;  // any DELTA frame, committed or not
   std::vector<std::vector<std::size_t>> buckets;  // sized num_segments
 };
 
 // Classification scan of `reader`'s frames from `start` to the end of the
 // log: shallow-decodes each frame (LogRecordHeader — no after-image copy)
-// on `pool` in disjoint chunks, then merges in chunk order, so every
-// output is identical to a serial scan. `busy`, if set, gets each chunk's
-// wall time. Fails on the first undecodable frame, then on the first
+// in log order. Fails on the first undecodable frame, then on the first
 // committed record whose record id or operand lies outside the database
 // (log order). Rewrites the replay fields of every `lineage` entry
 // (frames, LSN span) from the committed frames.
 StatusOr<RedoScan> ScanRedo(const LogReader& reader, std::size_t start,
-                            const DatabaseParams& db, ThreadPool* pool,
-                            BusyMeter* busy,
+                            const DatabaseParams& db,
                             std::vector<SegmentLineage>* lineage);
 
 // Fills `stats`' modeled phase times in closed form from its counters
@@ -192,11 +154,7 @@ struct RecoveryPlan {
 // entire log.
 class RecoveryManager {
  public:
-  // `metrics` and `tracer` are optional sinks (either may be null). `pool`
-  // is an optional worker pool for the classification scan — null selects
-  // the serial path. The pool is borrowed, not owned.
-  RecoveryManager(Env* env, const SystemParams& params, CpuMeter* meter,
-                  ThreadPool* pool = nullptr);
+  RecoveryManager(Env* env, const SystemParams& params, CpuMeter* meter);
 
   // `backup` must be Open()ed; `log_path` is the REDO log file. Reads NO
   // segment bytes and applies NO update: the plan's modeled stats are
@@ -219,14 +177,7 @@ class RecoveryManager {
   // Registry counters/timers and trace events for a finished recovery,
   // anchored at the crash instant `now`.
   static void Publish(MetricsRegistry* metrics, Tracer* tracer,
-                      const RecoveryStats& stats, double now,
-                      uint64_t replay_buckets);
-
-  // The worker count recovery should use: the MMDB_RECOVERY_THREADS
-  // environment variable (a positive count) when set and parseable,
-  // otherwise `configured` (EngineOptions::recovery_threads), with 0
-  // meaning hardware concurrency. Always >= 1; 1 = serial path.
-  static uint32_t ResolveThreads(uint32_t configured);
+                      const RecoveryStats& stats, double now);
 
  private:
   // Phase 1: reads the log, reconciles metadata with the log's end
@@ -238,7 +189,6 @@ class RecoveryManager {
   Env* env_;
   SystemParams params_;
   CpuMeter* meter_;
-  ThreadPool* pool_;
   AuditJournal* audit_ = nullptr;
 };
 

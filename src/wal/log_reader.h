@@ -56,9 +56,8 @@ class LogReader {
   // Decodes the record whose frame starts at byte `offset`.
   StatusOr<LogRecord> RecordAt(uint64_t offset) const;
 
-  // Frame-granular access, the substrate of parallel recovery: workers
-  // scan or replay disjoint index ranges [begin, end) concurrently — the
-  // reader is immutable after construction, so const access is
+  // Frame-granular access for the recovery scan and per-segment replay.
+  // The reader is immutable after construction, so const access is
   // thread-safe.
   //
   // num_frames() aliases num_records(); frames are addressed by index in

@@ -1,8 +1,10 @@
 // Engine facade behaviour: transactions, durability timing, checkpoint
 // driving, and option validation.
 
+#include <filesystem>
 #include <memory>
 #include <string>
+#include <system_error>
 
 #include "gtest/gtest.h"
 #include "tests/test_util.h"
@@ -309,6 +311,39 @@ TEST_F(EngineTest, ReadRecordRawRejectsOutOfRangeId) {
   EXPECT_EQ(engine_->ReadRecordRaw(3), Image(3, 1));
   EXPECT_EQ(engine_->pending_recovery_segments(), pending - 1);
   MMDB_ASSERT_OK(engine_->DrainRecovery());
+}
+
+// Threads of this process, or -1 when /proc/self/task cannot be listed.
+int CountThreads() {
+  std::error_code ec;
+  int n = 0;
+  for (std::filesystem::directory_iterator it("/proc/self/task", ec), end;
+       !ec && it != end; it.increment(ec)) {
+    ++n;
+  }
+  return ec ? -1 : n;
+}
+
+// The engine is single-threaded, restarts included: a blocking restart and
+// an instant one drained to the end both run on the calling thread.
+TEST_F(EngineTest, RecoverStartsNoThread) {
+  const int before = CountThreads();
+  if (before < 1) GTEST_SKIP() << "/proc/self/task is unreadable";
+  for (bool instant : {false, true}) {
+    SCOPED_TRACE(instant ? "instant" : "blocking");
+    EngineOptions opt;
+    opt.instant_recovery = instant;
+    Open(opt);
+    MMDB_ASSERT_OK(engine_->Apply({{3, Image(3, 1)}}).status());
+    MMDB_ASSERT_OK(engine_->RunCheckpointToCompletion());
+    MMDB_ASSERT_OK(engine_->FlushLog());
+    MMDB_ASSERT_OK(engine_->AdvanceTime(1.0));
+    MMDB_ASSERT_OK(engine_->Crash());
+    MMDB_ASSERT_OK(engine_->Recover());
+    if (instant) MMDB_ASSERT_OK(engine_->DrainRecovery());
+    EXPECT_EQ(engine_->ReadRecordRaw(3), Image(3, 1));
+    EXPECT_EQ(CountThreads(), before);
+  }
 }
 
 }  // namespace

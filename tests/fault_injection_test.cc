@@ -532,6 +532,8 @@ TEST_F(RecoveryFallbackTest, FallsBackToOlderCopyOnReadError) {
   MMDB_ASSERT_OK(engine_->DrainRecovery());
   EXPECT_TRUE(engine_->last_recovery().fell_back_to_older_copy);
   EXPECT_EQ(engine_->last_recovery().checkpoint_id, 1u);
+  // One read failed, so exactly one segment is re-read from the older copy.
+  EXPECT_EQ(engine_->last_recovery().segments_retried, 1u);
   ASSERT_NO_FATAL_FAILURE(Audit(*engine_, oracle_, durable));
   // A device read error (as opposed to rotten bytes) takes the same
   // fallback path and must leave the same journal trail.

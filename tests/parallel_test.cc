@@ -1,12 +1,9 @@
-#include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <memory>
-#include <mutex>
+#include <functional>
 #include <stdexcept>
 #include <string>
 #include <thread>
-#include <utility>
 #include <vector>
 
 #include "gtest/gtest.h"
@@ -162,59 +159,10 @@ TEST(RunSweepTest, ManyMoreTasksThanWorkers) {
   }
 }
 
-TEST(ParallelForTest, ReturnsFirstErrorInIndexOrder) {
-  std::atomic<int> ran{0};
-  Status s = ParallelFor(4, 10, [&ran](std::size_t i) -> Status {
-    ran.fetch_add(1);
-    if (i == 3) return InternalError("i=3");
-    if (i == 7) return InternalError("i=7");
-    return Status::OK();
-  });
-  EXPECT_EQ(ran.load(), 10);  // all iterations still ran
-  ASSERT_FALSE(s.ok());
-  EXPECT_NE(s.ToString().find("i=3"), std::string::npos);
-}
-
-TEST(ParallelForTest, OkWhenEveryIterationSucceeds) {
-  std::atomic<uint64_t> sum{0};
-  Status s = ParallelFor(2, 100, [&sum](std::size_t i) -> Status {
-    sum.fetch_add(i);
-    return Status::OK();
-  });
-  EXPECT_TRUE(s.ok());
-  EXPECT_EQ(sum.load(), 4950u);
-}
-
-TEST(ThreadPoolTest, CurrentWorkerIndexIdentifiesWorkers) {
-  // Off-pool threads report -1; each worker reports a stable index in
-  // [0, num_threads). BusyMeter-style per-thread accounting relies on it.
-  EXPECT_EQ(ThreadPool::CurrentWorkerIndex(), -1);
-  ThreadPool pool(3);
-  std::vector<std::atomic<int>> seen(3);
-  for (auto& s : seen) s.store(0);
-  std::atomic<int> bad{0};
-  for (int i = 0; i < 64; ++i) {
-    ASSERT_TRUE(pool.Submit([&] {
-      int idx = ThreadPool::CurrentWorkerIndex();
-      if (idx < 0 || idx >= 3) {
-        bad.fetch_add(1);
-      } else {
-        seen[idx].fetch_add(1);
-      }
-    }));
-  }
-  pool.Shutdown();
-  EXPECT_EQ(bad.load(), 0);
-  int total = 0;
-  for (auto& s : seen) total += s.load();
-  EXPECT_EQ(total, 64);
-  EXPECT_EQ(ThreadPool::CurrentWorkerIndex(), -1);
-}
-
 TEST(RunSweepTest, PoolIsReusableAcrossSweeps) {
-  // One pool serving several RunSweep rounds (the engine reuses its
-  // recovery pool this way): each round must see every slot filled and
-  // results in submission order.
+  // One pool serving several RunSweep rounds (SweepRunner reuses its pool
+  // this way): each round must see every slot filled and results in
+  // submission order.
   ThreadPool pool(4);
   for (int round = 0; round < 3; ++round) {
     std::vector<std::function<StatusOr<int>()>> tasks;
@@ -232,97 +180,15 @@ TEST(RunSweepTest, PoolIsReusableAcrossSweeps) {
 }
 
 TEST(RunSweepTest, NullPoolRunsInline) {
-  std::vector<std::function<StatusOr<int>()>> tasks;
-  tasks.push_back([]() -> StatusOr<int> {
-    return ThreadPool::CurrentWorkerIndex();  // -1 when inline
+  std::vector<std::function<StatusOr<std::thread::id>()>> tasks;
+  tasks.push_back([]() -> StatusOr<std::thread::id> {
+    return std::this_thread::get_id();
   });
-  std::vector<StatusOr<int>> results = RunSweep<int>(nullptr, tasks);
+  std::vector<StatusOr<std::thread::id>> results =
+      RunSweep<std::thread::id>(nullptr, tasks);
   ASSERT_EQ(results.size(), 1u);
   ASSERT_TRUE(results[0].ok());
-  EXPECT_EQ(*results[0], -1);
-}
-
-TEST(ChunkedParallelForTest, CoversEveryIndexExactlyOnce) {
-  ThreadPool pool(4);
-  // Chunk sizes that do and don't divide n, plus degenerate 0 (clamped
-  // to 1) and oversize (one chunk).
-  for (std::size_t chunk : {std::size_t{0}, std::size_t{1}, std::size_t{7},
-                            std::size_t{25}, std::size_t{1000}}) {
-    std::vector<std::atomic<int>> hits(100);
-    for (auto& h : hits) h.store(0);
-    Status s = ParallelFor(&pool, 100, chunk,
-                           [&](std::size_t begin, std::size_t end) -> Status {
-                             for (std::size_t i = begin; i < end; ++i) {
-                               hits[i].fetch_add(1);
-                             }
-                             return Status::OK();
-                           });
-    ASSERT_TRUE(s.ok()) << "chunk=" << chunk;
-    for (std::size_t i = 0; i < hits.size(); ++i) {
-      EXPECT_EQ(hits[i].load(), 1) << "chunk=" << chunk << " i=" << i;
-    }
-  }
-}
-
-TEST(ChunkedParallelForTest, SerialAndParallelUseTheSameDecomposition) {
-  // The determinism contract: a null pool must walk the exact same
-  // [begin, end) chunks in the same order a pool would hand out.
-  auto collect = [](ThreadPool* pool) {
-    std::mutex mu;
-    std::vector<std::pair<std::size_t, std::size_t>> chunks;
-    Status s = ParallelFor(pool, 23, 5,
-                           [&](std::size_t begin, std::size_t end) -> Status {
-                             std::lock_guard<std::mutex> lock(mu);
-                             chunks.emplace_back(begin, end);
-                             return Status::OK();
-                           });
-    EXPECT_TRUE(s.ok());
-    std::sort(chunks.begin(), chunks.end());
-    return chunks;
-  };
-  ThreadPool pool(4);
-  auto parallel = collect(&pool);
-  auto serial = collect(nullptr);
-  EXPECT_EQ(parallel, serial);
-  ASSERT_EQ(serial.size(), 5u);  // ceil(23/5)
-  EXPECT_EQ(serial.back(), (std::pair<std::size_t, std::size_t>{20, 23}));
-}
-
-TEST(ChunkedParallelForTest, FirstErrorInChunkOrderWins) {
-  ThreadPool pool(4);
-  Status s = ParallelFor(&pool, 40, 10,
-                         [](std::size_t begin, std::size_t) -> Status {
-                           if (begin == 10) return InternalError("chunk 1");
-                           if (begin == 30) return InternalError("chunk 3");
-                           return Status::OK();
-                         });
-  ASSERT_FALSE(s.ok());
-  EXPECT_NE(s.ToString().find("chunk 1"), std::string::npos);
-}
-
-TEST(ChunkedParallelForTest, ThrownExceptionsBecomeInternalStatus) {
-  ThreadPool pool(2);
-  for (ThreadPool* p : {&pool, static_cast<ThreadPool*>(nullptr)}) {
-    Status s = ParallelFor(p, 10, 3,
-                           [](std::size_t begin, std::size_t) -> Status {
-                             if (begin == 3) throw std::runtime_error("boom");
-                             return Status::OK();
-                           });
-    ASSERT_FALSE(s.ok());
-    EXPECT_NE(s.ToString().find("boom"), std::string::npos);
-  }
-}
-
-TEST(ChunkedParallelForTest, EmptyRangeIsANoop) {
-  ThreadPool pool(2);
-  std::atomic<int> ran{0};
-  Status s = ParallelFor(&pool, 0, 8,
-                         [&ran](std::size_t, std::size_t) -> Status {
-                           ran.fetch_add(1);
-                           return Status::OK();
-                         });
-  EXPECT_TRUE(s.ok());
-  EXPECT_EQ(ran.load(), 0);
+  EXPECT_EQ(*results[0], std::this_thread::get_id());
 }
 
 TEST(DefaultSweepWidthTest, BoundedByHardwareAndN) {

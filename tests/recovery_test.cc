@@ -167,6 +167,36 @@ TEST_F(RecoveryTest, EngineContinuesAfterRecoveryNewCommitsWork) {
   EXPECT_EQ(engine_->ReadRecordRaw(9), std::string_view(image));
 }
 
+TEST_F(RecoveryTest, RepeatedRecoveriesOnOneEngineKeepEveryCommit) {
+  // Crash and recover twice on one engine: commits from before the first
+  // crash, from before the second, and from between them all survive.
+  Open(TinyOptions());
+  std::map<RecordId, std::string> committed;
+  auto commit = [&](RecordId r, uint64_t marker) {
+    committed[r] = Image(r, marker);
+    MMDB_ASSERT_OK(engine_->Apply({{r, committed[r]}}).status());
+  };
+  auto settle = [&] {
+    MMDB_ASSERT_OK(engine_->FlushLog());
+    MMDB_ASSERT_OK(engine_->AdvanceTime(1.0));
+  };
+  commit(10, 1);
+  MMDB_ASSERT_OK(engine_->RunCheckpointToCompletion());
+  commit(20, 2);
+  settle();
+  MMDB_ASSERT_OK(engine_->Crash());
+  MMDB_ASSERT_OK(engine_->Recover());
+  commit(30, 3);
+  settle();
+  MMDB_ASSERT_OK(engine_->Crash());
+  MMDB_ASSERT_OK(engine_->Recover());
+  MMDB_ASSERT_OK(engine_->DrainRecovery());
+  for (const auto& [r, image] : committed) {
+    EXPECT_EQ(engine_->ReadRecordRaw(r), std::string_view(image))
+        << "record " << r;
+  }
+}
+
 TEST_F(RecoveryTest, RecoveryClockAdvancesByModeledTime) {
   Open(TinyOptions());
   MMDB_ASSERT_OK(engine_->RunCheckpointToCompletion());

@@ -289,6 +289,13 @@ TEST(SweepDeterminismTest, InstantRecoveryConvergesToBlockingState) {
                                   : input == Input::kDeltaFullReload
                                       ? blocking->lineage.size()
                                       : 0u);
+    if (input == Input::kCrcRetry) {
+      // The older copy is checkpoint 1's; its three re-reads plus the
+      // newest copy's survivors load every segment once.
+      EXPECT_EQ(a.checkpoint_id, 1u);
+      EXPECT_EQ(a.copy, 1u);
+      EXPECT_EQ(a.segments_loaded, blocking->lineage.size());
+    }
     EXPECT_EQ(a.checkpoint_id, b.checkpoint_id);
     EXPECT_EQ(a.copy, b.copy);
     EXPECT_EQ(a.backup_read_seconds, b.backup_read_seconds);
@@ -350,6 +357,23 @@ TEST(SweepDeterminismTest, ParseJobsPrecedence) {
   EXPECT_EQ(ParseJobs(1, argv_plain), 2u);
   ASSERT_EQ(unsetenv("MMDB_BENCH_JOBS"), 0);
   EXPECT_GE(ParseJobs(1, argv_plain), 1u);
+}
+
+TEST(SweepDeterminismTest, ParseJobsRejectsWhatIsNotAWholeWidth) {
+  ASSERT_EQ(unsetenv("MMDB_BENCH_JOBS"), 0);
+  char prog[] = "bench";
+  for (const char* bad : {"--jobs=banana", "--jobs=2x", "--jobs=0"}) {
+    std::string flag = bad;
+    char* argv[] = {prog, flag.data()};
+    EXPECT_EXIT(ParseJobs(2, argv), testing::ExitedWithCode(2),
+                "--jobs=.* is not a whole number")
+        << bad;
+  }
+  char* argv_plain[] = {prog};
+  ASSERT_EQ(setenv("MMDB_BENCH_JOBS", "two", 1), 0);
+  EXPECT_EXIT(ParseJobs(1, argv_plain), testing::ExitedWithCode(2),
+              "MMDB_BENCH_JOBS=two is not a whole number");
+  ASSERT_EQ(unsetenv("MMDB_BENCH_JOBS"), 0);
 }
 
 }  // namespace

@@ -97,7 +97,6 @@ void Script(Tracer* t) {
                 static_cast<int64_t>(RecoveryPhase::kLogRead), 8192, 0);
   t->Record(TraceEventType::kRecoveryPhase, 1.5, 0.3125,
                 static_cast<int64_t>(RecoveryPhase::kReplay), 200, 12);
-  t->Record(TraceEventType::kRecoveryFanout, 1.5, 0, 4, 128, 12);
   t->Record(TraceEventType::kRecoveryEnd, 1.5, 0.5, 2);
   // Instant recovery: a touch-triggered on-demand reload (flows from the
   // stalling transaction on the lock track) and a background one.

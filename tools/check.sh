@@ -12,19 +12,17 @@
 # build-hostbench/.
 # The plain build compiles with -Werror, so the tree stays warning-free
 # under -Wall -Wextra (the target-attributed CRC32C kernel included).
-# The TSan gate builds only the parallel subsystem's tests plus the
-# figure benches and runs them at --jobs=2 as a threaded smoke; the
-# engines themselves are single-threaded, so the full suite under TSan
-# would just re-test serial code at 10x the cost. The one exception is
-# the engine lane: the engine/txn/recovery/consistency/restart/torture
-# suites re-run under TSan, driving the recovery worker pool through
-# real restarts.
+# The TSan gate builds only the thread pool's tests, obs_test (the
+# metrics registry under concurrent increments) and the figure benches,
+# and runs the benches at --jobs=2 as a threaded smoke; the engines
+# themselves are single-threaded (EngineTest.RecoverStartsNoThread pins
+# that restarts start no thread), so the full suite under TSan would
+# just re-test serial code at 10x the cost.
 #
-# The sanitize full suite and the tsan engine lane both run with
-# MMDB_AUDIT_EXPORT_DIR set, so every crash/recovery test exports its
-# provenance journal and engine dump; each pair is then re-verified with
-# the mmdb_audit binary (DESIGN.md §18), keeping the CLI verifier honest
-# against the in-process one.
+# The sanitize full suite runs with MMDB_AUDIT_EXPORT_DIR set, so every
+# crash/recovery test exports its provenance journal and engine dump;
+# each pair is then re-verified with the mmdb_audit binary (DESIGN.md
+# §18), keeping the CLI verifier honest against the in-process one.
 #
 # The sanitize gate also re-runs the crash/recovery suites with
 # MMDB_INSTANT_RECOVERY=1, forcing every restart through the on-demand
@@ -40,25 +38,18 @@
 # recorded at; ring drop counts depend on it) and diffs each fresh
 # sidecar against bench/baselines/*.json with mmdb_bench_diff:
 # deterministic leaves must match exactly, timing leaves within 5%.
-# fig4a and fig_modern additionally pin
-# MMDB_RECOVERY_THREADS=2 — their engines use the automatic
-# (hardware-dependent) recovery width, and the recovery fan-out trace
-# event records the thread count, so the baseline must be replayed at
-# the width it was recorded at. recovery_bench is the opposite: every
-# point sets its own recovery_threads, so the variable must be UNSET
-# there (it would override all of them). fig_interference never
-# recovers, so the variable is irrelevant to it.
 # Regenerate the baselines after an intentional engine/model change with
-#   MMDB_TRACE_CAPACITY=64 MMDB_RECOVERY_THREADS=2 \
+#   MMDB_TRACE_CAPACITY=64 \
 #       MMDB_METRICS_SIDECAR=bench/baselines/fig4a.json \
 #       ./build/bench/fig4a_overhead_recovery --jobs=2 > /dev/null
-#   MMDB_TRACE_CAPACITY=64 MMDB_RECOVERY_THREADS=2 \
+#   MMDB_TRACE_CAPACITY=64 \
 #       MMDB_METRICS_SIDECAR=bench/baselines/modern.json \
 #       ./build/bench/fig_modern --jobs=2 > /dev/null
 #   MMDB_TRACE_CAPACITY=64 \
 #       MMDB_METRICS_SIDECAR=bench/baselines/interference.json \
 #       ./build/bench/fig_interference --jobs=2 > /dev/null
-#   MMDB_TRACE_CAPACITY=64 MMDB_METRICS_SIDECAR=bench/baselines/recovery.json \
+#   MMDB_TRACE_CAPACITY=64 \
+#       MMDB_METRICS_SIDECAR=bench/baselines/recovery.json \
 #       ./build/bench/recovery_bench --jobs=2 > /dev/null
 #
 # The hostbench gate builds the host-time benchmark (hostbench/, its own
@@ -115,14 +106,13 @@ run_sanitize() {
   echo "check.sh: sanitize instant-recovery lane (MMDB_INSTANT_RECOVERY=1)"
   MMDB_INSTANT_RECOVERY=1 \
       ctest --test-dir build-sanitize --output-on-failure -j "$jobs" \
-      -R '^(recovery_test|recovery_parallel_test|restart_test|consistency_test|sweep_determinism_test|fault_injection_test|audit_test|obs_e2e_test|logical_logging_test|modern_test|cou_test)$'
+      -R '^(recovery_test|restart_test|consistency_test|sweep_determinism_test|fault_injection_test|audit_test|obs_e2e_test|logical_logging_test|modern_test|cou_test)$'
   echo "check.sh: sanitize bench smoke (recovery_bench --quick --jobs=2, instant lane)"
-  env -u MMDB_RECOVERY_THREADS MMDB_INSTANT_RECOVERY=1 \
+  MMDB_INSTANT_RECOVERY=1 \
       MMDB_METRICS_SIDECAR=build-sanitize/recovery_instant_asan_smoke.json \
       ./build-sanitize/bench/recovery_bench --quick --jobs=2 > /dev/null
   echo "check.sh: sanitize bench smoke (fig_modern --quick --jobs=2)"
-  MMDB_RECOVERY_THREADS=2 \
-      MMDB_METRICS_SIDECAR=build-sanitize/fig_modern_asan_smoke.json \
+  MMDB_METRICS_SIDECAR=build-sanitize/fig_modern_asan_smoke.json \
       ./build-sanitize/bench/fig_modern --quick --jobs=2 > /dev/null
   echo "check.sh: sanitize bench smoke (fig_interference --quick --jobs=2)"
   MMDB_METRICS_SIDECAR=build-sanitize/fig_interference_asan_smoke.json \
@@ -132,32 +122,21 @@ run_sanitize() {
 run_tsan() {
   cmake -B build-tsan -S . -DMMDB_SANITIZE=thread
   cmake --build build-tsan -j "$jobs" \
-      --target parallel_test recovery_parallel_test engine_test txn_test \
-      recovery_test consistency_test restart_test torture_test mmdb_audit \
-      fig4a_overhead_recovery \
+      --target parallel_test obs_test fig4a_overhead_recovery \
       fig_modern fig_interference recovery_bench
   ctest --test-dir build-tsan --output-on-failure \
-      -R '^(parallel_test|recovery_parallel_test)$'
-  echo "check.sh: tsan engine lane (engine/txn/recovery suites)"
-  rm -rf build-tsan/audit-export
-  MMDB_AUDIT_EXPORT_DIR="$PWD/build-tsan/audit-export" \
-      ctest --test-dir build-tsan --output-on-failure \
-      -R '^(engine_test|txn_test|recovery_test|recovery_parallel_test|consistency_test|restart_test|torture_test)$'
-  verify_audit_exports build-tsan build-tsan/audit-export
+      -R '^(parallel_test|obs_test)$'
   echo "check.sh: tsan bench smoke (fig4a --jobs=2)"
-  MMDB_RECOVERY_THREADS=2 \
-      MMDB_METRICS_SIDECAR=build-tsan/fig4a_tsan_smoke.json \
+  MMDB_METRICS_SIDECAR=build-tsan/fig4a_tsan_smoke.json \
       ./build-tsan/bench/fig4a_overhead_recovery --jobs=2 > /dev/null
   echo "check.sh: tsan bench smoke (fig_modern --quick --jobs=2)"
-  MMDB_RECOVERY_THREADS=2 \
-      MMDB_METRICS_SIDECAR=build-tsan/fig_modern_tsan_smoke.json \
+  MMDB_METRICS_SIDECAR=build-tsan/fig_modern_tsan_smoke.json \
       ./build-tsan/bench/fig_modern --quick --jobs=2 > /dev/null
   echo "check.sh: tsan bench smoke (fig_interference --quick --jobs=2)"
   MMDB_METRICS_SIDECAR=build-tsan/fig_interference_tsan_smoke.json \
       ./build-tsan/bench/fig_interference --quick --jobs=2 > /dev/null
   echo "check.sh: tsan bench smoke (recovery_bench --quick --jobs=2)"
-  env -u MMDB_RECOVERY_THREADS \
-      MMDB_METRICS_SIDECAR=build-tsan/recovery_tsan_smoke.json \
+  MMDB_METRICS_SIDECAR=build-tsan/recovery_tsan_smoke.json \
       ./build-tsan/bench/recovery_bench --quick --jobs=2 > /dev/null
 }
 
@@ -167,13 +146,13 @@ run_bench_smoke() {
       --target fig4a_overhead_recovery fig_modern fig_interference \
       recovery_bench mmdb_bench_diff
   echo "check.sh: bench smoke (fig4a --jobs=2 vs bench/baselines/fig4a.json)"
-  MMDB_TRACE_CAPACITY=64 MMDB_RECOVERY_THREADS=2 \
+  MMDB_TRACE_CAPACITY=64 \
       MMDB_METRICS_SIDECAR=build/fig4a_bench_smoke.json \
       ./build/bench/fig4a_overhead_recovery --jobs=2 > /dev/null
   ./build/tools/mmdb_bench_diff bench/baselines/fig4a.json \
       build/fig4a_bench_smoke.json
   echo "check.sh: bench smoke (fig_modern --jobs=2 vs bench/baselines/modern.json)"
-  MMDB_TRACE_CAPACITY=64 MMDB_RECOVERY_THREADS=2 \
+  MMDB_TRACE_CAPACITY=64 \
       MMDB_METRICS_SIDECAR=build/fig_modern_bench_smoke.json \
       ./build/bench/fig_modern --jobs=2 > /dev/null
   ./build/tools/mmdb_bench_diff bench/baselines/modern.json \
@@ -185,7 +164,7 @@ run_bench_smoke() {
   ./build/tools/mmdb_bench_diff bench/baselines/interference.json \
       build/fig_interference_bench_smoke.json
   echo "check.sh: bench smoke (recovery_bench --jobs=2 vs bench/baselines/recovery.json)"
-  env -u MMDB_RECOVERY_THREADS MMDB_TRACE_CAPACITY=64 \
+  MMDB_TRACE_CAPACITY=64 \
       MMDB_METRICS_SIDECAR=build/recovery_bench_smoke.json \
       ./build/bench/recovery_bench --jobs=2 > /dev/null
   ./build/tools/mmdb_bench_diff bench/baselines/recovery.json \

@@ -133,8 +133,7 @@ void PrintTimeSeries(const JsonValue& engine) {
 }
 
 // Last-recovery block: deterministic counters, then the modeled
-// (virtual-clock) phase split side by side with the real wall clock so
-// the parallel-pipeline speedup is visible at a glance.
+// (virtual-clock) phase split side by side with the real wall clock.
 void PrintRecovery(const JsonValue& engine) {
   const JsonValue* r = engine.Find("recovery");
   if (r == nullptr || !r->is_object() || !Selected("recovery")) return;
@@ -161,24 +160,10 @@ void PrintRecovery(const JsonValue& engine) {
   }
   const JsonValue* wall = r->Find("wall");
   if (wall != nullptr && wall->is_object()) {
-    std::printf("  wall:    backup=%.4fs scan=%.4fs replay=%.4fs "
-                "threads=%.0f",
+    std::printf("  wall:    backup=%.4fs scan=%.4fs replay=%.4fs\n",
                 NumberOr(wall->Find("backup_read_seconds"), 0),
                 NumberOr(wall->Find("log_scan_seconds"), 0),
-                NumberOr(wall->Find("replay_seconds"), 0),
-                NumberOr(wall->Find("threads"), 1));
-    const JsonValue* busy = wall->Find("thread_busy_seconds");
-    if (busy != nullptr && busy->is_array() &&
-        !busy->array_items().empty()) {
-      std::printf(" busy=[");
-      const auto& items = busy->array_items();
-      for (std::size_t i = 0; i < items.size(); ++i) {
-        std::printf("%s%.4f", i == 0 ? "" : " ",
-                    items[i].is_number() ? items[i].number_value() : 0.0);
-      }
-      std::printf("]");
-    }
-    std::printf("\n");
+                NumberOr(wall->Find("replay_seconds"), 0));
   }
 }
 
