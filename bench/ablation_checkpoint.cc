@@ -267,6 +267,6 @@ int main(int argc, char** argv) {
   mmdb::bench::LogicalVsPhysicalLogging(&runner, &sidecar);
   runner.ReportValidation(&sidecar);
   wall.Report("ablation_checkpoint", jobs, &sidecar);
-  sidecar.Write();
+  if (!sidecar.Write().ok()) return 1;
   return runner.AnyFailed() ? 1 : 0;
 }

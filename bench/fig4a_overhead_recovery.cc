@@ -82,6 +82,6 @@ int main(int argc, char** argv) {
   mmdb::bench::MeasuredSeries(&runner, &sidecar);
   runner.ReportValidation(&sidecar);
   wall.Report("fig4a", jobs, &sidecar);
-  sidecar.Write();
+  if (!sidecar.Write().ok()) return 1;
   return runner.AnyFailed() ? 1 : 0;
 }

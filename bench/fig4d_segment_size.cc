@@ -107,6 +107,6 @@ int main(int argc, char** argv) {
   mmdb::bench::MeasuredSeries(&runner, &sidecar);
   runner.ReportValidation(&sidecar);
   wall.Report("fig4d", jobs, &sidecar);
-  sidecar.Write();
+  if (!sidecar.Write().ok()) return 1;
   return runner.AnyFailed() ? 1 : 0;
 }

@@ -142,6 +142,6 @@ int main(int argc, char** argv) {
   mmdb::bench::SweepRunner runner(jobs);
   mmdb::bench::MeasuredSeries(quick ? 0.5 : 2.0, &runner, &sidecar);
   wall.Report("fig_interference", jobs, &sidecar);
-  sidecar.Write();
+  if (!sidecar.Write().ok()) return 1;
   return runner.AnyFailed() ? 1 : 0;
 }

@@ -106,6 +106,6 @@ int main(int argc, char** argv) {
   mmdb::bench::MeasuredSeries(quick ? 0.5 : 2.0, &runner, &sidecar);
   runner.ReportValidation(&sidecar);
   wall.Report("fig_modern", jobs, &sidecar);
-  sidecar.Write();
+  if (!sidecar.Write().ok()) return 1;
   return runner.AnyFailed() ? 1 : 0;
 }

@@ -248,7 +248,7 @@ class BenchWallClock {
     double wall = ElapsedSeconds();
     std::fprintf(stderr, "%s: wall_seconds=%.3f jobs=%zu\n", bench, wall,
                  jobs);
-    if (sidecar != nullptr) sidecar->SetRun(jobs, wall);
+    if (sidecar != nullptr) sidecar->SetHost(jobs, wall);
   }
 
  private:

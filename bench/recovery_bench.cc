@@ -12,8 +12,8 @@
 // the blocking row prints total_s for both) and the p99 per-transaction
 // recovery-latch wait in ms. On the large config the bench additionally
 // fails unless t_first_s <= 10% of t_full_s. Real wall time goes to stderr
-// and to the sidecar's "recovery.wall" blocks (stripped from every
-// determinism comparison by IsWallClockField).
+// and to each engine dump's "host.recovery" block (skipped by every
+// comparison of bench artifacts).
 //
 //   recovery_bench [--jobs=N] [--quick]
 //
@@ -234,8 +234,7 @@ int Run(int argc, char** argv) {
 
   runner.ReportValidation(&sidecar);
   bench_wall.Report("recovery_bench", jobs, &sidecar);
-  sidecar.Write();
-  if (runner.AnyFailed()) rc = 1;
+  if (!sidecar.Write().ok() || runner.AnyFailed()) rc = 1;
   return rc;
 }
 

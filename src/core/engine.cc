@@ -96,13 +96,8 @@ Status Engine::Init(bool fresh) {
     m_admission_wait_ = metrics_->timer("engine.admission_wait_seconds");
     m_stall_quiesce_ = metrics_->timer("engine.stall_quiesce_seconds");
     m_stall_ckpt_lock_ = metrics_->timer("engine.stall_ckpt_lock_seconds");
-    if (instant_enabled_) {
-      // Registered only when instant recovery is on, so the registry
-      // snapshot — and therefore every instant-off baseline — stays
-      // byte-identical.
-      m_stall_recovery_wait_ =
-          metrics_->timer("engine.stall_recovery_wait_seconds");
-    }
+    m_stall_recovery_wait_ =
+        metrics_->timer("engine.stall_recovery_wait_seconds");
     // If the caller wrapped the Env in fault injection, mirror every rule
     // firing into the trace so a failure's cause appears on the same
     // timeline as its effects (aborted checkpoints, flush errors).
@@ -192,13 +187,11 @@ Status Engine::Init(bool fresh) {
                        [this] { return stall_quiesce_seconds_; });
     sampler_->AddGauge("engine.stall_ckpt_lock_seconds",
                        [this] { return stall_ckpt_lock_seconds_; });
-    if (instant_enabled_) {
-      sampler_->AddGauge("engine.stall_recovery_wait_seconds",
-                         [this] { return stall_recovery_wait_seconds_; });
-      sampler_->AddGauge("recovery.pending_segments", [this] {
-        return static_cast<double>(pending_recovery_segments());
-      });
-    }
+    sampler_->AddGauge("engine.stall_recovery_wait_seconds",
+                       [this] { return stall_recovery_wait_seconds_; });
+    sampler_->AddGauge("recovery.pending_segments", [this] {
+      return static_cast<double>(pending_recovery_segments());
+    });
   }
   return Status::OK();
 }
@@ -801,8 +794,8 @@ std::string Engine::DumpMetricsJson() const {
     w.Null();
   }
   // Most recent Recover(): deterministic counters plus the modeled
-  // (virtual-clock) phase split, and a "wall" block of real machine time
-  // that every determinism comparison strips (IsWallClockField).
+  // (virtual-clock) phase split. Its host-clock phase times are under
+  // "host.recovery".
   w.Key("recovery");
   if (has_last_recovery_) {
     const RecoveryStats& r = last_recovery_;
@@ -835,15 +828,6 @@ std::string Engine::DumpMetricsJson() const {
     w.Double(r.replay_cpu_seconds);
     w.Key("total_seconds");
     w.Double(r.total_seconds);
-    w.EndObject();
-    w.Key("wall");
-    w.BeginObject();
-    w.Key("backup_read_seconds");
-    w.Double(r.backup_read_wall_seconds);
-    w.Key("log_scan_seconds");
-    w.Double(r.log_scan_wall_seconds);
-    w.Key("replay_seconds");
-    w.Double(r.replay_wall_seconds);
     w.EndObject();
     w.EndObject();
   } else {
@@ -887,13 +871,12 @@ std::string Engine::DumpMetricsJson() const {
   }
   w.EndArray();
   w.EndObject();
-  // Availability of the most recent restart (DESIGN.md §19): present only
-  // when instant recovery actually ran, so instant-off output stays
-  // byte-identical to builds without the feature. time_to_full_recovery
-  // is 0 until the drain finishes (`drained` disambiguates); the load
-  // counters are read live while the drain is still in flight.
+  // Availability of the most recent restart (DESIGN.md §19): null until an
+  // instant restart has run. time_to_full_recovery is 0 until the drain
+  // finishes (`drained` disambiguates); the load counters are read live
+  // while the drain is still in flight.
+  w.Key("availability");
   if (avail_.ran) {
-    w.Key("availability");
     w.BeginObject();
     w.Key("crash_time");
     w.Double(recovery_crash_now_);
@@ -918,10 +901,11 @@ std::string Engine::DumpMetricsJson() const {
     w.Uint(instant_ != nullptr ? instant_->force_loads() : avail_.force_loads);
     w.EndObject();
     w.EndObject();
+  } else {
+    w.Null();
   }
-  // Provenance journal state (DESIGN.md §18). Deliberately the LAST member
-  // and excluded from every determinism comparison (bench_diff strips it,
-  // like "run"): journal byte counts vary with event volume.
+  // Provenance journal state (DESIGN.md §18): deterministic, like every
+  // member but "host", so bench_diff compares it.
   w.Key("audit");
   if (audit_ != nullptr) {
     const AuditJournal::Counters& c = audit_->counters();
@@ -953,6 +937,25 @@ std::string Engine::DumpMetricsJson() const {
   } else {
     w.Null();
   }
+  // Host-clock values, the one member every comparison of bench artifacts
+  // skips (DESIGN.md §14). "recovery" times the most recent Recover()'s
+  // phases on this machine; null before any recovery has run.
+  w.Key("host");
+  w.BeginObject();
+  w.Key("recovery");
+  if (has_last_recovery_) {
+    w.BeginObject();
+    w.Key("backup_read_seconds");
+    w.Double(last_recovery_.backup_read_wall_seconds);
+    w.Key("log_scan_seconds");
+    w.Double(last_recovery_.log_scan_wall_seconds);
+    w.Key("replay_seconds");
+    w.Double(last_recovery_.replay_wall_seconds);
+    w.EndObject();
+  } else {
+    w.Null();
+  }
+  w.EndObject();
   w.EndObject();
   return w.TakeString();
 }

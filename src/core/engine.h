@@ -314,8 +314,6 @@ class Engine {
   Timer* m_admission_wait_ = nullptr;
   Timer* m_stall_quiesce_ = nullptr;
   Timer* m_stall_ckpt_lock_ = nullptr;
-  // Created only when instant recovery is enabled, so the registry
-  // snapshot stays byte-identical with the feature off.
   Timer* m_stall_recovery_wait_ = nullptr;
   double stall_quiesce_seconds_ = 0.0;
   double stall_ckpt_lock_seconds_ = 0.0;
@@ -343,7 +341,7 @@ class Engine {
   CheckpointScheduler scheduler_;
 
   // Stats of the most recent successful Recover(), surfaced by
-  // DumpMetricsJson()'s "recovery" member (wall vs modeled breakdown).
+  // DumpMetricsJson()'s "recovery" member (modeled) and "host.recovery".
   RecoveryStats last_recovery_;
   bool has_last_recovery_ = false;
   // Provenance journal (null when options.audit_journal is false) and the
@@ -370,9 +368,8 @@ class Engine {
   // Recover() loads every segment before it admits any, so commits it
   // serves cannot fail it the same way again (FailRecovery).
   bool retry_eagerly_ = false;
-  // Availability metrics of the most recent restart; `ran` gates the
-  // dump's "availability" member so instant-off output is byte-identical
-  // to pre-instant builds.
+  // Availability metrics of the most recent restart; the dump's
+  // "availability" member is null until `ran`.
   struct Availability {
     bool ran = false;
     bool drained = false;

@@ -128,13 +128,9 @@ StatusOr<WorkloadResult> WorkloadDriver::Run() {
   Timer* m_stall_l =
       reg == nullptr ? nullptr
                      : reg->timer("workload.stall_ckpt_lock_seconds");
-  // Only materialized when the engine restarted in instant-recovery mode:
-  // the timer (and gauge below) would otherwise change the dump byte-for-
-  // byte against pre-instant baselines.
   Timer* m_stall_r =
-      reg == nullptr || !engine_->instant_recovery_enabled()
-          ? nullptr
-          : reg->timer("workload.stall_recovery_wait_seconds");
+      reg == nullptr ? nullptr
+                     : reg->timer("workload.stall_recovery_wait_seconds");
   Timer* m_bk_color =
       reg == nullptr ? nullptr : reg->timer("workload.backoff_color_seconds");
   Timer* m_bk_lock =
@@ -344,10 +340,8 @@ StatusOr<WorkloadResult> WorkloadDriver::Run() {
         ->Set(result.stall_quiesce_seconds);
     reg->gauge("workload.attr.stall_ckpt_lock_seconds")
         ->Set(result.stall_ckpt_lock_seconds);
-    if (engine_->instant_recovery_enabled()) {
-      reg->gauge("workload.attr.stall_recovery_wait_seconds")
-          ->Set(result.stall_recovery_wait_seconds);
-    }
+    reg->gauge("workload.attr.stall_recovery_wait_seconds")
+        ->Set(result.stall_recovery_wait_seconds);
     reg->gauge("workload.attr.backoff_color_seconds")
         ->Set(result.backoff_color_seconds);
     reg->gauge("workload.attr.backoff_lock_seconds")

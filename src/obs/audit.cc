@@ -37,6 +37,39 @@ bool ParseLine(std::string_view line, AuditEntry* out) {
   return true;
 }
 
+// Reopens an existing journal for append and sets `*next_seq` past its
+// longest prefix of complete, CRC-clean, gap-free lines. Anything after the
+// first damaged line (a torn append from a crash or an injected fault) is
+// cut by writing the prefix to "<path>.tmp" (synced) and renaming it over
+// the journal, so a failure leaves the original file, every line intact.
+StatusOr<std::unique_ptr<WritableFile>> ReopenJournal(Env* env,
+                                                      const std::string& path,
+                                                      uint64_t* next_seq) {
+  std::string existing;
+  MMDB_RETURN_IF_ERROR(env->ReadFileToString(path, &existing));
+  size_t kept = 0;
+  uint64_t last_seq = 0;
+  while (kept < existing.size()) {
+    size_t nl = existing.find('\n', kept);
+    if (nl == std::string::npos) break;
+    AuditEntry e;
+    if (!ParseLine({existing.data() + kept, nl - kept}, &e) ||
+        e.seq != last_seq + 1) {
+      break;
+    }
+    last_seq = e.seq;
+    kept = nl + 1;
+  }
+  *next_seq = last_seq + 1;
+  if (kept < existing.size()) {
+    const std::string tmp = path + ".tmp";
+    existing.resize(kept);
+    MMDB_RETURN_IF_ERROR(env->WriteStringToFile(tmp, existing, /*sync=*/true));
+    MMDB_RETURN_IF_ERROR(env->RenameFile(tmp, path));
+  }
+  return env->NewAppendableFile(path);
+}
+
 uint64_t AsU64(const JsonValue& v) {
   return static_cast<uint64_t>(v.number_value());
 }
@@ -47,42 +80,15 @@ AuditJournal::AuditJournal(Env* env, std::string path)
     : env_(env), path_(std::move(path)) {}
 
 void AuditJournal::Open(bool fresh) {
-  std::string prefix;
-  if (!fresh) {
-    std::string existing;
-    if (env_->ReadFileToString(path_, &existing).ok()) {
-      // Keep the longest prefix of complete, CRC-clean, gap-free lines;
-      // anything after the first damaged line (a torn append from a crash
-      // or an injected fault) is dropped before numbering resumes.
-      size_t kept = 0;
-      uint64_t last_seq = 0;
-      size_t pos = 0;
-      while (pos < existing.size()) {
-        size_t nl = existing.find('\n', pos);
-        if (nl == std::string::npos) break;
-        AuditEntry e;
-        if (!ParseLine({existing.data() + pos, nl - pos}, &e) ||
-            e.seq != last_seq + 1) {
-          break;
-        }
-        last_seq = e.seq;
-        kept = nl + 1;
-        pos = nl + 1;
-      }
-      prefix = existing.substr(0, kept);
-      next_seq_ = last_seq + 1;
-    }
-  }
-  StatusOr<std::unique_ptr<WritableFile>> file = env_->NewWritableFile(path_);
+  StatusOr<std::unique_ptr<WritableFile>> file =
+      fresh || !env_->FileExists(path_)
+          ? env_->NewWritableFile(path_)
+          : ReopenJournal(env_, path_, &next_seq_);
   if (!file.ok()) {
     ++counters_.append_errors;
     return;
   }
   file_ = std::move(*file);
-  if (!prefix.empty() && !file_->Append(prefix).ok()) {
-    ++counters_.append_errors;
-    file_.reset();
-  }
 }
 
 void AuditJournal::Record(std::string_view event, double t,

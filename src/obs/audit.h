@@ -30,8 +30,7 @@ namespace mmdb {
 // journal is an *audit artifact*, not a recovery input: the engine never
 // reads it to make decisions, and journal write failures degrade to counters
 // instead of failing the engine. It is written through the engine's Env so
-// fault injection composes; MeteredEnv exempts audit paths so the metrics
-// registry snapshot stays bit-identical with auditing on or off.
+// fault injection composes.
 //
 // Event taxonomy (field names are part of the format, see DESIGN.md §18):
 //   ckpt.begin    {ckpt, algorithm, mode, copy, begin_lsn, begin_offset}
@@ -56,7 +55,7 @@ class AuditJournal {
  public:
   // Plain members, deliberately NOT registry instruments: the registry
   // snapshot must be bit-identical with auditing on. Surfaced only in the
-  // dump's top-level "audit" member (stripped by bench_diff).
+  // dump's top-level "audit" member.
   struct Counters {
     uint64_t entries = 0;        // lines appended by this instance
     uint64_t bytes = 0;          // bytes appended by this instance
@@ -68,11 +67,13 @@ class AuditJournal {
   // Does not touch the filesystem; call Open() once before recording.
   AuditJournal(Env* env, std::string path);
 
-  // `fresh` truncates. Otherwise the existing journal is loaded, its valid
-  // prefix (complete, CRC-clean lines) is rewritten in place — dropping a
-  // line torn by a crash or an injected fault — and sequence numbering
-  // resumes after the last surviving entry. Open failure leaves the journal
-  // disabled (Record counts append_errors and writes nothing).
+  // `fresh` truncates. Otherwise the existing journal is loaded and
+  // sequence numbering resumes after its valid prefix (complete, CRC-clean
+  // lines). A clean journal is reopened for append as it is; one with a
+  // line torn by a crash or an injected fault has its valid prefix written
+  // to "<path>.tmp" (synced) and renamed over it. Open failure leaves the
+  // journal disabled (Record counts append_errors and writes nothing) and
+  // the file as it was.
   void Open(bool fresh);
 
   bool enabled() const { return file_ != nullptr; }

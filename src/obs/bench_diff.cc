@@ -9,6 +9,9 @@ namespace mmdb {
 
 namespace {
 
+// The one member every comparison skips: host-clock values.
+constexpr std::string_view kHostKey = "host";
+
 const char* TypeName(JsonValue::Type type) {
   switch (type) {
     case JsonValue::Type::kNull:
@@ -83,12 +86,7 @@ class Differ {
   void WalkObject(const std::string& path, const JsonValue& a,
                   const JsonValue& b) {
     for (const auto& [key, value] : a.object_items()) {
-      if (path.empty() && key == "run") continue;  // sanctioned drift
-      if (IsWallClockField(key)) continue;         // machine-dependent
-      // Provenance-journal state (any depth: sidecar top level and each
-      // point's engine dump): journal volume varies with event history —
-      // sanctioned, like "run".
-      if (key == "audit") continue;
+      if (key == kHostKey) continue;
       std::string child = path.empty() ? key : path + "." + key;
       const JsonValue* other = b.Find(key);
       if (other == nullptr) {
@@ -100,9 +98,7 @@ class Differ {
     // Keys only the current run has are drift too (new schema members
     // should land with a refreshed baseline).
     for (const auto& [key, value] : b.object_items()) {
-      if (path.empty() && key == "run") continue;
-      if (IsWallClockField(key)) continue;
-      if (key == "audit") continue;
+      if (key == kHostKey) continue;
       if (a.Find(key) == nullptr) {
         std::string child = path.empty() ? key : path + "." + key;
         Mismatch(child, "<missing>", Preview(value));
@@ -164,10 +160,6 @@ bool IsTimingField(std::string_view key) {
     if (key == timing) return true;
   }
   return false;
-}
-
-bool IsWallClockField(std::string_view key) {
-  return key == "wall" || EndsWith(key, "wall_seconds");
 }
 
 StatusOr<BenchDiffResult> DiffBenchDocs(const JsonValue& baseline,

@@ -18,11 +18,11 @@ namespace mmdb {
 // build.
 //
 // Comparison rules:
-//   * The top-level "run" member (jobs + wall_seconds) is ignored on both
-//     sides, as is any member IsWallClockField names (nested "wall"
-//     objects and *wall_seconds leaves) — the sidecar's sanctioned
-//     nondeterminism (MetricsSidecar::DeterministicView strips the same
-//     members).
+//   * A member named "host" is skipped, at any depth and on either side:
+//     it holds every host-clock value (the sidecar's jobs and wall
+//     seconds, an engine dump's recovery phase timings). It is the only
+//     exception; everything else, the provenance "audit" block included,
+//     is compared.
 //   * Leaves whose key names a virtual-clock timing or model quantity
 //     (see IsTimingField) compare within max(abs_tol, rel_tol * max(|a|,
 //     |b|)) — headroom for cross-toolchain floating-point drift.
@@ -56,13 +56,6 @@ struct BenchDiffResult {
 // begin/end), timer summary fields (mean/min/max/p50/p99), and the oracle
 // block (predicted/measured/...residual).
 bool IsTimingField(std::string_view key);
-
-// True when `key` names REAL wall-clock state — a nested "wall" object
-// (recovery's host phase timers) or a leaf ending in "wall_seconds".
-// Unlike timing fields these are machine-dependent, so
-// the differ skips them entirely rather than applying a tolerance, and
-// MetricsSidecar::DeterministicView strips them recursively.
-bool IsWallClockField(std::string_view key);
 
 // Diffs two parsed sidecar documents. The Status is only non-OK for
 // structurally unusable inputs (non-object roots); mismatches are

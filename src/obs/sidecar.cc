@@ -3,7 +3,6 @@
 #include <cstdio>
 #include <cstdlib>
 
-#include "obs/bench_diff.h"
 #include "util/json.h"
 
 namespace mmdb {
@@ -31,13 +30,13 @@ void MetricsSidecar::SetValidationSummary(std::string summary_json) {
   validation_summary_json_ = std::move(summary_json);
 }
 
-void MetricsSidecar::SetRun(std::size_t jobs, double wall_seconds) {
+void MetricsSidecar::SetHost(std::size_t jobs, double wall_seconds) {
   jobs_ = jobs;
   wall_seconds_ = wall_seconds;
 }
 
-void MetricsSidecar::Write() const {
-  if (path_.empty()) return;
+Status MetricsSidecar::Write() const {
+  if (path_.empty()) return Status::OK();
   JsonWriter w;
   w.BeginObject();
   w.Key("bench");
@@ -66,48 +65,8 @@ void MetricsSidecar::Write() const {
     w.Key("validation_summary");
     w.RawValue(validation_summary_json_);
   }
-  // Aggregate provenance-journal traffic across the sweep's engines —
-  // how many audit entries/bytes/syncs the run produced and whether any
-  // journal degraded (append/sync errors). bench_diff treats "audit" as
-  // sanctioned drift, like "run".
-  {
-    uint64_t entries = 0, bytes = 0, syncs = 0;
-    uint64_t append_errors = 0, sync_errors = 0, journals = 0;
-    for (const Point& point : points_) {
-      if (point.engine_json.empty()) continue;
-      StatusOr<JsonValue> doc = JsonValue::Parse(point.engine_json);
-      if (!doc.ok()) continue;
-      const JsonValue* journal = doc->FindPath({"audit", "journal"});
-      if (journal == nullptr || !journal->is_object()) continue;
-      ++journals;
-      auto add = [&](const char* key, uint64_t* acc) {
-        const JsonValue* v = journal->Find(key);
-        if (v != nullptr) *acc += static_cast<uint64_t>(v->number_value());
-      };
-      add("entries", &entries);
-      add("bytes", &bytes);
-      add("syncs", &syncs);
-      add("append_errors", &append_errors);
-      add("sync_errors", &sync_errors);
-    }
-    w.Key("audit");
-    w.BeginObject();
-    w.Key("journals");
-    w.Uint(journals);
-    w.Key("entries");
-    w.Uint(entries);
-    w.Key("bytes");
-    w.Uint(bytes);
-    w.Key("syncs");
-    w.Uint(syncs);
-    w.Key("append_errors");
-    w.Uint(append_errors);
-    w.Key("sync_errors");
-    w.Uint(sync_errors);
-    w.EndObject();
-  }
   if (jobs_ != 0) {
-    w.Key("run");
+    w.Key("host");
     w.BeginObject();
     w.Key("jobs");
     w.Uint(jobs_);
@@ -117,62 +76,18 @@ void MetricsSidecar::Write() const {
   }
   w.EndObject();
   std::FILE* f = std::fopen(path_.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "metrics sidecar: cannot open %s\n", path_.c_str());
-    return;
+  bool ok = f != nullptr && std::fputs(w.str().c_str(), f) != EOF &&
+            std::fputc('\n', f) != EOF;
+  if (f != nullptr && std::fclose(f) != 0) ok = false;
+  if (!ok) {
+    std::fprintf(stderr, "metrics sidecar: cannot write %s\n", path_.c_str());
+    return IoError("metrics sidecar: cannot write " + path_);
   }
-  std::fputs(w.str().c_str(), f);
-  std::fputc('\n', f);
-  std::fclose(f);
   // stderr, like the wall_seconds report: stdout carries only the tables,
   // which must be byte-identical across --jobs widths (DESIGN.md §12).
   std::fprintf(stderr, "metrics sidecar: %s (%zu points)\n", path_.c_str(),
                points_.size());
-}
-
-namespace {
-
-// Re-emits `value` minus every wall-clock member (IsWallClockField), at
-// any depth — engine dumps carry a machine-dependent "recovery.wall"
-// block that must not participate in byte comparisons across runs.
-void DumpDeterministic(const JsonValue& value, JsonWriter* w) {
-  switch (value.type()) {
-    case JsonValue::Type::kObject:
-      w->BeginObject();
-      for (const auto& [key, member] : value.object_items()) {
-        if (IsWallClockField(key)) continue;
-        w->Key(key);
-        DumpDeterministic(member, w);
-      }
-      w->EndObject();
-      break;
-    case JsonValue::Type::kArray:
-      w->BeginArray();
-      for (const JsonValue& item : value.array_items()) {
-        DumpDeterministic(item, w);
-      }
-      w->EndArray();
-      break;
-    default:
-      w->RawValue(value.Dump());
-      break;
-  }
-}
-
-}  // namespace
-
-StatusOr<std::string> MetricsSidecar::DeterministicView(
-    std::string_view sidecar_json) {
-  MMDB_ASSIGN_OR_RETURN(JsonValue doc, JsonValue::Parse(sidecar_json));
-  JsonWriter w;
-  w.BeginObject();
-  for (const auto& [key, value] : doc.object_items()) {
-    if (key == "run") continue;
-    w.Key(key);
-    DumpDeterministic(value, &w);
-  }
-  w.EndObject();
-  return w.TakeString();
+  return Status::OK();
 }
 
 }  // namespace mmdb

@@ -3,11 +3,10 @@
 
 #include <cstddef>
 #include <string>
-#include <string_view>
 #include <utility>
 #include <vector>
 
-#include "util/statusor.h"
+#include "util/status.h"
 
 namespace mmdb {
 
@@ -16,7 +15,7 @@ namespace mmdb {
 //    "points":[{"label":"FUZZYCOPY","engine":{...},"validation":{...}},
 //              {"label":"BAD","error":"INTERNAL: ..."},...],
 //    "validation_summary":{"points":5,"overhead_per_txn":{...},...},
-//    "run":{"jobs":4,"wall_seconds":1.23}}
+//    "host":{"jobs":4,"wall_seconds":1.23}}
 //
 // Per point, "validation" (when present) holds the model oracle's
 // predicted/measured/residual block (src/model/model_oracle.h); a failed
@@ -30,10 +29,10 @@ namespace mmdb {
 //
 // Determinism contract (DESIGN.md §12): "points" is merged in declared
 // point order by the sweep runner, never in completion order, so its bytes
-// are identical no matter how many workers produced the entries. Only the
-// trailing "run" member — the sweep width and the real wall-clock spend,
-// kept so BENCH_*.json captures the speedup trajectory — may differ
-// between runs; DeterministicView() strips it for byte comparisons.
+// are identical no matter how many workers produced the entries. Only
+// "host" members — here the sweep width and the real wall-clock spend,
+// and each engine dump's own "host" — may differ between runs; bench_diff
+// skips them and compares everything else.
 class MetricsSidecar {
  public:
   // `bench` names the document and the default output file.
@@ -55,20 +54,16 @@ class MetricsSidecar {
   // value, typically ResidualSummary::ToJsonString). Empty = omitted.
   void SetValidationSummary(std::string summary_json);
 
-  // Records the sweep width and wall-clock seconds for the "run" member.
-  void SetRun(std::size_t jobs, double wall_seconds);
+  // Records the sweep width and wall-clock seconds for the "host" member.
+  void SetHost(std::size_t jobs, double wall_seconds);
 
   // Writes the collected document (call once, after the measured series).
-  void Write() const;
+  // OK when the sidecar is disabled; otherwise any failure to open, write
+  // or close the file is reported on stderr and returned.
+  [[nodiscard]] Status Write() const;
 
   const std::string& path() const { return path_; }
   std::size_t num_points() const { return points_.size(); }
-
-  // Returns `sidecar_json` re-serialized with the "run" member removed —
-  // the portion of the document that must be byte-identical across
-  // --jobs widths. CORRUPTION if the input is not valid JSON.
-  [[nodiscard]] static StatusOr<std::string> DeterministicView(
-      std::string_view sidecar_json);
 
  private:
   struct Point {
@@ -82,7 +77,7 @@ class MetricsSidecar {
   std::string path_;
   std::vector<Point> points_;
   std::string validation_summary_json_;
-  std::size_t jobs_ = 0;  // 0 = SetRun never called; "run" omitted
+  std::size_t jobs_ = 0;  // 0 = SetHost never called; "host" omitted
   double wall_seconds_ = 0.0;
 };
 

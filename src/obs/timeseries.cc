@@ -1,7 +1,6 @@
 #include "obs/timeseries.h"
 
 #include <cassert>
-#include <chrono>
 #include <utility>
 
 namespace mmdb {
@@ -50,17 +49,11 @@ void TimeSeriesSampler::SampleUpTo(double now) {
   // Multiplying instead of accumulating the epoch keeps boundaries exact
   // over long runs (no floating-point drift in the sample grid).
   double next = options_.epoch * static_cast<double>(next_epoch_index_);
-  if (now < next) return;
-  auto wall_start = std::chrono::steady_clock::now();
   while (now >= next) {
     Record(next);
     ++next_epoch_index_;
     next = options_.epoch * static_cast<double>(next_epoch_index_);
   }
-  sample_wall_seconds_ +=
-      std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                    wall_start)
-          .count();
 }
 
 void TimeSeriesSampler::ToJson(JsonWriter* writer) const {
@@ -91,11 +84,6 @@ void TimeSeriesSampler::ToJson(JsonWriter* writer) const {
   writer->Uint(recorded_);
   writer->Key("dropped");
   writer->Uint(dropped_);
-  writer->Key("wall");
-  writer->BeginObject();
-  writer->Key("sample_seconds");
-  writer->Double(sample_wall_seconds_);
-  writer->EndObject();
   writer->EndObject();
 }
 

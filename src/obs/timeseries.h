@@ -23,10 +23,7 @@ namespace mmdb {
 // the engine: a sample at epoch boundary t carries the instrument values
 // observed at the first clock movement that reaches or passes t. Because
 // the clock is virtual and every source reads deterministic state, the
-// exported series is byte-identical across runs and sweep widths; the only
-// nondeterministic field is the wall-clock collection cost, which lives
-// under a "wall" member so the sidecar's sanctioned-nondeterminism
-// stripping (see obs/bench_diff.h IsWallClockField) removes it.
+// exported series is byte-identical across runs and sweep widths.
 //
 // Not thread-safe: owned and driven by the single engine thread.
 class TimeSeriesSampler {
@@ -51,8 +48,7 @@ class TimeSeriesSampler {
   uint64_t dropped() const { return dropped_; }
 
   // {"epoch":e,"capacity":n,"series":[names...],
-  //  "samples":[{"t":t,"v":[values...]}...],"recorded":n,"dropped":n,
-  //  "wall":{"sample_seconds":s}}
+  //  "samples":[{"t":t,"v":[values...]}...],"recorded":n,"dropped":n}
   void ToJson(JsonWriter* writer) const;
 
  private:
@@ -75,7 +71,6 @@ class TimeSeriesSampler {
   uint64_t next_epoch_index_ = 1;  // next boundary is epoch * index
   uint64_t recorded_ = 0;
   uint64_t dropped_ = 0;
-  double sample_wall_seconds_ = 0.0;
 };
 
 }  // namespace mmdb

@@ -30,9 +30,9 @@ namespace mmdb {
 // log_read_seconds, replay_cpu_seconds, total_seconds) are virtual-clock
 // quantities computed from the cost model, bit-identical for either
 // schedule (blocking or drained instant). The `*_wall_seconds` fields
-// time the real work on the host; they are machine-dependent and
-// excluded from every determinism comparison (IsWallClockField in
-// obs/bench_diff.h).
+// time the real work on the host; they are machine-dependent, and the
+// engine dump puts them under its "host" member, which no comparison of
+// bench artifacts reads (obs/bench_diff.h).
 struct RecoveryStats {
   CheckpointId checkpoint_id = 0;  // checkpoint restored (0 = cold start)
   uint32_t copy = 0;

@@ -145,6 +145,12 @@ const JsonValue* JsonValue::Find(std::string_view key) const {
   return nullptr;
 }
 
+bool JsonValue::Erase(std::string_view key) {
+  return std::erase_if(object_, [key](const auto& m) {
+           return m.first == key;
+         }) > 0;
+}
+
 const JsonValue* JsonValue::FindPath(
     std::initializer_list<std::string_view> keys) const {
   const JsonValue* v = this;

@@ -90,6 +90,8 @@ class JsonValue {
   const JsonValue* Find(std::string_view key) const;
   // Chained lookup convenience: Find(a) then ->Find(b) ...
   const JsonValue* FindPath(std::initializer_list<std::string_view> keys) const;
+  // Removes object member `key`; false if absent or not an object.
+  bool Erase(std::string_view key);
 
   // Re-serializes this value (compact). Useful for tests and round-trips.
   std::string Dump() const;

@@ -1,8 +1,8 @@
 // Bench regression gate (obs/bench_diff.h): identical sidecars compare
-// equal, the "run" member is the only sanctioned drift, timing leaves get
-// tolerance while deterministic leaves must match exactly, and structural
-// drift (missing keys, new keys, array-length or type changes) always
-// fails.
+// equal, "host" members (at any depth) are the only sanctioned drift,
+// timing leaves get tolerance while deterministic leaves must match
+// exactly, and structural drift (missing keys, new keys, array-length or
+// type changes) always fails.
 
 #include <string>
 
@@ -20,13 +20,15 @@ const char kSidecar[] =
     R"("p99":0.04,"p999":0.044}}},)"
     R"("trace":{"recorded":320,"dropped":256,"events":[)"
     R"({"seq":300,"kind":"log.flush","t":2.71,"durable_at":2.72,)"
-    R"("durable_lsn":900,"bytes":4096}]}},)"
+    R"("durable_lsn":900,"bytes":4096}]},)"
+    R"("audit":{"journal":{"entries":356,"bytes":48763,"syncs":3}},)"
+    R"("host":{"recovery":{"backup_read_seconds":0.012}}},)"
     R"("validation":{"overhead_per_txn":{"predicted":3756.8,)"
     R"("measured":2682.7,"residual":-0.286}}},)"
     R"({"label":"BAD","error":"INTERNAL: deterministic failure"}],)"
     R"("validation_summary":{"points":1,"overhead_per_txn":)"
     R"({"mean_abs_residual":0.286,"max_abs_residual":0.286}},)"
-    R"("run":{"jobs":4,"wall_seconds":12.5}})";
+    R"("host":{"jobs":4,"wall_seconds":12.5}})";
 
 std::string Mutated(const std::string& from, const std::string& to) {
   std::string doc = kSidecar;
@@ -44,18 +46,68 @@ TEST(BenchDiffTest, IdenticalDocumentsMatch) {
   EXPECT_GT(result->leaves_compared, 10u);
 }
 
-TEST(BenchDiffTest, RunMemberIsIgnored) {
-  std::string other = Mutated(R"("run":{"jobs":4,"wall_seconds":12.5})",
-                              R"("run":{"jobs":1,"wall_seconds":99.0})");
-  auto result = DiffBenchJson(kSidecar, other);
+// One splice of the fixture: `at` replaced by `with`.
+struct Splice {
+  const char* at;
+  const char* with;
+};
+
+TEST(BenchDiffTest, HostMemberIsIgnored) {
+  // Changed or dropped, at the top level (a sidecar without SetHost) and
+  // inside an engine dump, on either side of the comparison.
+  const Splice kSplices[] = {
+      {R"("host":{"jobs":4,"wall_seconds":12.5})",
+       R"("host":{"jobs":1,"wall_seconds":99.0})"},
+      {R"(,"host":{"jobs":4,"wall_seconds":12.5})", ""},
+      {R"("backup_read_seconds":0.012)", R"("backup_read_seconds":7)"},
+      {R"(,"host":{"recovery":{"backup_read_seconds":0.012}})", ""},
+  };
+  for (const Splice& splice : kSplices) {
+    std::string other = Mutated(splice.at, splice.with);
+    auto result = DiffBenchJson(kSidecar, other);
+    ASSERT_TRUE(result.ok());
+    EXPECT_TRUE(result->equal()) << splice.at;
+    auto reversed = DiffBenchJson(other, kSidecar);
+    ASSERT_TRUE(reversed.ok());
+    EXPECT_TRUE(reversed->equal()) << splice.at;
+  }
+}
+
+TEST(BenchDiffTest, AuditBlockIsCompared) {
+  std::string drifted = Mutated(R"("entries":356)", R"("entries":357)");
+  auto result = DiffBenchJson(kSidecar, drifted);
   ASSERT_TRUE(result.ok());
-  EXPECT_TRUE(result->equal());
-  // ... even when one side has no "run" at all (sidecar without SetRun).
-  std::string no_run =
-      Mutated(R"(,"run":{"jobs":4,"wall_seconds":12.5})", "");
-  auto missing = DiffBenchJson(kSidecar, no_run);
-  ASSERT_TRUE(missing.ok());
-  EXPECT_TRUE(missing->equal());
+  ASSERT_EQ(result->mismatches, 1u);
+  EXPECT_NE(result->reports[0].find("points[0].engine.audit.journal.entries"),
+            std::string::npos);
+}
+
+TEST(BenchDiffTest, WallKeysOutsideHostAreCompared) {
+  // Only the member name "host" is skipped: a "wall" object (top level or
+  // nested) and a *wall_seconds leaf are compared like any other member,
+  // whether one side lacks it or both carry different values.
+  struct Case {
+    const char* at;
+    const char* one;  // `at` with the member inserted
+    const char* two;  // the same member with another value
+  };
+  const Case kCases[] = {
+      {R"({"bench":"fig4a",)", R"({"bench":"fig4a","wall":{"n":1},)",
+       R"({"bench":"fig4a","wall":{"n":2},)"},
+      {R"("now":2.839446,)", R"("now":2.839446,"wall":{"n":1},)",
+       R"("now":2.839446,"wall":{"n":2},)"},
+      {R"("dropped":256,)", R"("dropped":256,"scan_wall_seconds":1,)",
+       R"("dropped":256,"scan_wall_seconds":2,)"},
+  };
+  for (const Case& c : kCases) {
+    std::string one = Mutated(c.at, c.one);
+    auto added = DiffBenchJson(kSidecar, one);
+    ASSERT_TRUE(added.ok());
+    EXPECT_EQ(added->mismatches, 1u) << c.one;
+    auto changed = DiffBenchJson(one, Mutated(c.at, c.two));
+    ASSERT_TRUE(changed.ok());
+    EXPECT_EQ(changed->mismatches, 1u) << c.two;
+  }
 }
 
 TEST(BenchDiffTest, TimingDriftWithinToleranceMatches) {

@@ -1,15 +1,13 @@
 // Unit tests for the observability layer: MetricsRegistry instruments
-// (including concurrent updates), the bounded Tracer ring, the MeteredEnv
-// device accounting, and the JSON round-trips that mmdb_stats and the
-// bench sidecars rely on.
+// (including concurrent updates), the bounded Tracer ring, the time-series
+// sampler, and the JSON round-trips that mmdb_stats and the bench sidecars
+// rely on.
 
 #include <string>
 #include <thread>
 #include <vector>
 
-#include "env/env.h"
 #include "gtest/gtest.h"
-#include "obs/metered_env.h"
 #include "obs/metrics_registry.h"
 #include "obs/timeseries.h"
 #include "obs/trace.h"
@@ -125,51 +123,6 @@ TEST(TracerTest, EventFormatterNamesTypedFields) {
   EXPECT_EQ(doc->Find("checkpoint")->number_value(), 3.0);
 }
 
-TEST(MeteredEnvTest, ClassifiesPathsByDevice) {
-  EXPECT_EQ(ClassifyPath("mmdb_data/wal.log"), DeviceClass::kLog);
-  EXPECT_EQ(ClassifyPath("mmdb_data/backup_0.db"), DeviceClass::kBackup);
-  EXPECT_EQ(ClassifyPath("mmdb_data/CHECKPOINT"), DeviceClass::kMeta);
-  EXPECT_EQ(std::string(DeviceClassName(DeviceClass::kLog)), "log");
-}
-
-TEST(MeteredEnvTest, AccountsOpsBytesPerDeviceClass) {
-  std::unique_ptr<Env> base = NewMemEnv();
-  MetricsRegistry reg;
-  MeteredEnv env(base.get(), &reg);
-
-  auto log = env.NewWritableFile("dir/wal.log");
-  MMDB_ASSERT_OK(log);
-  MMDB_EXPECT_OK((*log)->Append("0123456789"));
-  MMDB_EXPECT_OK((*log)->Sync());
-
-  auto backup = env.NewRandomWriteFile("dir/backup_1.db");
-  MMDB_ASSERT_OK(backup);
-  MMDB_EXPECT_OK((*backup)->WriteAt(0, "abcd"));
-  std::string out;
-  MMDB_EXPECT_OK((*backup)->Read(0, 4, &out));
-  EXPECT_EQ(out, "abcd");
-
-  EXPECT_EQ(reg.counter("env.log.write_ops")->value(), 1u);
-  EXPECT_EQ(reg.counter("env.log.write_bytes")->value(), 10u);
-  EXPECT_EQ(reg.counter("env.log.sync_ops")->value(), 1u);
-  EXPECT_EQ(reg.counter("env.backup.write_ops")->value(), 1u);
-  EXPECT_EQ(reg.counter("env.backup.write_bytes")->value(), 4u);
-  EXPECT_EQ(reg.counter("env.backup.read_ops")->value(), 1u);
-  EXPECT_EQ(reg.counter("env.backup.read_bytes")->value(), 4u);
-  // No cross-charging: the log's ops never land on the backup class.
-  EXPECT_EQ(reg.counter("env.backup.sync_ops")->value(), 0u);
-  EXPECT_EQ(reg.counter("env.log.read_ops")->value(), 0u);
-}
-
-TEST(MeteredEnvTest, CountsErrors) {
-  std::unique_ptr<Env> base = NewMemEnv();
-  MetricsRegistry reg;
-  MeteredEnv env(base.get(), &reg);
-  auto missing = env.NewRandomAccessFile("dir/backup_0.db");
-  EXPECT_FALSE(missing.ok());
-  EXPECT_EQ(reg.counter("env.backup.errors")->value(), 1u);
-}
-
 TEST(TimerRatioTest, FirstCallerPinsBucketRatio) {
   MetricsRegistry reg;
   Timer* fine = reg.timer("lat", Histogram::kLatencyRatio);
@@ -219,8 +172,6 @@ TEST(TimeSeriesSamplerTest, SamplesOnEpochBoundaries) {
   ASSERT_EQ(series.size(), 2u);
   EXPECT_EQ(series[0].string_value(), "commits");
   EXPECT_EQ(series[1].string_value(), "depth");
-  // Wall-clock cost lives under "wall" so sidecar stripping removes it.
-  EXPECT_TRUE(doc->Find("wall")->Find("sample_seconds")->is_number());
 }
 
 TEST(TimeSeriesSamplerTest, RingDropsOldestBeyondCapacity) {

@@ -309,7 +309,7 @@ TEST(TraceExportTest, CounterTrackEventsFromTimeseries) {
       R"({"epoch":0.1,"capacity":8,"series":["txn.commits","ckpt.in_progress"],)"
       R"("samples":[{"t":0.1,"v":[5,0]},{"t":0.2,"v":[11,1]},)"
       R"({"t":0.3,"v":[11]}],)"  // malformed width: skipped, not exported
-      R"("recorded":3,"dropped":0,"wall":{"sample_seconds":0.001}})";
+      R"("recorded":3,"dropped":0})";
   StatusOr<JsonValue> parsed = JsonValue::Parse(ts_doc);
   ASSERT_TRUE(parsed.ok());
   JsonWriter w;
@@ -341,8 +341,7 @@ TEST(TraceExportTest, SidecarPointsCarryCounterTracks) {
   std::string trace_json = tracer.ToJsonString();
   std::string ts_doc =
       R"({"epoch":0.5,"capacity":4,"series":["txn.commits"],)"
-      R"("samples":[{"t":0.5,"v":[9]}],"recorded":1,"dropped":0,)"
-      R"("wall":{"sample_seconds":0}})";
+      R"("samples":[{"t":0.5,"v":[9]}],"recorded":1,"dropped":0})";
   std::string sidecar =
       R"({"bench":"t","points":[{"label":"A","engine":{"trace":)" +
       trace_json + R"(,"timeseries":)" + ts_doc +

@@ -36,8 +36,12 @@
 # and recovery_bench at --jobs=2 with a shrunken trace ring
 # (MMDB_TRACE_CAPACITY=64 — the capacity the committed baselines were
 # recorded at; ring drop counts depend on it) and diffs each fresh
-# sidecar against bench/baselines/*.json with mmdb_bench_diff:
-# deterministic leaves must match exactly, timing leaves within 5%.
+# sidecar against bench/baselines/*.json with mmdb_bench_diff. Everything
+# but the "host" members (host-clock values, at any depth) is compared,
+# each point's provenance "audit" block included: deterministic leaves
+# must match exactly, timing leaves within 5%. Each smoke sidecar is
+# deleted before its bench runs, so a bench that fails to write one
+# fails the diff instead of passing on a stale file.
 # Regenerate the baselines after an intentional engine/model change with
 #   MMDB_TRACE_CAPACITY=64 \
 #       MMDB_METRICS_SIDECAR=bench/baselines/fig4a.json \
@@ -146,24 +150,28 @@ run_bench_smoke() {
       --target fig4a_overhead_recovery fig_modern fig_interference \
       recovery_bench mmdb_bench_diff
   echo "check.sh: bench smoke (fig4a --jobs=2 vs bench/baselines/fig4a.json)"
+  rm -f build/fig4a_bench_smoke.json
   MMDB_TRACE_CAPACITY=64 \
       MMDB_METRICS_SIDECAR=build/fig4a_bench_smoke.json \
       ./build/bench/fig4a_overhead_recovery --jobs=2 > /dev/null
   ./build/tools/mmdb_bench_diff bench/baselines/fig4a.json \
       build/fig4a_bench_smoke.json
   echo "check.sh: bench smoke (fig_modern --jobs=2 vs bench/baselines/modern.json)"
+  rm -f build/fig_modern_bench_smoke.json
   MMDB_TRACE_CAPACITY=64 \
       MMDB_METRICS_SIDECAR=build/fig_modern_bench_smoke.json \
       ./build/bench/fig_modern --jobs=2 > /dev/null
   ./build/tools/mmdb_bench_diff bench/baselines/modern.json \
       build/fig_modern_bench_smoke.json
   echo "check.sh: bench smoke (fig_interference --jobs=2 vs bench/baselines/interference.json)"
+  rm -f build/fig_interference_bench_smoke.json
   MMDB_TRACE_CAPACITY=64 \
       MMDB_METRICS_SIDECAR=build/fig_interference_bench_smoke.json \
       ./build/bench/fig_interference --jobs=2 > /dev/null
   ./build/tools/mmdb_bench_diff bench/baselines/interference.json \
       build/fig_interference_bench_smoke.json
   echo "check.sh: bench smoke (recovery_bench --jobs=2 vs bench/baselines/recovery.json)"
+  rm -f build/recovery_bench_smoke.json
   MMDB_TRACE_CAPACITY=64 \
       MMDB_METRICS_SIDECAR=build/recovery_bench_smoke.json \
       ./build/bench/recovery_bench --jobs=2 > /dev/null

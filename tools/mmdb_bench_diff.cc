@@ -6,9 +6,10 @@
 //     --abs-tol=A   absolute floor for the same comparison (1e-9)
 //     --strict      exact equality everywhere (same-binary comparisons)
 //
-// The top-level "run" member (sweep width + wall clock) is ignored; every
-// deterministic leaf must match exactly and timing/model leaves must agree
-// within tolerance (see obs/bench_diff.h). Exit codes: 0 = match,
+// Members named "host" (host-clock values, at any depth) are skipped;
+// every other deterministic leaf, the "audit" block included, must match
+// exactly and timing/model leaves must agree within tolerance (see
+// obs/bench_diff.h). Exit codes: 0 = match,
 // 1 = drift (mismatches listed on stderr), 2 = usage or unreadable input.
 
 #include <cstdio>

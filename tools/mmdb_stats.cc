@@ -15,10 +15,6 @@
 //       recovery block, "--filter=counters.txn" the txn_* counters,
 //       "--filter=audit" the provenance-journal account
 //   mmdb_stats <metrics.json> --raw      re-emit the parsed document compactly
-//   mmdb_stats <metrics.json> --deterministic
-//       re-emit with the sidecar's "run" member stripped
-//       (MetricsSidecar::DeterministicView) — the bytes that must be
-//       identical across --jobs widths, pipeable straight into diff(1)
 //
 // Exits non-zero (with a diagnostic) on malformed JSON, so it doubles as a
 // validator for the sidecar files.
@@ -31,7 +27,6 @@
 #include <string_view>
 
 #include "env/env.h"
-#include "obs/sidecar.h"
 #include "util/json.h"
 #include "util/status.h"
 #include "util/string_util.h"
@@ -133,7 +128,8 @@ void PrintTimeSeries(const JsonValue& engine) {
 }
 
 // Last-recovery block: deterministic counters, then the modeled
-// (virtual-clock) phase split side by side with the real wall clock.
+// (virtual-clock) phase split side by side with the host clock's
+// ("host.recovery").
 void PrintRecovery(const JsonValue& engine) {
   const JsonValue* r = engine.Find("recovery");
   if (r == nullptr || !r->is_object() || !Selected("recovery")) return;
@@ -158,7 +154,7 @@ void PrintRecovery(const JsonValue& engine) {
                 NumberOr(modeled->Find("replay_cpu_seconds"), 0),
                 NumberOr(modeled->Find("total_seconds"), 0));
   }
-  const JsonValue* wall = r->Find("wall");
+  const JsonValue* wall = engine.FindPath({"host", "recovery"});
   if (wall != nullptr && wall->is_object()) {
     std::printf("  wall:    backup=%.4fs scan=%.4fs replay=%.4fs\n",
                 NumberOr(wall->Find("backup_read_seconds"), 0),
@@ -168,7 +164,7 @@ void PrintRecovery(const JsonValue& engine) {
 }
 
 // Instant-recovery availability block (the dump's "availability" member,
-// present only after an instant restart): time-to-first-transaction vs
+// null until an instant restart has run): time-to-first-transaction vs
 // time-to-full-recovery, the on-demand/background/forced load split, and —
 // when the run carried a workload — the recovery-wait share of total
 // transaction latency (sixth attribution cause).
@@ -358,23 +354,12 @@ void PrintEngineDoc(const JsonValue& engine, bool events, bool percentiles) {
   PrintTrace(engine, events);
 }
 
-int Run(const std::string& path, bool events, bool raw, bool deterministic,
-        bool percentiles) {
+int Run(const std::string& path, bool events, bool raw, bool percentiles) {
   std::string contents;
   Status read = Env::Posix()->ReadFileToString(path, &contents);
   if (!read.ok()) {
     std::fprintf(stderr, "error: %s\n", read.ToString().c_str());
     return 1;
-  }
-  if (deterministic) {
-    StatusOr<std::string> view = MetricsSidecar::DeterministicView(contents);
-    if (!view.ok()) {
-      std::fprintf(stderr, "error: %s: %s\n", path.c_str(),
-                   view.status().ToString().c_str());
-      return 1;
-    }
-    std::printf("%s\n", view->c_str());
-    return 0;
   }
   StatusOr<JsonValue> doc = JsonValue::Parse(contents);
   if (!doc.ok()) {
@@ -431,13 +416,12 @@ int main(int argc, char** argv) {
   if (argc < 2) {
     std::fprintf(stderr,
                  "usage: %s <metrics.json> [--trace] [--percentiles] "
-                 "[--filter=prefix] [--raw] [--deterministic]\n",
+                 "[--filter=prefix] [--raw]\n",
                  argv[0]);
     return 2;
   }
   bool events = false;
   bool raw = false;
-  bool deterministic = false;
   bool percentiles = false;
   for (int i = 2; i < argc; ++i) {
     if (std::strcmp(argv[i], "--trace") == 0) {
@@ -446,8 +430,6 @@ int main(int argc, char** argv) {
       mmdb::g_filter = argv[i] + 9;
     } else if (std::strcmp(argv[i], "--raw") == 0) {
       raw = true;
-    } else if (std::strcmp(argv[i], "--deterministic") == 0) {
-      deterministic = true;
     } else if (std::strcmp(argv[i], "--percentiles") == 0) {
       percentiles = true;
     } else {
@@ -455,5 +437,5 @@ int main(int argc, char** argv) {
       return 2;
     }
   }
-  return mmdb::Run(argv[1], events, raw, deterministic, percentiles);
+  return mmdb::Run(argv[1], events, raw, percentiles);
 }
