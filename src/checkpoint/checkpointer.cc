@@ -138,12 +138,6 @@ Status Checkpointer::Begin(CheckpointId id, double now) {
   stats_.begin_time = now;
   copy_instr_at_begin_ = ctx_.meter->Count(CpuCategory::kCkptCopy) +
                          ctx_.meter->Count(CpuCategory::kSyncCopy);
-  if (ctx_.tracer != nullptr) {
-    ctx_.tracer->Record(TraceEventType::kCheckpointBegin, now, 0.0,
-                        static_cast<int64_t>(id),
-                        static_cast<int64_t>(algorithm()),
-                        static_cast<int64_t>(mode_));
-  }
   cur_seg_ = 0;
   next_due_ = now;
   last_write_done_ = now;
@@ -169,22 +163,10 @@ Status Checkpointer::Begin(CheckpointId id, double now) {
     stats_.quiesce_seconds = sweep_start_ - now;
   }
   state_ = State::kSweeping;
-  if (ctx_.audit != nullptr) {
-    ctx_.audit->Record("ckpt.begin", now, [this](JsonWriter& w) {
-      w.Key("ckpt");
-      w.Uint(id_);
-      w.Key("algorithm");
-      w.String(name());
-      w.Key("mode");
-      w.String(mode_ == CheckpointMode::kFull ? "full" : "partial");
-      w.Key("copy");
-      w.Uint(copy());
-      w.Key("begin_lsn");
-      w.Uint(begin_marker_lsn_);
-      w.Key("begin_offset");
-      w.Uint(begin_marker_offset_);
-    });
-  }
+  ctx_.events.Emit({TraceEventType::kCkptBegin, now, 0.0,
+                    {id_, static_cast<uint64_t>(algorithm()),
+                     static_cast<uint64_t>(mode_), copy(), begin_marker_lsn_,
+                     begin_marker_offset_}});
   return Status::OK();
 }
 
@@ -216,30 +198,11 @@ StatusOr<double> Checkpointer::SubmitWrite(SegmentId s, std::string_view data,
     locked_until_[s] = done;
     ctx_.segments->set_ckpt_locked(s, true);
   }
-  if (ctx_.tracer != nullptr) {
-    ctx_.tracer->Record(TraceEventType::kCheckpointSegmentWrite, now, done,
-                        static_cast<int64_t>(s),
-                        static_cast<int64_t>(copy()),
-                        static_cast<int64_t>(data.size()));
-  }
-  if (ctx_.audit != nullptr) {
-    // The segment's update LSN at flush time tells recovery auditing what
-    // log position this backup image reflects (at most).
-    const Lsn lsn = ctx_.segments->update_lsn(s);
-    const uint64_t bytes = data.size();
-    ctx_.audit->Record("ckpt.flush", now, [&](JsonWriter& w) {
-      w.Key("ckpt");
-      w.Uint(id_);
-      w.Key("segment");
-      w.Uint(s);
-      w.Key("copy");
-      w.Uint(copy());
-      w.Key("lsn");
-      w.Uint(lsn);
-      w.Key("bytes");
-      w.Uint(bytes);
-    });
-  }
+  // The segment's update LSN at flush time tells recovery auditing what
+  // log position this backup image reflects (at most).
+  ctx_.events.Emit({TraceEventType::kCkptFlush, now, done,
+                    {id_, s, copy(), ctx_.segments->update_lsn(s),
+                     data.size()}});
   return done;
 }
 
@@ -343,25 +306,9 @@ StatusOr<double> Checkpointer::Step(double now) {
         m_copy_seconds_->Record(stats_.copy_seconds);
         m_quiesce_seconds_->Record(stats_.quiesce_seconds);
       }
-      if (ctx_.tracer != nullptr) {
-        ctx_.tracer->Record(TraceEventType::kCheckpointEnd, now, 0.0,
-                            static_cast<int64_t>(id_),
-                            static_cast<int64_t>(stats_.segments_flushed),
-                            static_cast<int64_t>(stats_.segments_skipped));
-      }
-      if (ctx_.audit != nullptr) {
-        ctx_.audit->Record("ckpt.end", now, [this](JsonWriter& w) {
-          w.Key("ckpt");
-          w.Uint(id_);
-          w.Key("copy");
-          w.Uint(copy());
-          w.Key("flushed");
-          w.Uint(stats_.segments_flushed);
-          w.Key("skipped");
-          w.Uint(stats_.segments_skipped);
-        });
-        ctx_.audit->Sync();
-      }
+      ctx_.events.Emit({TraceEventType::kCkptEnd, now, 0.0,
+                        {id_, copy(), stats_.segments_flushed,
+                         stats_.segments_skipped}});
       state_ = State::kIdle;
       MMDB_RETURN_IF_ERROR(OnComplete(now));
       CheckpointMeta meta;
@@ -415,23 +362,9 @@ void Checkpointer::Abort(double now, std::string_view cause) {
   // keeps the invariant even if stats_ was never populated, so the
   // trace export can never emit a negative timestamp.
   const double when = std::max(0.0, now >= 0.0 ? now : stats_.begin_time);
-  if (ctx_.tracer != nullptr) {
-    ctx_.tracer->Record(TraceEventType::kCheckpointAbort, when, 0.0,
-                        static_cast<int64_t>(id_),
-                        static_cast<int64_t>(stats_.segments_flushed),
-                        static_cast<int64_t>(stats_.segments_skipped));
-  }
-  if (ctx_.audit != nullptr) {
-    ctx_.audit->Record("ckpt.abort", when, [&](JsonWriter& w) {
-      w.Key("ckpt");
-      w.Uint(id_);
-      w.Key("cause");
-      w.String(cause.empty() ? std::string_view("unspecified") : cause);
-      w.Key("flushed");
-      w.Uint(stats_.segments_flushed);
-    });
-    ctx_.audit->Sync();
-  }
+  ctx_.events.Emit(
+      {TraceEventType::kCkptAbort, when, 0.0, {id_, stats_.segments_flushed}},
+      {.text = cause.empty() ? std::string_view("unspecified") : cause});
   Reset();
 }
 

@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "backup/backup_store.h"
-#include "obs/audit.h"
 #include "obs/metrics_registry.h"
 #include "obs/trace.h"
 #include "sim/cost_model.h"
@@ -154,12 +153,10 @@ class Checkpointer : public CheckpointHooks {
     TimestampOracle* timestamps = nullptr;
     CpuMeter* meter = nullptr;
     SystemParams params;
-    // Optional observability sinks (any may stay null).
+    // Optional observability sinks (any may stay null). Every attempt's
+    // begin/flush/degraded/end/abort events go to `events`.
     MetricsRegistry* metrics = nullptr;
-    Tracer* tracer = nullptr;
-    // Provenance journal (DESIGN.md §18): begin/flush/degraded/end/abort
-    // events are appended for every checkpoint attempt.
-    AuditJournal* audit = nullptr;
+    EventSink events;
     // Completed-checkpoint stats retained by history(); older entries are
     // discarded once the cap is exceeded (0 = unbounded).
     size_t history_cap = 256;

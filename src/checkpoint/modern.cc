@@ -30,14 +30,7 @@ void ShadowSnapshotCheckpointer::BeforeSegmentUpdate(SegmentId s,
     // Emulation buffer exhausted: degrade to fuzzy content for this
     // segment, exactly like COU under the same pressure. Recovery stays
     // correct under full-image REDO replay.
-    if (ctx_.audit != nullptr) {
-      ctx_.audit->Record("ckpt.degraded", now, [&](JsonWriter& w) {
-        w.Key("ckpt");
-        w.Uint(id_);
-        w.Key("segment");
-        w.Uint(s);
-      });
-    }
+    ctx_.events.Emit({TraceEventType::kCkptDegraded, now, 0.0, {id_, s}});
     return;
   }
   // No CPU charge: in the real algorithm this image already exists (the

@@ -86,12 +86,7 @@ Status Engine::Init(bool fresh) {
   }
 
   if (options_.enable_metrics) {
-    if (options_.shared_metrics != nullptr) {
-      metrics_ = options_.shared_metrics;
-    } else {
-      owned_metrics_ = std::make_unique<MetricsRegistry>();
-      metrics_ = owned_metrics_.get();
-    }
+    metrics_ = std::make_unique<MetricsRegistry>();
     tracer_ = std::make_unique<Tracer>(Tracer::ResolveCapacity());
     m_admission_wait_ = metrics_->timer("engine.admission_wait_seconds");
     m_stall_quiesce_ = metrics_->timer("engine.stall_quiesce_seconds");
@@ -111,11 +106,11 @@ Status Engine::Init(bool fresh) {
                                        uint64_t op) {
             fired->Increment();
             tracer->Record(TraceEventType::kFaultInjected, clock->now(), 0.0,
-                           static_cast<int64_t>(kind),
-                           static_cast<int64_t>(op));
+                           static_cast<uint64_t>(kind), op);
           });
     }
   }
+  events_ = {tracer_.get(), audit_.get()};
 
   db_ = std::make_unique<Database>(p.db);
   segments_ = std::make_unique<SegmentTable>(p.db.num_segments());
@@ -124,17 +119,17 @@ Status Engine::Init(bool fresh) {
   log_ = std::make_unique<LogManager>(env_, LogPath(), p, &meter_,
                                       options_.stable_log_tail,
                                       options_.log_flush_interval);
-  log_->set_obs(metrics_, tracer_.get());
+  log_->set_obs(metrics_.get(), tracer_.get());
   if (fresh) {
     MMDB_RETURN_IF_ERROR(log_->Open());
   }  // else: Recover() reads the existing file, then reopens it.
   backup_ = std::make_unique<BackupStore>(env_, options_.dir, p,
                                           &backup_disks_);
-  backup_->set_obs(metrics_);
+  backup_->set_obs(metrics_.get());
   MMDB_RETURN_IF_ERROR(backup_->Open());
   txns_ = std::make_unique<TxnManager>(db_.get(), segments_.get(), log_.get(),
                                        &timestamps_, &meter_, p);
-  txns_->set_obs(metrics_, tracer_.get());
+  txns_->set_obs(metrics_.get(), tracer_.get());
 
   Checkpointer::Context ctx;
   ctx.db = db_.get();
@@ -146,10 +141,9 @@ Status Engine::Init(bool fresh) {
   ctx.timestamps = &timestamps_;
   ctx.meter = &meter_;
   ctx.params = p;
-  ctx.metrics = metrics_;
-  ctx.tracer = tracer_.get();
+  ctx.metrics = metrics_.get();
+  ctx.events = events_;
   ctx.history_cap = options_.checkpoint_history_cap;
-  ctx.audit = audit_.get();
   MMDB_ASSIGN_OR_RETURN(
       checkpointer_,
       Checkpointer::Create(options_.algorithm, ctx, options_.checkpoint_mode));
@@ -531,14 +525,9 @@ Status Engine::MaybeTruncateLog() {
   // Everything before the newest complete checkpoint's begin marker is
   // unreachable by recovery (which replays forward from that marker).
   StatusOr<uint64_t> reclaimed = log_->TruncateBefore(meta->log_offset);
-  if (reclaimed.ok() && audit_ != nullptr) {
-    const uint64_t cut = meta->log_offset;
-    audit_->Record("ckpt.log_cut", clock_.now(), [&](JsonWriter& w) {
-      w.Key("cut");
-      w.Uint(cut);
-      w.Key("reclaimed");
-      w.Uint(*reclaimed);
-    });
+  if (reclaimed.ok()) {
+    events_.Emit({TraceEventType::kCkptLogCut, clock_.now(), 0.0,
+                  {meta->log_offset, *reclaimed}});
   }
   // Truncation is purely an optimization, and a failed rewrite leaves the
   // original file intact (temp + rename): degrade by keeping the longer
@@ -580,32 +569,22 @@ StatusOr<RecoveryStats> Engine::Recover() {
   if (!crashed_) {
     return FailedPreconditionError("Recover() is only valid after Crash()");
   }
-  if (tracer_) {
-    tracer_->Record(TraceEventType::kRecoveryBegin, clock_.now(), 0.0,
-                    restarting_ ? 1 : 0);
-  }
-  if (audit_ != nullptr) {
-    const bool restart = restarting_;
-    audit_->Record("recovery.begin", clock_.now(), [&](JsonWriter& w) {
-      w.Key("restart");
-      w.Bool(restart);
-    });
-  }
+  events_.Emit(
+      {TraceEventType::kRecoveryBegin, clock_.now(), 0.0, {restarting_}});
   restarting_ = false;
   // One pipeline (DESIGN.md §14, §19): plan, then load every segment
   // eagerly (blocking, or retrying a restart that failed mid-service) or on
   // demand while transactions run (instant), then FinishRecovery.
   recovery_crash_now_ = clock_.now();
   avail_ = Availability{};
-  RecoveryManager rm(env_, options_.params, &meter_);
-  rm.set_audit(audit_.get());
+  RecoveryManager rm(env_, options_.params, &meter_, events_);
   StatusOr<RecoveryPlan> plan = rm.Plan(backup_.get(), LogPath(), db_.get(),
                                         segments_.get(), recovery_crash_now_);
   if (!plan.ok()) return FailRecovery(plan.status());
   newest_end_id_ = plan->result.newest_end_id;
   instant_ = std::make_unique<InstantRecovery>(
       std::move(*plan), options_.params, backup_.get(), db_.get(), &meter_,
-      metrics_, tracer_.get(), audit_.get());
+      metrics_.get(), events_);
   const bool eager = !instant_enabled_ || retry_eagerly_;
   if (eager) {
     Status loaded = instant_->LoadAll();
@@ -668,14 +647,9 @@ Status Engine::FailRecovery(Status error) {
     }
     retry_eagerly_ = true;
   }
-  if (audit_ != nullptr) {
-    const std::string text = error.ToString();
-    audit_->Record("recovery.error", recovery_crash_now_, [&](JsonWriter& w) {
-      w.Key("error");
-      w.String(text);
-    });
-    audit_->Sync();
-  }
+  const std::string text = error.ToString();
+  events_.Emit({TraceEventType::kRecoveryError, recovery_crash_now_},
+               {.text = text});
   instant_.reset();
   crashed_ = true;
   return error;
@@ -721,31 +695,26 @@ void Engine::FinishRecovery() {
   last_recovery_ = r.stats;
   has_last_recovery_ = true;
   // The outcome is journaled and published once, on the crash-instant
-  // timeline, whichever schedule loaded the segments.
-  if (audit_ != nullptr) {
-    audit_->Record("recovery.lineage", recovery_crash_now_,
-                   [&](JsonWriter& w) {
-                     w.Key("lineage");
-                     WriteLineageJson(r.lineage, &w);
-                   });
-    audit_->Record("recovery.end", recovery_crash_now_, [&](JsonWriter& w) {
-      w.Key("checkpoint");
-      w.Uint(r.stats.checkpoint_id);
-      w.Key("copy");
-      w.Uint(r.stats.copy);
-      w.Key("fell_back");
-      w.Bool(r.stats.fell_back_to_older_copy);
-      w.Key("last_lsn");
-      w.Uint(r.last_lsn);
-      w.Key("applies");
-      w.Uint(r.stats.updates_applied);
-      w.Key("txns");
-      w.Uint(r.stats.txns_redone);
-    });
-    audit_->Sync();
-  }
-  RecoveryManager::Publish(metrics_, tracer_.get(), r.stats,
-                           recovery_crash_now_);
+  // timeline, whichever schedule loaded the segments. The phases are laid
+  // end to end from the crash instant by the trace exporter.
+  const double t = recovery_crash_now_;
+  const RecoveryStats& st = r.stats;
+  events_.Emit({TraceEventType::kRecoveryLineage, t}, {.lineage = &r.lineage});
+  RecoveryManager::Publish(metrics_.get(), st);
+  const TraceEvent phases[] = {
+      {TraceEventType::kRecoveryPhase, t, st.backup_read_seconds,
+       {static_cast<uint64_t>(RecoveryPhase::kBackupLoad), st.segments_loaded,
+        st.copy}},
+      {TraceEventType::kRecoveryPhase, t, st.log_read_seconds,
+       {static_cast<uint64_t>(RecoveryPhase::kLogRead), st.log_bytes_read}},
+      {TraceEventType::kRecoveryPhase, t, st.replay_cpu_seconds,
+       {static_cast<uint64_t>(RecoveryPhase::kReplay), st.updates_applied,
+        st.txns_redone}},
+  };
+  for (const TraceEvent& phase : phases) events_.Emit(phase);
+  events_.Emit({TraceEventType::kRecoveryEnd, t, st.total_seconds,
+                {st.checkpoint_id, st.copy, st.fell_back_to_older_copy,
+                 r.last_lsn, st.updates_applied, st.txns_redone}});
   last_lineage_ = std::move(r.lineage);
 }
 

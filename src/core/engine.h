@@ -221,8 +221,8 @@ class Engine {
 
   // --- observability -------------------------------------------------------
   // Null when options.enable_metrics is false.
-  MetricsRegistry* metrics() { return metrics_; }
-  const MetricsRegistry* metrics() const { return metrics_; }
+  MetricsRegistry* metrics() { return metrics_.get(); }
+  const MetricsRegistry* metrics() const { return metrics_.get(); }
   Tracer* tracer() { return tracer_.get(); }
   const Tracer* tracer() const { return tracer_.get(); }
   // Null unless options.timeseries_epoch > 0 (and metrics are enabled).
@@ -281,8 +281,8 @@ class Engine {
   void SyncInstant();
   // The one finalization of a restart, blocking or instant, once every
   // segment is loaded and the log has reopened: publishes the stats and
-  // lineage, journals recovery.lineage + recovery.end, and records the
-  // registry counters and trace events.
+  // lineage, emits recovery.lineage, the phases and recovery.end, and
+  // records the registry counters.
   void FinishRecovery();
   // The restart failed (planning, loading a segment, or reopening the
   // log): journal recovery.error, abandon any drain and leave the engine
@@ -305,12 +305,12 @@ class Engine {
   Env* env_;
 
   // Observability sinks, built before every other subsystem so their
-  // pointers can be threaded through. `metrics_` aliases either
-  // `owned_metrics_` or options_.shared_metrics; both stay null with
-  // enable_metrics off (every sink call site null-checks).
-  std::unique_ptr<MetricsRegistry> owned_metrics_;
-  MetricsRegistry* metrics_ = nullptr;
+  // pointers can be threaded through. Both stay null with enable_metrics
+  // off (every sink call site null-checks). `events_` pairs the ring with
+  // the journal: the one emission point of the events they share.
+  std::unique_ptr<MetricsRegistry> metrics_;
   std::unique_ptr<Tracer> tracer_;
+  EventSink events_;
   Timer* m_admission_wait_ = nullptr;
   Timer* m_stall_quiesce_ = nullptr;
   Timer* m_stall_ckpt_lock_ = nullptr;

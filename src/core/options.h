@@ -6,7 +6,6 @@
 #include <string>
 
 #include "checkpoint/checkpointer.h"
-#include "obs/metrics_registry.h"
 #include "sim/cost_model.h"
 #include "util/status.h"
 
@@ -69,8 +68,8 @@ struct EngineOptions {
   // journal carries no registry instruments and consumes no virtual time,
   // so every modeled stat and the registry snapshot are bit-identical
   // with it on or off; its own health appears only in DumpMetricsJson's
-  // top-level "audit" member (stripped by bench_diff). Independent of
-  // enable_metrics.
+  // top-level "audit" member, which the bench gate compares like any
+  // other. Independent of enable_metrics.
   bool audit_journal = true;
 
   // Completed-checkpoint stats retained by Checkpointer::history().
@@ -106,11 +105,6 @@ struct EngineOptions {
   // (Engine::ResolveInstantRecovery) — used by check.sh's instant
   // sanitize lane.
   bool instant_recovery = false;
-
-  // Optional externally owned registry, e.g. shared by every engine of a
-  // bench sweep so their counters aggregate. Must outlive the engine.
-  // When null (and enable_metrics is set) the engine owns a private one.
-  MetricsRegistry* shared_metrics = nullptr;
 
   // Directory (within the Env) holding the backup copies, checkpoint
   // metadata and log.

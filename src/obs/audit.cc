@@ -9,7 +9,7 @@ namespace mmdb {
 namespace {
 
 // Validates one complete journal line (no trailing newline): the crc member
-// must be present, must be the literal splice Record() appended, and must
+// must be present, must be the literal splice Append() wrote, and must
 // cover the line with that splice removed.
 bool ParseLine(std::string_view line, AuditEntry* out) {
   size_t pos = line.rfind(",\"crc\":");
@@ -91,18 +91,19 @@ void AuditJournal::Open(bool fresh) {
   file_ = std::move(*file);
 }
 
-void AuditJournal::Record(std::string_view event, double t,
-                          const std::function<void(JsonWriter&)>& fields) {
+void AuditJournal::Append(const TraceEvent& event,
+                          const TraceDetail& detail) {
   if (file_ == nullptr) return;
+  const TraceEventSpec& spec = TraceEventSpecFor(event.type);
   JsonWriter w;
   w.BeginObject();
   w.Key("seq");
   w.Uint(next_seq_);
   w.Key("t");
-  w.Double(t);
+  w.Double(event.time);
   w.Key("event");
-  w.String(event);
-  if (fields) fields(w);
+  w.String(spec.name);
+  WriteTraceFields(event, detail, &w);
   w.EndObject();
   std::string line = w.TakeString();
   uint32_t crc = crc32c::Value(line);
@@ -119,12 +120,10 @@ void AuditJournal::Record(std::string_view event, double t,
   ++next_seq_;
   ++counters_.entries;
   counters_.bytes += line.size();
-}
-
-void AuditJournal::Sync() {
-  if (file_ == nullptr) return;
-  ++counters_.syncs;
-  if (!file_->Sync().ok()) ++counters_.sync_errors;
+  if (spec.synced) {
+    ++counters_.syncs;
+    if (!file_->Sync().ok()) ++counters_.sync_errors;
+  }
 }
 
 void WriteLineageJson(const std::vector<SegmentLineage>& lineage,
@@ -185,42 +184,6 @@ StatusOr<std::vector<AuditEntry>> ParseAuditJournal(std::string_view text) {
   return entries;
 }
 
-namespace {
-
-// Required payload members per event (beyond seq/t/event/crc).
-struct EventSpec {
-  std::string_view event;
-  std::vector<std::string_view> fields;
-};
-
-const std::vector<EventSpec>& EventSpecs() {
-  static const std::vector<EventSpec>* specs = new std::vector<EventSpec>{
-      {"ckpt.begin",
-       {"ckpt", "algorithm", "mode", "copy", "begin_lsn", "begin_offset"}},
-      {"ckpt.flush", {"ckpt", "segment", "copy", "lsn", "bytes"}},
-      {"ckpt.degraded", {"ckpt", "segment"}},
-      {"ckpt.end", {"ckpt", "copy", "flushed", "skipped"}},
-      {"ckpt.abort", {"ckpt", "cause", "flushed"}},
-      {"ckpt.log_cut", {"cut", "reclaimed"}},
-      {"recovery.begin", {"restart"}},
-      {"recovery.log", {"valid_bytes", "torn_tail"}},
-      {"recovery.plan", {"checkpoint", "copy", "begin_offset", "source"}},
-      {"recovery.fallback",
-       {"from_checkpoint", "from_copy", "to_checkpoint", "to_copy", "trigger",
-        "failed_segments", "full_reload"}},
-      {"recovery.segment_on_demand",
-       {"segment", "trigger", "checkpoint", "copy", "retried", "frames",
-        "order"}},
-      {"recovery.lineage", {"lineage"}},
-      {"recovery.end",
-       {"checkpoint", "copy", "fell_back", "last_lsn", "applies", "txns"}},
-      {"recovery.error", {"error"}},
-  };
-  return *specs;
-}
-
-}  // namespace
-
 Status VerifyAuditStructure(const std::vector<AuditEntry>& entries) {
   bool ckpt_open = false;
   uint64_t ckpt_id = 0;
@@ -230,17 +193,15 @@ Status VerifyAuditStructure(const std::vector<AuditEntry>& entries) {
       return CorruptionError("audit seq " + std::to_string(e.seq) + " (" +
                              e.event + "): " + std::string(why));
     };
-    const EventSpec* spec = nullptr;
-    for (const EventSpec& s : EventSpecs()) {
-      if (s.event == e.event) {
-        spec = &s;
-        break;
-      }
+    TraceEventType type;
+    if (!TraceEventTypeFromName(e.event, &type) ||
+        !TraceEventSpecFor(type).journaled) {
+      return fail("unknown event");
     }
-    if (spec == nullptr) return fail("unknown event");
-    for (std::string_view f : spec->fields) {
-      if (e.object.Find(f) == nullptr) {
-        return fail("missing field '" + std::string(f) + "'");
+    for (const TraceFieldSpec& f : TraceEventSpecFor(type).fields) {
+      if (f.name == nullptr) break;
+      if (e.object.Find(f.name) == nullptr) {
+        return fail("missing field '" + std::string(f.name) + "'");
       }
     }
     bool is_ckpt = e.event.rfind("ckpt.", 0) == 0;

@@ -2,13 +2,13 @@
 #define MMDB_OBS_AUDIT_H_
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "env/env.h"
+#include "obs/trace.h"
 #include "util/json.h"
 #include "util/status.h"
 #include "util/statusor.h"
@@ -18,11 +18,8 @@ namespace mmdb {
 
 // Provenance journal for the durability path (DESIGN.md §18).
 //
-// Every checkpoint lifecycle event (begin / per-segment flush / degradation /
-// end / abort-and-retry, log cuts) and every recovery decision (which backup
-// copy restored each segment, older-copy fallback and its trigger, the log's
-// valid prefix and torn tail, the per-segment replay ranges) is
-// appended to `audit.log` as one self-checksummed JSON line:
+// Every checkpoint lifecycle event and every recovery decision is appended
+// to `audit.log` as one self-checksummed JSON line:
 //
 //   {"seq":N,"t":<virtual seconds>,"event":"ckpt.begin",...,"crc":C}
 //
@@ -30,27 +27,9 @@ namespace mmdb {
 // journal is an *audit artifact*, not a recovery input: the engine never
 // reads it to make decisions, and journal write failures degrade to counters
 // instead of failing the engine. It is written through the engine's Env so
-// fault injection composes.
-//
-// Event taxonomy (field names are part of the format, see DESIGN.md §18):
-//   ckpt.begin    {ckpt, algorithm, mode, copy, begin_lsn, begin_offset}
-//   ckpt.flush    {ckpt, segment, copy, lsn, bytes}
-//   ckpt.degraded {ckpt, segment}                 (modern snapshot overlays)
-//   ckpt.end      {ckpt, copy, flushed, skipped}              [synced]
-//   ckpt.abort    {ckpt, cause, flushed}                      [synced]
-//   ckpt.log_cut  {cut, reclaimed}
-//   recovery.begin    {restart}
-//   recovery.log      {valid_bytes, torn_tail}
-//   recovery.plan     {checkpoint, copy, begin_offset, source}
-//   recovery.fallback {from_checkpoint, from_copy, to_checkpoint, to_copy,
-//                      trigger, failed_segments[], full_reload}
-//   recovery.segment_on_demand {segment, trigger, checkpoint, copy, retried,
-//                      frames, order}      (instant recovery, DESIGN.md §19;
-//                      one per segment, in first-materialization order)
-//   recovery.lineage  {lineage:{...}}     (per-segment arrays, see below)
-//   recovery.end      {checkpoint, copy, fell_back, last_lsn, applies, txns}
-//                                                             [synced]
-//   recovery.error    {error}                                 [synced]
+// fault injection composes. Which kinds it records, their members (part of
+// the format) and which lines it syncs after are the journaled rows of the
+// event table in obs/trace.cc.
 class AuditJournal {
  public:
   // Plain members, deliberately NOT registry instruments: the registry
@@ -71,8 +50,8 @@ class AuditJournal {
   // sequence numbering resumes after its valid prefix (complete, CRC-clean
   // lines). A clean journal is reopened for append as it is; one with a
   // line torn by a crash or an injected fault has its valid prefix written
-  // to "<path>.tmp" (synced) and renamed over it. Open failure leaves the
-  // journal disabled (Record counts append_errors and writes nothing) and
+  // to "<path>.tmp" (synced) and renamed over it. Open failure counts an
+  // append error, leaves the journal disabled (Append writes nothing) and
   // the file as it was.
   void Open(bool fresh);
 
@@ -81,15 +60,12 @@ class AuditJournal {
   uint64_t next_seq() const { return next_seq_; }
   const Counters& counters() const { return counters_; }
 
-  // Appends one event line at virtual time `t`. `fields` (optional) emits
-  // the event's payload members into the already-open line object. The
+  // Appends `event`'s line, then syncs if the event table says so. The
   // first failed append disables the journal for the rest of this
   // instance's life: a torn line must not be followed by more lines.
-  void Record(std::string_view event, double t,
-              const std::function<void(JsonWriter&)>& fields = nullptr);
-
-  // Durability barrier; called after ckpt.end / ckpt.abort / recovery.end.
-  void Sync();
+  // Events emit through EventSink::Emit, which calls this for journaled
+  // kinds.
+  void Append(const TraceEvent& event, const TraceDetail& detail);
 
  private:
   Env* env_;

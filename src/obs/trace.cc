@@ -7,142 +7,153 @@
 // owning libraries.
 #include "checkpoint/checkpointer.h"
 #include "env/fault_injection_env.h"
+#include "obs/audit.h"
 #include "util/string_util.h"
 #include "wal/log_record.h"
 
 namespace mmdb {
 
-std::string_view TraceEventTypeName(TraceEventType type) {
-  switch (type) {
-    case TraceEventType::kCheckpointBegin:
-      return "checkpoint.begin";
-    case TraceEventType::kCheckpointSegmentWrite:
-      return "checkpoint.segment_write";
-    case TraceEventType::kCheckpointEnd:
-      return "checkpoint.end";
-    case TraceEventType::kCheckpointAbort:
-      return "checkpoint.abort";
-    case TraceEventType::kLogAppend:
-      return "log.append";
-    case TraceEventType::kLogFlush:
-      return "log.flush";
-    case TraceEventType::kLogFlushError:
-      return "log.flush_error";
-    case TraceEventType::kLockWait:
-      return "lock.wait";
-    case TraceEventType::kLockConflict:
-      return "lock.conflict";
-    case TraceEventType::kFaultInjected:
-      return "fault.injected";
-    case TraceEventType::kRecoveryBegin:
-      return "recovery.begin";
-    case TraceEventType::kRecoveryPhase:
-      return "recovery.phase";
-    case TraceEventType::kRecoveryEnd:
-      return "recovery.end";
-    case TraceEventType::kRecoverySegmentOnDemand:
-      return "recovery.segment_on_demand";
-  }
-  return "unknown";
-}
-
-std::string_view RecoveryPhaseName(RecoveryPhase phase) {
-  switch (phase) {
-    case RecoveryPhase::kBackupLoad:
-      return "backup_load";
-    case RecoveryPhase::kLogRead:
-      return "log_read";
-    case RecoveryPhase::kReplay:
-      return "replay";
-  }
-  return "unknown";
-}
-
 namespace {
 
-// One row per TraceEventType, indexed by the enumerator value. Member
-// order within a row is emission order (t2 first, then a, b, c), matching
-// the historical switch-based formatter byte for byte.
-constexpr TraceEventFields kTraceEventFields[kNumTraceEventTypes] = {
-    // kCheckpointBegin: a=id, b=algorithm, c=mode
-    {nullptr, false,
-     {"checkpoint", TraceFieldCoding::kInt},
-     {"algorithm", TraceFieldCoding::kAlgorithm},
-     {"mode", TraceFieldCoding::kMode}},
-    // kCheckpointSegmentWrite: t2=done, a=segment, b=copy, c=bytes
-    {"done", true,
-     {"segment", TraceFieldCoding::kInt},
-     {"copy", TraceFieldCoding::kInt},
-     {"bytes", TraceFieldCoding::kInt}},
-    // kCheckpointEnd: a=id, b=segments_flushed, c=segments_skipped
-    {nullptr, false,
-     {"checkpoint", TraceFieldCoding::kInt},
-     {"segments_flushed", TraceFieldCoding::kInt},
-     {"segments_skipped", TraceFieldCoding::kInt}},
-    // kCheckpointAbort: same shape as kCheckpointEnd
-    {nullptr, false,
-     {"checkpoint", TraceFieldCoding::kInt},
-     {"segments_flushed", TraceFieldCoding::kInt},
-     {"segments_skipped", TraceFieldCoding::kInt}},
-    // kLogAppend: a=lsn, b=record type, c=frame bytes
-    {nullptr, false,
-     {"lsn", TraceFieldCoding::kInt},
-     {"record_type", TraceFieldCoding::kRecordType},
-     {"bytes", TraceFieldCoding::kInt}},
-    // kLogFlush: t2=durable at, a=durable lsn, b=bytes
-    {"durable_at", true,
-     {"durable_lsn", TraceFieldCoding::kInt},
-     {"bytes", TraceFieldCoding::kInt},
-     {nullptr, TraceFieldCoding::kNone}},
-    // kLogFlushError: a=last lsn still volatile
-    {nullptr, false,
-     {"tail_lsn", TraceFieldCoding::kInt},
-     {nullptr, TraceFieldCoding::kNone},
-     {nullptr, TraceFieldCoding::kNone}},
-    // kLockWait: t2=resume time
-    {"until", true,
-     {nullptr, TraceFieldCoding::kNone},
-     {nullptr, TraceFieldCoding::kNone},
-     {nullptr, TraceFieldCoding::kNone}},
-    // kLockConflict: a=txn, b=record
-    {nullptr, false,
-     {"txn", TraceFieldCoding::kInt},
-     {"record", TraceFieldCoding::kInt},
-     {nullptr, TraceFieldCoding::kNone}},
-    // kFaultInjected: a=fault kind, b=op index
-    {nullptr, false,
-     {"fault", TraceFieldCoding::kFault},
-     {"op", TraceFieldCoding::kInt},
-     {nullptr, TraceFieldCoding::kNone}},
-    // kRecoveryBegin: a=1 if restart
-    {nullptr, false,
-     {"restart", TraceFieldCoding::kBool},
-     {nullptr, TraceFieldCoding::kNone},
-     {nullptr, TraceFieldCoding::kNone}},
-    // kRecoveryPhase: t2=seconds (a duration), a=phase, b/c=phase counts
-    {"seconds", false,
-     {"phase", TraceFieldCoding::kPhase},
-     {"n1", TraceFieldCoding::kInt},
-     {"n2", TraceFieldCoding::kInt}},
-    // kRecoveryEnd: t2=total seconds (a duration), a=checkpoint restored
-    {"seconds", false,
-     {"checkpoint", TraceFieldCoding::kInt},
-     {nullptr, TraceFieldCoding::kNone},
-     {nullptr, TraceFieldCoding::kNone}},
-    // kRecoverySegmentOnDemand: t2=availability, a=segment, b=trigger,
-    // c=first-materialization ordinal
-    {"available_at", true,
-     {"segment", TraceFieldCoding::kInt},
-     {"trigger", TraceFieldCoding::kInt},
-     {"order", TraceFieldCoding::kInt}},
+using C = TraceFieldCoding;
+
+// The event table: one row per TraceEventType, indexed by the enumerator.
+// A journaled row's fields are its journal line's members, in order, and
+// part of the durable format `mmdb_audit` checks (DESIGN.md §18).
+constexpr TraceEventSpec kTraceEventSpecs[kNumTraceEventTypes] = {
+    {"ckpt.begin", nullptr, true, false,
+     {{"ckpt"}, {"algorithm", C::kAlgorithm}, {"mode", C::kMode}, {"copy"},
+      {"begin_lsn"}, {"begin_offset"}}},
+    {"ckpt.flush", "done", true, false,
+     {{"ckpt"}, {"segment"}, {"copy"}, {"lsn"}, {"bytes"}}},
+    {"ckpt.degraded", nullptr, true, false, {{"ckpt"}, {"segment"}}},
+    {"ckpt.end", nullptr, true, true,
+     {{"ckpt"}, {"copy"}, {"flushed"}, {"skipped"}}},
+    {"ckpt.abort", nullptr, true, true,
+     {{"ckpt"}, {"cause", C::kText}, {"flushed"}}},
+    {"ckpt.log_cut", nullptr, true, false, {{"cut"}, {"reclaimed"}}},
+    {"log.append", nullptr, false, false,
+     {{"lsn"}, {"record_type", C::kRecordType}, {"bytes"}}},
+    {"log.flush", "durable_at", false, false, {{"durable_lsn"}, {"bytes"}}},
+    {"log.flush_error", nullptr, false, false, {{"tail_lsn"}}},
+    {"lock.wait", "until", false, false, {}},
+    {"lock.conflict", nullptr, false, false, {{"txn"}, {"record"}}},
+    {"fault.injected", nullptr, false, false,
+     {{"fault", C::kFault}, {"op"}}},
+    {"recovery.begin", nullptr, true, false, {{"restart", C::kBool}}},
+    {"recovery.log", nullptr, true, false,
+     {{"valid_bytes"}, {"torn_tail", C::kBool}}},
+    {"recovery.plan", nullptr, true, false,
+     {{"checkpoint"}, {"copy"}, {"begin_offset"}, {"source", C::kSource}}},
+    {"recovery.fallback", nullptr, true, false,
+     {{"from_checkpoint"}, {"from_copy"}, {"to_checkpoint"}, {"to_copy"},
+      {"trigger", C::kText}, {"failed_segments", C::kSegments},
+      {"full_reload", C::kBool}}},
+    {"recovery.segment_on_demand", "submitted_at", true, false,
+     {{"segment"}, {"trigger", C::kTrigger}, {"checkpoint"}, {"copy"},
+      {"retried", C::kBool}, {"frames"}, {"order"}}},
+    {"recovery.phase", "seconds", false, false,
+     {{"phase", C::kPhase}, {"n1"}, {"n2"}}},
+    {"recovery.lineage", nullptr, true, false, {{"lineage", C::kLineage}}},
+    {"recovery.end", "seconds", true, true,
+     {{"checkpoint"}, {"copy"}, {"fell_back", C::kBool}, {"last_lsn"},
+      {"applies"}, {"txns"}}},
+    {"recovery.error", nullptr, true, true, {{"error", C::kText}}},
 };
+
+constexpr const char* kPhaseNames[] = {"backup_load", "log_read", "replay"};
+constexpr const char* kTriggerNames[] = {"touch", "background", "force"};
+constexpr const char* kSourceNames[] = {"none", "meta", "log"};
+
+const char* NameAt(std::span<const char* const> names, uint64_t v) {
+  return v < names.size() ? names[v] : "unknown";
+}
 
 }  // namespace
 
-const TraceEventFields& TraceEventFieldsFor(TraceEventType type) {
+const TraceEventSpec& TraceEventSpecFor(TraceEventType type) {
   size_t index = static_cast<size_t>(type);
   if (index >= kNumTraceEventTypes) index = 0;
-  return kTraceEventFields[index];
+  return kTraceEventSpecs[index];
+}
+
+bool TraceEventTypeFromName(std::string_view name, TraceEventType* type) {
+  for (size_t i = 0; i < kNumTraceEventTypes; ++i) {
+    if (name == kTraceEventSpecs[i].name) {
+      *type = static_cast<TraceEventType>(i);
+      return true;
+    }
+  }
+  return false;
+}
+
+void WriteTraceFields(const TraceEvent& e, const TraceDetail& detail,
+                      JsonWriter* w) {
+  size_t slot = 0;
+  for (const TraceFieldSpec& f : TraceEventSpecFor(e.type).fields) {
+    if (f.name == nullptr) break;
+    if (f.coding == C::kLineage) {
+      if (detail.lineage == nullptr) continue;  // the ring keeps none
+      w->Key(f.name);
+      WriteLineageJson(*detail.lineage, w);
+      continue;
+    }
+    w->Key(f.name);
+    if (f.coding == C::kText) {
+      w->String(detail.text);
+      continue;
+    }
+    if (f.coding == C::kSegments) {
+      w->BeginArray();
+      for (SegmentId s : detail.segments) w->Uint(s);
+      w->EndArray();
+      continue;
+    }
+    // Enum-coded names are inline in their owning headers, so this stays
+    // a header-only dependency.
+    const uint64_t v = e.v[slot++];
+    switch (f.coding) {
+      case C::kBool:
+        w->Bool(v != 0);
+        break;
+      case C::kAlgorithm:
+        w->String(AlgorithmName(static_cast<Algorithm>(v)));
+        break;
+      case C::kMode:
+        w->String(static_cast<CheckpointMode>(v) == CheckpointMode::kFull
+                      ? "full"
+                      : "partial");
+        break;
+      case C::kRecordType:
+        // Shared with LogRecord::AppendJsonTo so the spellings cannot
+        // drift.
+        w->String(LogRecordTypeName(static_cast<LogRecordType>(v)));
+        break;
+      case C::kFault:
+        w->String(FaultKindName(static_cast<FaultKind>(v)));
+        break;
+      case C::kPhase:
+        w->String(NameAt(kPhaseNames, v));
+        break;
+      case C::kTrigger:
+        w->String(NameAt(kTriggerNames, v));
+        break;
+      case C::kSource:
+        w->String(NameAt(kSourceNames, v));
+        break;
+      default:
+        w->Uint(v);
+        break;
+    }
+  }
+}
+
+void EventSink::Emit(const TraceEvent& event,
+                     const TraceDetail& detail) const {
+  if (tracer != nullptr) tracer->Record(event, detail);
+  if (journal != nullptr && TraceEventSpecFor(event.type).journaled) {
+    journal->Append(event, detail);
+  }
 }
 
 Tracer::Tracer(size_t capacity)
@@ -159,14 +170,32 @@ size_t Tracer::ResolveCapacity() {
   return kDefaultCapacity;
 }
 
-void Tracer::Record(const TraceEvent& event) {
-  std::lock_guard<std::mutex> lock(mu_);
+void Tracer::Push(const TraceEvent& event) {
   if (ring_.size() < capacity_) {
     ring_.push_back(event);
   } else {
     ring_[recorded_ % capacity_] = event;
   }
   ++recorded_;
+}
+
+void Tracer::Record(const TraceEvent& event) {
+  std::lock_guard<std::mutex> lock(mu_);
+  Push(event);
+}
+
+void Tracer::Record(const TraceEvent& event, const TraceDetail& detail) {
+  std::lock_guard<std::mutex> lock(mu_);
+  if (!detail.text.empty() || !detail.segments.empty()) {
+    // Details of events this push evicts go with them.
+    while (!details_.empty() &&
+           details_.begin()->first + capacity_ <= recorded_) {
+      details_.erase(details_.begin());
+    }
+    details_[recorded_] = {std::string(detail.text),
+                           {detail.segments.begin(), detail.segments.end()}};
+  }
+  Push(event);
 }
 
 uint64_t Tracer::recorded() const {
@@ -182,6 +211,7 @@ uint64_t Tracer::dropped() const {
 void Tracer::Clear() {
   std::lock_guard<std::mutex> lock(mu_);
   ring_.clear();
+  details_.clear();
   recorded_ = 0;
 }
 
@@ -199,76 +229,15 @@ std::vector<TraceEvent> Tracer::Snapshot() const {
   return out;
 }
 
-namespace {
-
-// Enum-coded names (AlgorithmName, LogRecordTypeName, ...) are inline in
-// their owning headers, so this stays a header-only dependency.
-void EmitCodedField(const TraceFieldSpec& spec, int64_t value,
-                    JsonWriter* w) {
-  if (spec.name == nullptr) return;
-  w->Key(spec.name);
-  switch (spec.coding) {
-    case TraceFieldCoding::kNone:
-    case TraceFieldCoding::kInt:
-      w->Int(value);
-      break;
-    case TraceFieldCoding::kBool:
-      w->Bool(value != 0);
-      break;
-    case TraceFieldCoding::kAlgorithm:
-      w->String(AlgorithmName(static_cast<Algorithm>(value)));
-      break;
-    case TraceFieldCoding::kMode:
-      w->String(static_cast<CheckpointMode>(value) == CheckpointMode::kFull
-                    ? "full"
-                    : "partial");
-      break;
-    case TraceFieldCoding::kRecordType:
-      // Shared with LogRecord::AppendJsonTo so the spellings cannot drift.
-      w->String(LogRecordTypeName(static_cast<LogRecordType>(value)));
-      break;
-    case TraceFieldCoding::kFault:
-      w->String(FaultKindName(static_cast<FaultKind>(value)));
-      break;
-    case TraceFieldCoding::kPhase:
-      w->String(RecoveryPhaseName(static_cast<RecoveryPhase>(value)));
-      break;
-  }
-}
-
-void EmitFields(const TraceEvent& e, JsonWriter* w) {
-  const TraceEventFields& fields = TraceEventFieldsFor(e.type);
-  if (fields.t2_name != nullptr) {
-    w->Key(fields.t2_name);
-    w->Double(e.t2);
-  }
-  EmitCodedField(fields.a, e.a, w);
-  EmitCodedField(fields.b, e.b, w);
-  EmitCodedField(fields.c, e.c, w);
-}
-
-}  // namespace
-
-void TraceEventToJson(const TraceEvent& event, uint64_t seq,
-                      JsonWriter* writer) {
-  writer->BeginObject();
-  writer->Key("seq");
-  writer->Uint(seq);
-  writer->Key("kind");
-  writer->String(TraceEventTypeName(event.type));
-  writer->Key("t");
-  writer->Double(event.time);
-  EmitFields(event, writer);
-  writer->EndObject();
-}
-
 void Tracer::ToJson(JsonWriter* writer) const {
   std::vector<TraceEvent> events = Snapshot();
   uint64_t recorded, first_seq;
+  std::map<uint64_t, Detail> details;
   {
     std::lock_guard<std::mutex> lock(mu_);
     recorded = recorded_;
     first_seq = recorded_ - events.size();
+    details = details_;
   }
   writer->BeginObject();
   writer->Key("recorded");
@@ -278,7 +247,26 @@ void Tracer::ToJson(JsonWriter* writer) const {
   writer->Key("events");
   writer->BeginArray();
   for (size_t i = 0; i < events.size(); ++i) {
-    TraceEventToJson(events[i], first_seq + i, writer);
+    const TraceEvent& e = events[i];
+    const TraceEventSpec& spec = TraceEventSpecFor(e.type);
+    writer->BeginObject();
+    writer->Key("seq");
+    writer->Uint(first_seq + i);
+    writer->Key("kind");
+    writer->String(spec.name);
+    writer->Key("t");
+    writer->Double(e.time);
+    if (spec.t2_name != nullptr) {
+      writer->Key(spec.t2_name);
+      writer->Double(e.t2);
+    }
+    TraceDetail detail;
+    if (auto it = details.find(first_seq + i); it != details.end()) {
+      detail.text = it->second.text;
+      detail.segments = it->second.segments;
+    }
+    WriteTraceFields(e, detail, writer);
+    writer->EndObject();
   }
   writer->EndArray();
   writer->EndObject();

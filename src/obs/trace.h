@@ -1,96 +1,123 @@
 #ifndef MMDB_OBS_TRACE_H_
 #define MMDB_OBS_TRACE_H_
 
+#include <array>
 #include <cstdint>
+#include <map>
 #include <mutex>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "util/json.h"
+#include "util/types.h"
 
 namespace mmdb {
 
-// Structured engine events. Each event is a small POD: a type, the virtual
-// time it happened at, an optional second time (completion / release), and
-// up to three integer payload fields whose meaning depends on the type
-// (the JSON emitter names them; see trace.cc's field tables).
+class AuditJournal;
+struct SegmentLineage;
+
+// Every engine event kind. Each has one row in the event table
+// (trace.cc, read through TraceEventSpecFor): its name, its payload fields
+// in emission order, the ring-only `t2` member, and whether the
+// provenance journal records it and syncs after it. The trace ring holds
+// every kind; the journal (DESIGN.md §18) holds the checkpoint chain and
+// the recovery decisions.
 enum class TraceEventType : uint8_t {
-  kCheckpointBegin,         // a=id, b=algorithm, c=mode (0 full, 1 partial)
-  kCheckpointSegmentWrite,  // t2=done, a=segment, b=copy, c=bytes
-  kCheckpointEnd,           // a=id, b=segments_flushed, c=segments_skipped
-  kCheckpointAbort,         // a=id, b=segments_flushed so far
-  kLogAppend,               // a=lsn, b=record type, c=frame bytes
-  kLogFlush,                // t2=durable at, a=durable lsn, b=bytes
-  kLogFlushError,           // a=last lsn still volatile
-  kLockWait,                // t2=resume time (checkpoint lock / quiesce)
-  kLockConflict,            // a=txn, b=record (no-wait lock abort)
-  kFaultInjected,           // a=fault kind, b=op index
-  kRecoveryBegin,           // a=1 if restart (OpenExisting), else 0
-  kRecoveryPhase,           // t2=seconds, a=phase, b/c=phase counts
-  kRecoveryEnd,             // t2=total seconds, a=checkpoint id restored
-  // Instant recovery (DESIGN.md §19): one event per on-demand segment
-  // materialization. time=modeled submission of the backup read,
-  // t2=availability (absolute), a=segment, b=trigger (0 touch,
-  // 1 background, 2 force), c=first-materialization ordinal.
+  kCkptBegin,
+  kCkptFlush,
+  kCkptDegraded,
+  kCkptEnd,
+  kCkptAbort,
+  kCkptLogCut,
+  kLogAppend,
+  kLogFlush,
+  kLogFlushError,
+  kLockWait,
+  kLockConflict,
+  kFaultInjected,
+  kRecoveryBegin,
+  kRecoveryLog,
+  kRecoveryPlan,
+  kRecoveryFallback,
   kRecoverySegmentOnDemand,
+  kRecoveryPhase,
+  kRecoveryLineage,
+  kRecoveryEnd,
+  kRecoveryError,
 };
 
-// Number of TraceEventType enumerators, for table-driven iteration (the
-// field tables below, the Perfetto exporter's kind map, and the
-// completeness tests). Keep in sync with the last enumerator.
+// Keep in sync with the last enumerator (it sizes the event table).
 inline constexpr size_t kNumTraceEventTypes =
-    static_cast<size_t>(TraceEventType::kRecoverySegmentOnDemand) + 1;
+    static_cast<size_t>(TraceEventType::kRecoveryError) + 1;
 
-std::string_view TraceEventTypeName(TraceEventType type);
-
-// Recovery phases reported via kRecoveryPhase (field `a`).
+// Recovery phases reported via recovery.phase (its `phase` field).
 enum class RecoveryPhase : uint8_t {
-  kBackupLoad = 0,  // b=segments loaded, c=copy index
-  kLogRead = 1,     // b=log bytes read
-  kReplay = 2,      // b=updates applied, c=transactions redone
+  kBackupLoad = 0,  // n1=segments loaded, n2=copy index
+  kLogRead = 1,     // n1=log bytes read
+  kReplay = 2,      // n1=updates applied, n2=transactions redone
 };
 
-std::string_view RecoveryPhaseName(RecoveryPhase phase);
+// Which evidence named the restored checkpoint (recovery.plan's source).
+enum class RestoreSource : uint8_t { kNone, kMeta, kLog };
 
-// How one integer payload field (a/b/c) is rendered in JSON.
+// How one payload field is rendered in JSON. The first group is stored in
+// TraceEvent::v; the last three come from a TraceDetail.
 enum class TraceFieldCoding : uint8_t {
-  kNone,        // field unused by this event type
-  kInt,         // plain integer
+  kInt,         // unsigned integer
   kBool,        // true/false
   kAlgorithm,   // AlgorithmName(static_cast<Algorithm>(v))
   kMode,        // "full" / "partial"
   kRecordType,  // LogRecordTypeName(static_cast<LogRecordType>(v))
   kFault,       // FaultKindName(static_cast<FaultKind>(v))
-  kPhase,       // RecoveryPhaseName(static_cast<RecoveryPhase>(v))
+  kPhase,       // RecoveryPhase: backup_load/log_read/replay
+  kTrigger,     // InstantRecovery::LoadTrigger: touch/background/force
+  kSource,      // RestoreSource: none/meta/log
+  kText,        // TraceDetail::text
+  kSegments,    // TraceDetail::segments, as an array
+  kLineage,     // TraceDetail::lineage; journal only
 };
 
 struct TraceFieldSpec {
-  const char* name = nullptr;  // JSON member name; null when unused
-  TraceFieldCoding coding = TraceFieldCoding::kNone;
+  const char* name = nullptr;  // JSON member name; null ends the list
+  TraceFieldCoding coding = TraceFieldCoding::kInt;
 };
 
-// Field table for one event type: the JSON names and codings of its t2 and
-// a/b/c payload members. Single source of truth shared by the trace-ring
-// JSON emitter and the Perfetto exporter, so the spellings cannot drift.
-struct TraceEventFields {
-  const char* t2_name = nullptr;  // null = type has no t2 member
-  // True: t2 is an absolute completion/release time on the virtual
-  // timeline (duration = t2 - time). False: t2 is already a duration in
-  // seconds (the recovery events).
-  bool t2_is_end_time = false;
-  TraceFieldSpec a, b, c;
+inline constexpr size_t kMaxTraceFields = 7;
+
+// One row of the event table.
+struct TraceEventSpec {
+  const char* name;  // ring "kind" and journal "event"
+  // Ring-only second time, written before the payload: an end time
+  // (done, durable_at, until), a duration (seconds) or a start time
+  // (submitted_at). Null when the kind has none.
+  const char* t2_name;
+  bool journaled;  // the provenance journal records the kind
+  bool synced;     // and syncs right after its line
+  TraceFieldSpec fields[kMaxTraceFields];
 };
 
-const TraceEventFields& TraceEventFieldsFor(TraceEventType type);
+const TraceEventSpec& TraceEventSpecFor(TraceEventType type);
+// False when no kind has that name.
+bool TraceEventTypeFromName(std::string_view name, TraceEventType* type);
 
 struct TraceEvent {
   TraceEventType type = TraceEventType::kLogAppend;
   double time = 0.0;
   double t2 = 0.0;
-  int64_t a = 0;
-  int64_t b = 0;
-  int64_t c = 0;
+  // The integer-coded fields, in table order (text, segment and lineage
+  // fields take no slot).
+  std::array<uint64_t, kMaxTraceFields> v{};
+};
+
+// The payload an integer cannot hold: free text (a checkpoint abort's
+// cause, a fallback's trigger, a recovery error), a fallback's failed
+// segments, and the recovery lineage. Borrowed views.
+struct TraceDetail {
+  std::string_view text = {};
+  std::span<const SegmentId> segments = {};
+  const std::vector<SegmentLineage>* lineage = nullptr;
 };
 
 // Bounded ring buffer of TraceEvents. When full, the oldest events are
@@ -105,16 +132,21 @@ class Tracer {
 
   // The capacity an engine's ring uses: the MMDB_TRACE_CAPACITY
   // environment variable when it is a whole number >= 1, otherwise
-  // kDefaultCapacity (8192 events, ~300 KiB of ring). The override lets
+  // kDefaultCapacity (8192 events, ~640 KiB of ring). The override lets
   // check.sh's bench-smoke gate shrink every engine's ring without
   // touching bench code.
   static size_t ResolveCapacity();
 
   void Record(const TraceEvent& event);
-  // Convenience for call sites building events inline.
+  // Also keeps `detail`'s text and segments (not its lineage) for as long
+  // as the ring holds the event, in a side table the plain Record never
+  // touches.
+  void Record(const TraceEvent& event, const TraceDetail& detail);
+  // Convenience for the hot ring-only kinds, which carry at most three
+  // fields.
   void Record(TraceEventType type, double time, double t2 = 0.0,
-              int64_t a = 0, int64_t b = 0, int64_t c = 0) {
-    Record(TraceEvent{type, time, t2, a, b, c});
+              uint64_t a = 0, uint64_t b = 0, uint64_t c = 0) {
+    Record(TraceEvent{type, time, t2, {a, b, c}});
   }
 
   size_t capacity() const { return capacity_; }
@@ -128,24 +160,40 @@ class Tracer {
   // Oldest-first copy of the retained events.
   std::vector<TraceEvent> Snapshot() const;
 
-  // {"events":[{"seq":..,"kind":..,"t":..,...}],"recorded":N,"dropped":N}.
+  // {"recorded":N,"dropped":N,"events":[{"seq":..,"kind":..,"t":..,...}]}.
   // `seq` is the global record index, so consumers can detect the gap left
   // by dropped events.
   void ToJson(JsonWriter* writer) const;
   std::string ToJsonString() const;
 
  private:
+  struct Detail {
+    std::string text;
+    std::vector<SegmentId> segments;
+  };
+
+  void Push(const TraceEvent& event);  // requires mu_
+
   const size_t capacity_;
   mutable std::mutex mu_;
   std::vector<TraceEvent> ring_;
   uint64_t recorded_ = 0;  // next global sequence number
+  std::map<uint64_t, Detail> details_;  // by seq, retained events only
 };
 
-// Emits one trace event as a JSON object with type-specific field names.
-// Exposed so alternate exporters (the mmdb_stats tool's tests, future
-// sinks) format events identically to Tracer::ToJson.
-void TraceEventToJson(const TraceEvent& event, uint64_t seq,
+// Writes `event`'s payload members in table order: the rendering the ring
+// and the journal share.
+void WriteTraceFields(const TraceEvent& event, const TraceDetail& detail,
                       JsonWriter* writer);
+
+// The one emission point of an event: records it in the ring and, for
+// journaled kinds, appends its journal line. Either sink may be null.
+struct EventSink {
+  Tracer* tracer = nullptr;
+  AuditJournal* journal = nullptr;
+
+  void Emit(const TraceEvent& event, const TraceDetail& detail = {}) const;
+};
 
 }  // namespace mmdb
 

@@ -36,22 +36,19 @@ constexpr struct {
 // Virtual-clock seconds -> trace_event microseconds.
 double Micros(double seconds) { return seconds * 1e6; }
 
-// "checkpoint.begin" -> "checkpoint": the component becomes the category.
+// "ckpt.begin" -> "ckpt": the component becomes the category.
 std::string_view Category(std::string_view kind) {
   size_t dot = kind.find('.');
   return dot == std::string_view::npos ? kind : kind.substr(0, dot);
 }
 
-// Resolves the ring's "kind" string back to its enumerator via the name
-// table (the exporter's inverse of TraceEventTypeName). npos-style -1 for
-// kinds this build does not know.
-int KindIndex(std::string_view kind) {
-  for (size_t i = 0; i < kNumTraceEventTypes; ++i) {
-    if (TraceEventTypeName(static_cast<TraceEventType>(i)) == kind) {
-      return static_cast<int>(i);
-    }
-  }
-  return -1;
+// The track an instant of category `cat` lands on.
+int InstantTrack(std::string_view cat) {
+  if (cat == "ckpt") return kTrackCheckpoint;
+  if (cat == "log") return kTrackLog;
+  if (cat == "lock") return kTrackLock;
+  if (cat == "fault") return kTrackFault;
+  return kTrackRecovery;
 }
 
 double NumberOr(const JsonValue* v, double fallback) {
@@ -191,12 +188,10 @@ Status AppendChromeTraceEvents(const JsonValue& trace_doc, int pid,
   for (const JsonValue& event : events->array_items()) {
     const JsonValue* kind_v = event.Find("kind");
     const JsonValue* t_v = event.Find("t");
-    int kind_index = -1;
-    if (kind_v != nullptr && kind_v->is_string() && t_v != nullptr &&
-        t_v->is_number()) {
-      kind_index = KindIndex(kind_v->string_value());
-    }
-    if (kind_index < 0) {
+    TraceEventType type;
+    if (kind_v == nullptr || !kind_v->is_string() || t_v == nullptr ||
+        !t_v->is_number() ||
+        !TraceEventTypeFromName(kind_v->string_value(), &type)) {
       ++local.events_skipped;
       continue;
     }
@@ -204,23 +199,18 @@ Status AppendChromeTraceEvents(const JsonValue& trace_doc, int pid,
     std::string_view cat = Category(kind);
     double t = t_v->number_value();
     double ts = Micros(t);
-    auto type = static_cast<TraceEventType>(kind_index);
-    const TraceEventFields& fields = TraceEventFieldsFor(type);
-    // For X phases: t2 is either an absolute completion time or already a
-    // duration, per the field table.
-    double t2 = fields.t2_name != nullptr
-                    ? NumberOr(event.Find(fields.t2_name), t)
-                    : t;
-    double dur = fields.t2_is_end_time ? Micros(t2 - t) : Micros(t2);
-    if (dur < 0) dur = 0;
+    const char* t2_name = TraceEventSpecFor(type).t2_name;
+    double t2 = t2_name != nullptr ? NumberOr(event.Find(t2_name), t) : t;
+    // X slices whose t2 is their end time.
+    double dur = std::max(0.0, Micros(t2 - t));
     switch (type) {
-      case TraceEventType::kCheckpointBegin:
+      case TraceEventType::kCkptBegin:
         ++checkpoint_depth;
         AppendEvent("checkpoint", cat, "B", ts, -1, pid, kTrackCheckpoint,
                     false, event, writer);
         break;
-      case TraceEventType::kCheckpointEnd:
-      case TraceEventType::kCheckpointAbort:
+      case TraceEventType::kCkptEnd:
+      case TraceEventType::kCkptAbort:
         if (checkpoint_depth == 0) {
           AppendEvent(kind, cat, "i", ts, -1, pid, kTrackCheckpoint, true,
                       event, writer);
@@ -229,24 +219,19 @@ Status AppendChromeTraceEvents(const JsonValue& trace_doc, int pid,
           AppendEvent("checkpoint", cat, "E", ts, -1, pid, kTrackCheckpoint,
                       false, event, writer);
         }
-        if (type == TraceEventType::kCheckpointEnd) {
+        if (type == TraceEventType::kCkptEnd) {
           // Completed checkpoints start a provenance flow (aborts never
           // become a recovery source, so they get no flow).
           uint64_t ckpt =
-              static_cast<uint64_t>(NumberOr(event.Find("checkpoint"), 0));
+              static_cast<uint64_t>(NumberOr(event.Find("ckpt"), 0));
           if (ckpt > 0) {
             AppendFlowEvent("s", ckpt, ts, pid, kTrackCheckpoint, writer);
           }
         }
         break;
-      case TraceEventType::kCheckpointSegmentWrite:
+      case TraceEventType::kCkptFlush:
         AppendEvent(kind, cat, "X", ts, dur, pid, kTrackCheckpointIo, false,
                     event, writer);
-        break;
-      case TraceEventType::kLogAppend:
-      case TraceEventType::kLogFlushError:
-        AppendEvent(kind, cat, "i", ts, -1, pid, kTrackLog, true, event,
-                    writer);
         break;
       case TraceEventType::kLogFlush:
         AppendEvent(kind, cat, "X", ts, dur, pid, kTrackLog, false, event,
@@ -254,14 +239,6 @@ Status AppendChromeTraceEvents(const JsonValue& trace_doc, int pid,
         break;
       case TraceEventType::kLockWait:
         AppendEvent(kind, cat, "X", ts, dur, pid, kTrackLock, false, event,
-                    writer);
-        break;
-      case TraceEventType::kLockConflict:
-        AppendEvent(kind, cat, "i", ts, -1, pid, kTrackLock, true, event,
-                    writer);
-        break;
-      case TraceEventType::kFaultInjected:
-        AppendEvent(kind, cat, "i", ts, -1, pid, kTrackFault, true, event,
                     writer);
         break;
       case TraceEventType::kRecoveryBegin:
@@ -301,25 +278,31 @@ Status AppendChromeTraceEvents(const JsonValue& trace_doc, int pid,
         break;
       }
       case TraceEventType::kRecoverySegmentOnDemand: {
-        // One span per on-demand materialization: modeled backup-read
-        // submission to availability. Touch-triggered loads additionally
-        // get a flow arrow from the stalling transaction's slice on the
-        // lock track to the recovery span.
-        AppendEvent(kind, cat, "X", ts, dur, pid, kTrackRecoveryOnDemand,
-                    false, event, writer);
-        int64_t trigger =
-            static_cast<int64_t>(NumberOr(event.Find("trigger"), -1));
-        if (trigger == 0) {
+        // One span per on-demand segment, from its backup read's submission
+        // (t2) to its materialization (t). Touch-triggered loads also get
+        // a flow arrow from the stalling transaction on the lock track to
+        // the span's end.
+        double start = Micros(std::min(t2, t));
+        AppendEvent(kind, cat, "X", start, ts - start, pid,
+                    kTrackRecoveryOnDemand, false, event, writer);
+        const JsonValue* trigger = event.Find("trigger");
+        if (trigger != nullptr && trigger->is_string() &&
+            trigger->string_value() == "touch") {
           uint64_t segment =
               static_cast<uint64_t>(NumberOr(event.Find("segment"), 0));
           uint64_t flow_id = 1000000 + segment;
-          AppendFlowEvent("s", flow_id, ts, pid, kTrackLock, writer,
+          AppendFlowEvent("s", flow_id, start, pid, kTrackLock, writer,
                           "recovery_on_demand");
-          AppendFlowEvent("f", flow_id, ts + dur, pid, kTrackRecoveryOnDemand,
+          AppendFlowEvent("f", flow_id, ts, pid, kTrackRecoveryOnDemand,
                           writer, "recovery_on_demand");
         }
         break;
       }
+      default:
+        // Appends, errors, conflicts, faults and the journal's decisions.
+        AppendEvent(kind, cat, "i", ts, -1, pid, InstantTrack(cat), true,
+                    event, writer);
+        break;
     }
     ++local.events_exported;
   }

@@ -18,20 +18,20 @@ namespace mmdb {
 // Chrome trace_event JSON object format, loadable by ui.perfetto.dev and
 // chrome://tracing.
 //
-// Mapping (driven off the TraceEventFieldsFor tables, so arg spellings and
-// t2 semantics match the trace ring's own JSON):
-//   * checkpoint.begin / end / abort   -> B/E slices on the "checkpoint"
-//     track (an abort closes the slice; its args mark it aborted)
-//   * checkpoint.segment_write         -> X slices on "checkpoint.io"
-//     (issue time .. modeled completion)
-//   * log.flush                        -> X slices on "log" (request ..
-//     durable); log.append / flush_error -> instants on "log"
-//   * lock.wait                        -> X slices on "lock" (block ..
-//     resume); lock.conflict -> instants on "lock"
-//   * fault.injected                   -> instants on "fault"
-//   * recovery.begin / end             -> B/E slice on "recovery";
-//     recovery.phase -> X slices laid out sequentially inside it (the
-//     phases are recorded at the crash instant with durations)
+// Mapping (kinds and their t2 members come from the event table, so arg
+// spellings match the trace ring's own JSON):
+//   * ckpt.begin / end / abort -> B/E slices on the "checkpoint" track
+//     (an abort closes the slice; its args mark it aborted)
+//   * ckpt.flush -> X slices on "checkpoint.io" (issue time .. modeled
+//     completion)
+//   * log.flush -> X slices on "log" (request .. durable)
+//   * lock.wait -> X slices on "lock" (block .. resume)
+//   * recovery.begin / end -> B/E slice on "recovery"; recovery.phase ->
+//     X slices laid out sequentially inside it (the phases are recorded at
+//     the crash instant with durations)
+//   * recovery.segment_on_demand -> X slices on "recovery.on_demand"
+//     (backup-read submission .. materialization)
+//   * every other kind -> an instant on its component's track
 // Timestamps are virtual-clock seconds scaled to microseconds. Each
 // engine becomes one trace "process" (pid); a sidecar's points become
 // process 1..N named by their labels.

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <limits>
+#include <optional>
 #include <string>
 
 #include "util/coding.h"
@@ -13,18 +14,6 @@ namespace mmdb {
 
 namespace {
 
-const char* TriggerName(InstantRecovery::LoadTrigger trigger) {
-  switch (trigger) {
-    case InstantRecovery::LoadTrigger::kTouch:
-      return "touch";
-    case InstantRecovery::LoadTrigger::kBackground:
-      return "background";
-    case InstantRecovery::LoadTrigger::kForce:
-      return "force";
-  }
-  return "unknown";
-}
-
 // Only CRC damage and device faults on the newest copy are survivable via
 // the older copy; anything else (bad geometry, programming error) is
 // fatal.
@@ -32,26 +21,38 @@ bool Survivable(const Status& st) {
   return st.IsCorruption() || st.IsIoError();
 }
 
-using Clock = std::chrono::steady_clock;
+// Adds the host seconds its scope takes to `*sum`: each host.recovery
+// phase is timed where the work happens, whichever schedule runs it.
+class HostTimer {
+ public:
+  explicit HostTimer(double* sum)
+      : sum_(sum), start_(std::chrono::steady_clock::now()) {}
+  HostTimer(const HostTimer&) = delete;
+  HostTimer& operator=(const HostTimer&) = delete;
+  ~HostTimer() {
+    *sum_ += std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                           start_)
+                 .count();
+  }
 
-double SecondsSince(Clock::time_point start) {
-  return std::chrono::duration<double>(Clock::now() - start).count();
-}
+ private:
+  double* sum_;
+  std::chrono::steady_clock::time_point start_;
+};
 
 }  // namespace
 
 InstantRecovery::InstantRecovery(RecoveryPlan plan, const SystemParams& params,
                                  BackupStore* backup, Database* db,
                                  CpuMeter* meter, MetricsRegistry* metrics,
-                                 Tracer* tracer, AuditJournal* audit)
+                                 EventSink events)
     : plan_(std::move(plan)),
       params_(params),
       backup_(backup),
       db_(db),
       meter_(meter),
       metrics_(metrics),
-      tracer_(tracer),
-      audit_(audit),
+      events_(events),
       num_segments_(db->num_segments()),
       disks_(params.disk) {
   availability_.assign(num_segments_, -1.0);
@@ -63,8 +64,6 @@ InstantRecovery::InstantRecovery(RecoveryPlan plan, const SystemParams& params,
 }
 
 Status InstantRecovery::LoadAll() {
-  RecoveryStats& stats = plan_.result.stats;
-  const Clock::time_point read_start = Clock::now();
   if (plan_.have_checkpoint) {
     // Every segment's read + CRC check, collecting failures rather than
     // stopping at one: the fallback needs the complete failed set.
@@ -89,13 +88,9 @@ Status InstantRecovery::LoadAll() {
       }
     }
   }
-  stats.backup_read_wall_seconds = SecondsSince(read_start);
-
-  const Clock::time_point replay_start = Clock::now();
   for (SegmentId s = 0; s < num_segments_; ++s) {
     MMDB_RETURN_IF_ERROR(ApplyRedo(s));
   }
-  stats.replay_wall_seconds = SecondsSince(replay_start);
   loaded_.assign(num_segments_, true);
   loaded_count_ = num_segments_;
   // Nothing reads the log snapshot or the buckets again: free them before
@@ -203,6 +198,7 @@ Status InstantRecovery::MaterializeDue(double now) {
 }
 
 Status InstantRecovery::ReadSegment(SegmentId s) {
+  HostTimer timer(&plan_.result.stats.backup_read_wall_seconds);
   return backup_->ReadSegmentInto(plan_.result.lineage[s].copy, s,
                                   db_->MutableSegment(s));
 }
@@ -226,6 +222,7 @@ Status InstantRecovery::Reload(SegmentId s, double now) {
 }
 
 Status InstantRecovery::ApplyRedo(SegmentId s) {
+  HostTimer timer(&plan_.result.stats.replay_wall_seconds);
   for (std::size_t frame : plan_.redo.buckets[s]) {
     MMDB_ASSIGN_OR_RETURN(LogRecord r, plan_.reader.RecordAtIndex(frame));
     if (r.type == LogRecordType::kUpdate) {
@@ -266,6 +263,8 @@ Status InstantRecovery::FallBack(std::vector<SegmentId> failed,
   // must still be in the log, since truncation only ever cuts before the
   // newest complete checkpoint's marker.
   const CheckpointId prev_id = plan_.restore_id - 1;
+  // Finding and scanning the longer suffix is log-scan time.
+  std::optional<HostTimer> rescan(&stats.log_scan_wall_seconds);
   bool found_prev = false;
   uint64_t prev_offset = 0;
   LogRecord prev_begin;
@@ -301,6 +300,7 @@ Status InstantRecovery::FallBack(std::vector<SegmentId> failed,
   std::vector<SegmentLineage> lineage = result.lineage;
   MMDB_ASSIGN_OR_RETURN(RedoScan redo,
                         ScanRedo(reader, prev_start, params_.db, &lineage));
+  rescan.reset();
 
   // Retry protocol (DESIGN.md §14): with full-image (UPDATE) replay only,
   // re-reading JUST the failed segments is sound — commit-time logging
@@ -332,27 +332,11 @@ Status InstantRecovery::FallBack(std::vector<SegmentId> failed,
     }
     std::sort(failed.begin(), failed.end());
   }
-  if (audit_ != nullptr) {
-    const std::string text = trigger.ToString();
-    audit_->Record("recovery.fallback", now, [&](JsonWriter& w) {
-      w.Key("from_checkpoint");
-      w.Uint(plan_.restore_id);
-      w.Key("from_copy");
-      w.Uint(plan_.restore_copy);
-      w.Key("to_checkpoint");
-      w.Uint(prev_id);
-      w.Key("to_copy");
-      w.Uint(BackupStore::CopyFor(prev_id));
-      w.Key("trigger");
-      w.String(text);
-      w.Key("failed_segments");
-      w.BeginArray();
-      for (SegmentId s : failed) w.Uint(s);
-      w.EndArray();
-      w.Key("full_reload");
-      w.Bool(full_reload);
-    });
-  }
+  const std::string text = trigger.ToString();
+  events_.Emit({TraceEventType::kRecoveryFallback, now, 0.0,
+                {plan_.restore_id, plan_.restore_copy, prev_id,
+                 BackupStore::CopyFor(prev_id), full_reload}},
+               {.text = text, .segments = failed});
 
   // Stats and lineage become exactly what a restart from the longer
   // suffix reports.
@@ -429,32 +413,12 @@ void InstantRecovery::Announce(SegmentId s, double now, LoadTrigger trigger) {
       break;
   }
   const SegmentLineage& l = plan_.result.lineage[s];
-  if (audit_ != nullptr) {
-    audit_->Record("recovery.segment_on_demand", now, [&](JsonWriter& w) {
-      w.Key("segment");
-      w.Uint(s);
-      w.Key("trigger");
-      w.String(TriggerName(trigger));
-      w.Key("checkpoint");
-      w.Uint(l.checkpoint_id);
-      w.Key("copy");
-      w.Uint(l.copy);
-      w.Key("retried");
-      w.Bool(l.retried);
-      w.Key("frames");
-      w.Uint(l.frames);
-      w.Key("order");
-      w.Uint(order);
-    });
-  }
-  if (tracer_ != nullptr) {
-    const bool scheduled = availability_[s] >= 0.0;
-    const double submit = scheduled ? submit_time_[s] : now;
-    const double avail = scheduled ? std::max(availability_[s], submit) : now;
-    tracer_->Record(TraceEventType::kRecoverySegmentOnDemand, submit, avail,
-                    static_cast<int64_t>(s), static_cast<int64_t>(trigger),
-                    static_cast<int64_t>(order));
-  }
+  // The ring-only start of the segment's Perfetto span: its backup read's
+  // submission, or the materialization itself when none was scheduled.
+  const double submitted = availability_[s] >= 0.0 ? submit_time_[s] : now;
+  events_.Emit({TraceEventType::kRecoverySegmentOnDemand, now, submitted,
+                {s, static_cast<uint64_t>(trigger), l.checkpoint_id, l.copy,
+                 l.retried, l.frames, order}});
   if (metrics_ != nullptr) {
     metrics_->counter("recovery.segments_on_demand")->Increment();
   }

@@ -53,20 +53,20 @@ namespace mmdb {
 //     CompleteSchedule + MaterializeDue to finish the restart.
 class InstantRecovery {
  public:
-  // Why a segment is being materialized on demand, journaled per segment
-  // in the recovery.segment_on_demand audit event and the trace.
+  // Why a segment is being materialized on demand, emitted per segment in
+  // recovery.segment_on_demand. The values index the event table's
+  // trigger names (obs/trace.cc), so they are part of the journal format.
   enum class LoadTrigger : uint8_t {
     kTouch = 0,       // a transaction touched it (admission stall)
     kBackground = 1,  // its scheduled background reload completed
     kForce = 2,       // diagnostic raw read (no clock movement)
   };
 
-  // All pointers are borrowed and must outlive this object. `metrics`,
-  // `tracer` and `audit` may be null.
+  // All pointers are borrowed and must outlive this object. `metrics` and
+  // either sink of `events` may be null.
   InstantRecovery(RecoveryPlan plan, const SystemParams& params,
                   BackupStore* backup, Database* db, CpuMeter* meter,
-                  MetricsRegistry* metrics, Tracer* tracer,
-                  AuditJournal* audit);
+                  MetricsRegistry* metrics, EventSink events);
 
   // The eager schedule: loads every segment now, reading each backup
   // segment in id order and then replaying each bucket. Journals no
@@ -166,8 +166,7 @@ class InstantRecovery {
   Database* db_;
   CpuMeter* meter_;
   MetricsRegistry* metrics_;
-  Tracer* tracer_;
-  AuditJournal* audit_;
+  EventSink events_;
 
   SegmentId num_segments_ = 0;
   bool clock_started_ = false;

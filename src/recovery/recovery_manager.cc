@@ -150,11 +150,11 @@ Status RefuseStreamSiblings(Env* env, const std::string& log_path) {
 }  // namespace
 
 RecoveryManager::RecoveryManager(Env* env, const SystemParams& params,
-                                 CpuMeter* meter)
-    : env_(env), params_(params), meter_(meter) {}
+                                 CpuMeter* meter, EventSink events)
+    : env_(env), params_(params), meter_(meter), events_(events) {}
 
-void RecoveryManager::Publish(MetricsRegistry* metrics, Tracer* tracer,
-                              const RecoveryStats& stats, double now) {
+void RecoveryManager::Publish(MetricsRegistry* metrics,
+                              const RecoveryStats& stats) {
   if (metrics != nullptr) {
     metrics->counter("recovery.runs")->Increment();
     metrics->counter("recovery.segments_loaded")
@@ -177,24 +177,6 @@ void RecoveryManager::Publish(MetricsRegistry* metrics, Tracer* tracer,
         ->Record(stats.replay_cpu_seconds);
     metrics->timer("recovery.total_seconds")->Record(stats.total_seconds);
   }
-  if (tracer != nullptr) {
-    tracer->Record(
-        TraceEventType::kRecoveryPhase, now, stats.backup_read_seconds,
-        static_cast<int64_t>(RecoveryPhase::kBackupLoad),
-        static_cast<int64_t>(stats.segments_loaded),
-        static_cast<int64_t>(stats.copy));
-    tracer->Record(TraceEventType::kRecoveryPhase, now,
-                   stats.log_read_seconds,
-                   static_cast<int64_t>(RecoveryPhase::kLogRead),
-                   static_cast<int64_t>(stats.log_bytes_read));
-    tracer->Record(TraceEventType::kRecoveryPhase, now,
-                   stats.replay_cpu_seconds,
-                   static_cast<int64_t>(RecoveryPhase::kReplay),
-                   static_cast<int64_t>(stats.updates_applied),
-                   static_cast<int64_t>(stats.txns_redone));
-    tracer->Record(TraceEventType::kRecoveryEnd, now, stats.total_seconds,
-                   static_cast<int64_t>(stats.checkpoint_id));
-  }
 }
 
 Status RecoveryManager::ChooseRestore(BackupStore* backup,
@@ -215,16 +197,10 @@ Status RecoveryManager::ChooseRestore(BackupStore* backup,
   // log's last end marker is corruption.
   MMDB_ASSIGN_OR_RETURN(LogReader reader, LogReader::Open(env_, log_path));
   result->log_valid_bytes = reader.valid_bytes();
-  if (audit_ != nullptr) {
-    // What the log reopen will keep: the valid prefix, and whether a torn
-    // tail past it is cut off.
-    audit_->Record("recovery.log", now, [&](JsonWriter& w) {
-      w.Key("valid_bytes");
-      w.Uint(reader.valid_bytes());
-      w.Key("torn_tail");
-      w.Bool(reader.truncated_tail());
-    });
-  }
+  // What the log reopen will keep: the valid prefix, and whether a torn
+  // tail past it is cut off.
+  events_.Emit({TraceEventType::kRecoveryLog, now, 0.0,
+                {reader.valid_bytes(), reader.truncated_tail()}});
 
   StatusOr<CheckpointMeta> meta = backup->ReadMeta();
   if (!meta.ok() && !meta.status().IsNotFound()) return meta.status();
@@ -236,10 +212,10 @@ Status RecoveryManager::ChooseRestore(BackupStore* backup,
   CheckpointId restore_id = 0;
   uint32_t restore_copy = 0;
   uint64_t replay_from_offset = 0;
-  // Which source named the restored checkpoint: "meta" when metadata and
-  // log agree, "log" when the log's end marker overruled lagging/missing
-  // metadata, "none" for a cold start.
-  const char* plan_source = "none";
+  // Which source named the restored checkpoint: the metadata when it and
+  // the log agree, the log when its end marker overruled lagging/missing
+  // metadata, none for a cold start.
+  RestoreSource source = RestoreSource::kNone;
   if (marker.ok()) {
     if (meta.ok() && meta->checkpoint_id == marker->checkpoint_id) {
       if (meta->log_offset != marker->begin_offset) {
@@ -251,7 +227,7 @@ Status RecoveryManager::ChooseRestore(BackupStore* backup,
             static_cast<unsigned long long>(meta->checkpoint_id)));
       }
       restore_copy = meta->copy;
-      plan_source = "meta";
+      source = RestoreSource::kMeta;
     } else if (!meta.ok() || meta->checkpoint_id < marker->checkpoint_id) {
       // Metadata lags the log (or is missing for the very first
       // checkpoint): a crash can land after the end marker reached stable
@@ -268,7 +244,7 @@ Status RecoveryManager::ChooseRestore(BackupStore* backup,
       repaired.begin_lsn = marker->begin_record.lsn;
       repaired.tau = marker->begin_record.timestamp;
       MMDB_RETURN_IF_ERROR(backup->CommitCheckpoint(repaired));
-      plan_source = "log";
+      source = RestoreSource::kLog;
     } else {
       return CorruptionError(StringPrintf(
           "checkpoint metadata (id=%llu) and log (id=%llu) are "
@@ -305,18 +281,9 @@ Status RecoveryManager::ChooseRestore(BackupStore* backup,
     // copy before replaying into it.
     db->Clear();
   }
-  if (audit_ != nullptr) {
-    audit_->Record("recovery.plan", now, [&](JsonWriter& w) {
-      w.Key("checkpoint");
-      w.Uint(restore_id);
-      w.Key("copy");
-      w.Uint(restore_copy);
-      w.Key("begin_offset");
-      w.Uint(replay_from_offset);
-      w.Key("source");
-      w.String(plan_source);
-    });
-  }
+  events_.Emit({TraceEventType::kRecoveryPlan, now, 0.0,
+                {restore_id, restore_copy, replay_from_offset,
+                 static_cast<uint64_t>(source)}});
 
   // Seed every segment's lineage with the plan; the fallback protocol and
   // REDO replay refine individual entries.

@@ -154,7 +154,10 @@ struct RecoveryPlan {
 // entire log.
 class RecoveryManager {
  public:
-  RecoveryManager(Env* env, const SystemParams& params, CpuMeter* meter);
+  // `events` receives recovery.log and recovery.plan; journaling never
+  // changes modeled stats or the recovered bytes.
+  RecoveryManager(Env* env, const SystemParams& params, CpuMeter* meter,
+                  EventSink events);
 
   // `backup` must be Open()ed; `log_path` is the REDO log file. Reads NO
   // segment bytes and applies NO update: the plan's modeled stats are
@@ -164,24 +167,17 @@ class RecoveryManager {
   // anything is read or written, if the log's directory holds a
   // `<log_path>.<k>` sibling (k >= 1): a stream of the retired
   // multi-stream layout, whose commits the log file alone would lose.
-  // Journals recovery.log and recovery.plan; the caller journals the
-  // outcome.
+  // Emits recovery.log and recovery.plan; the caller emits the outcome.
   StatusOr<RecoveryPlan> Plan(BackupStore* backup, const std::string& log_path,
                               Database* db, SegmentTable* segments,
                               double now);
 
-  // Optional provenance journal (DESIGN.md §18). Journaling never changes
-  // modeled stats or the recovered bytes.
-  void set_audit(AuditJournal* audit) { audit_ = audit; }
-
-  // Registry counters/timers and trace events for a finished recovery,
-  // anchored at the crash instant `now`.
-  static void Publish(MetricsRegistry* metrics, Tracer* tracer,
-                      const RecoveryStats& stats, double now);
+  // Registry counters and timers for a finished recovery.
+  static void Publish(MetricsRegistry* metrics, const RecoveryStats& stats);
 
  private:
   // Phase 1: reads the log, reconciles metadata with the log's end
-  // markers, journals recovery.log / recovery.plan, repairs lagging
+  // markers, emits recovery.log / recovery.plan, repairs lagging
   // metadata, and seeds the plan's lineage.
   Status ChooseRestore(BackupStore* backup, const std::string& log_path,
                        Database* db, double now, RecoveryPlan* plan);
@@ -189,7 +185,7 @@ class RecoveryManager {
   Env* env_;
   SystemParams params_;
   CpuMeter* meter_;
-  AuditJournal* audit_ = nullptr;
+  EventSink events_;
 };
 
 }  // namespace mmdb

@@ -39,9 +39,8 @@ Status TxnManager::AcquireLock(Transaction* txn, RecordId record,
   if (!lock.ok()) {
     txn->abort_cause = TxnAbortCause::kLockConflict;
     if (tracer_ != nullptr) {
-      tracer_->Record(TraceEventType::kLockConflict, now, 0.0,
-                      static_cast<int64_t>(txn->id),
-                      static_cast<int64_t>(record));
+      tracer_->Record(TraceEventType::kLockConflict, now, 0.0, txn->id,
+                      record);
     }
   }
   return lock;

@@ -142,10 +142,8 @@ Lsn LogManager::Append(LogRecord* record, double now) {
     m_append_bytes_->Increment(frame_bytes);
   }
   if (tracer_ != nullptr) {
-    tracer_->Record(TraceEventType::kLogAppend, now, 0.0,
-                    static_cast<int64_t>(record->lsn),
-                    static_cast<int64_t>(record->type),
-                    static_cast<int64_t>(frame_bytes));
+    tracer_->Record(TraceEventType::kLogAppend, now, 0.0, record->lsn,
+                    static_cast<uint64_t>(record->type), frame_bytes);
   }
   return record->lsn;
 }
@@ -167,7 +165,7 @@ StatusOr<double> LogManager::Flush(double now) {
     if (m_flush_errors_ != nullptr) m_flush_errors_->Increment();
     if (tracer_ != nullptr) {
       tracer_->Record(TraceEventType::kLogFlushError, now, 0.0,
-                      static_cast<int64_t>(tail_last_lsn_));
+                      tail_last_lsn_);
     }
     return st;
   }
@@ -176,6 +174,7 @@ StatusOr<double> LogManager::Flush(double now) {
   flushed_lsn_ = tail_last_lsn_;
   if (m_flush_bytes_ != nullptr) m_flush_bytes_->Increment(batch_bytes);
 
+  double done;
   if (!pending_.empty() && pending_.back().start_time > now) {
     // Group commit: the previous batch has not started writing yet; this
     // request coalesces into it rather than issuing another seek. Earlier
@@ -185,41 +184,34 @@ StatusOr<double> LogManager::Flush(double now) {
     // promise ever moves — the write-ahead gates depend on that.
     const PendingFlush& batch = pending_.back();
     uint64_t batch_words = batch.words + words;
-    double done = std::max(batch.done_time,
-                           batch.start_time + FlushSeconds(batch_words));
+    done = std::max(batch.done_time,
+                    batch.start_time + FlushSeconds(batch_words));
     flush_busy_seconds_ += done - batch.done_time;
     pending_.push_back(PendingFlush{tail_last_lsn_, written_bytes_,
                                     batch_words, batch.start_time, done});
     if (m_group_merges_ != nullptr) m_group_merges_->Increment();
-    if (tracer_ != nullptr) {
-      tracer_->Record(TraceEventType::kLogFlush, now, done,
-                      static_cast<int64_t>(flushed_lsn_),
-                      static_cast<int64_t>(batch_bytes));
+  } else {
+    // One I/O initiation per physical flush batch.
+    meter_->Charge(CpuCategory::kLogging,
+                   static_cast<double>(params_.costs.io));
+    // Serial stream: a batch starts no sooner than the cadence allows and
+    // never before the previous batch finished.
+    double start = std::max(now, last_flush_start_ + min_flush_spacing_);
+    if (!pending_.empty()) start = std::max(start, pending_.back().done_time);
+    last_flush_start_ = start;
+    done = start + FlushSeconds(words);
+    flush_busy_seconds_ += done - start;
+    ++flush_count_;
+    pending_.push_back(
+        PendingFlush{tail_last_lsn_, written_bytes_, words, start, done});
+    if (m_flush_batches_ != nullptr) {
+      m_flush_batches_->Increment();
+      m_flush_seconds_->Record(done - start);
     }
-    return done;
-  }
-
-  // One I/O initiation per physical flush batch.
-  meter_->Charge(CpuCategory::kLogging,
-                 static_cast<double>(params_.costs.io));
-  // Serial stream: a batch starts no sooner than the cadence allows and
-  // never before the previous batch finished.
-  double start = std::max(now, last_flush_start_ + min_flush_spacing_);
-  if (!pending_.empty()) start = std::max(start, pending_.back().done_time);
-  last_flush_start_ = start;
-  double done = start + FlushSeconds(words);
-  flush_busy_seconds_ += done - start;
-  ++flush_count_;
-  pending_.push_back(
-      PendingFlush{tail_last_lsn_, written_bytes_, words, start, done});
-  if (m_flush_batches_ != nullptr) {
-    m_flush_batches_->Increment();
-    m_flush_seconds_->Record(done - start);
   }
   if (tracer_ != nullptr) {
-    tracer_->Record(TraceEventType::kLogFlush, now, done,
-                    static_cast<int64_t>(flushed_lsn_),
-                    static_cast<int64_t>(batch_bytes));
+    tracer_->Record(TraceEventType::kLogFlush, now, done, flushed_lsn_,
+                    batch_bytes);
   }
   return done;
 }

@@ -1,19 +1,25 @@
 // Provenance-journal tests (DESIGN.md §18): the journal format itself
 // (self-checksummed lines, contiguous sequencing, torn-tail and resume
 // semantics), the lifecycle grammar, the engine-level cross-check that
-// `mmdb_audit verify --dump=` runs, segment explanation, and the
-// bit-identity guarantee that auditing never perturbs modeled results.
+// `mmdb_audit verify --dump=` runs, segment explanation, the bit-identity
+// guarantee that auditing never perturbs modeled results, and the
+// journal's bytes, pinned by golden files.
 
+#include <cstdio>
+#include <cstdlib>
 #include <functional>
 #include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
+#include "backup/backup_store.h"
 #include "env/fault_injection_env.h"
 #include "gtest/gtest.h"
 #include "obs/audit.h"
 #include "obs/bench_diff.h"
 #include "tests/test_util.h"
+#include "util/crc32c.h"
 #include "util/json.h"
 
 namespace mmdb {
@@ -34,14 +40,10 @@ class AuditJournalTest : public testing::Test {
     journal.Open(/*fresh=*/true);
     EXPECT_TRUE(journal.enabled());
     for (int i = 0; i < n; ++i) {
-      journal.Record("ckpt.log_cut", 0.5 * i, [&](JsonWriter& w) {
-        w.Key("cut");
-        w.Uint(100 * i);
-        w.Key("reclaimed");
-        w.Uint(64);
-      });
+      journal.Append({TraceEventType::kCkptLogCut, 0.5 * i, 0.0,
+                      {static_cast<uint64_t>(100 * i), 64}},
+                     {});
     }
-    journal.Sync();
     std::string text;
     EXPECT_TRUE(env_->ReadFileToString("audit.log", &text).ok());
     return text;
@@ -104,12 +106,7 @@ TEST_F(AuditJournalTest, ReopenDropsTornTailAndResumesNumbering) {
   journal.Open(/*fresh=*/false);
   ASSERT_TRUE(journal.enabled());
   EXPECT_EQ(journal.next_seq(), 3u);
-  journal.Record("ckpt.log_cut", 2.0, [&](JsonWriter& w) {
-    w.Key("cut");
-    w.Uint(300);
-    w.Key("reclaimed");
-    w.Uint(64);
-  });
+  journal.Append({TraceEventType::kCkptLogCut, 2.0, 0.0, {300, 64}}, {});
 
   std::string resumed;
   MMDB_ASSERT_OK(env_->ReadFileToString("audit.log", &resumed));
@@ -127,11 +124,11 @@ TEST_F(AuditJournalTest, FirstAppendErrorDisablesTheJournal) {
   ASSERT_TRUE(journal.enabled());
   fenv.InjectFault({FaultKind::kWriteError, "audit", fenv.op_count(),
                     /*times=*/1});
-  journal.Record("ckpt.log_cut", 1.0);
+  journal.Append({TraceEventType::kCkptLogCut, 1.0}, {});
   EXPECT_FALSE(journal.enabled());
   EXPECT_EQ(journal.counters().append_errors, 1u);
   // A torn line must never be followed by more lines.
-  journal.Record("ckpt.log_cut", 2.0);
+  journal.Append({TraceEventType::kCkptLogCut, 2.0}, {});
   EXPECT_EQ(journal.counters().entries, 0u);
 }
 
@@ -146,7 +143,7 @@ TEST_F(AuditJournalTest, FaultedReopenKeepsACleanJournal) {
   AuditJournal journal(&fenv, "audit.log");
   journal.Open(/*fresh=*/false);
   EXPECT_EQ(journal.next_seq(), 3u);
-  journal.Record("ckpt.log_cut", 2.0);  // takes the fault
+  journal.Append({TraceEventType::kCkptLogCut, 2.0}, {});  // takes the fault
   EXPECT_FALSE(journal.enabled());
   std::string after;
   MMDB_ASSERT_OK(env_->ReadFileToString("audit.log", &after));
@@ -203,33 +200,65 @@ class AuditGrammarTest : public testing::Test {
 
 TEST_F(AuditGrammarTest, FlushOutsideACheckpointChainIsRejected) {
   Status st = Verdict([](AuditJournal& j) {
-    j.Record("ckpt.flush", 1.0, [](JsonWriter& w) {
-      w.Key("ckpt");
-      w.Uint(1);
-      w.Key("segment");
-      w.Uint(0);
-      w.Key("copy");
-      w.Uint(1);
-      w.Key("lsn");
-      w.Uint(5);
-      w.Key("bytes");
-      w.Uint(4096);
-    });
+    j.Append({TraceEventType::kCkptFlush, 1.0, 0.0, {1, 0, 1, 5, 4096}}, {});
   });
   EXPECT_TRUE(st.IsCorruption()) << st;
+}
+
+// One journal line as Append writes it: `body` (a JSON object without the
+// crc member) with its CRC spliced in.
+std::string SplicedLine(const std::string& body) {
+  return body.substr(0, body.size() - 1) + ",\"crc\":" +
+         std::to_string(crc32c::Value(body)) + "}\n";
 }
 
 TEST_F(AuditGrammarTest, MissingRequiredFieldIsRejected) {
-  Status st = Verdict([](AuditJournal& j) {
-    j.Record("recovery.begin", 1.0);  // no "restart"
-  });
-  EXPECT_TRUE(st.IsCorruption()) << st;
+  // Every member the event table lists for a journaled kind is required:
+  // the line without it fails, whichever kind and member.
+  const std::vector<SegmentLineage> lineage(2);
+  const SegmentId failed[] = {0};
+  for (size_t i = 0; i < kNumTraceEventTypes; ++i) {
+    const auto type = static_cast<TraceEventType>(i);
+    const TraceEventSpec& spec = TraceEventSpecFor(type);
+    if (!spec.journaled) continue;
+    AuditJournal journal(env_.get(), "audit.log");
+    journal.Open(/*fresh=*/true);
+    journal.Append({type, 1.0},
+                   {.text = "x", .segments = failed, .lineage = &lineage});
+    std::string text;
+    MMDB_ASSERT_OK(env_->ReadFileToString("audit.log", &text));
+    auto entries = ParseAuditJournal(text);
+    MMDB_ASSERT_OK(entries);
+    ASSERT_EQ(entries->size(), 1u);
+    EXPECT_EQ(VerifyAuditStructure(*entries).message().find("missing field"),
+              std::string::npos)
+        << spec.name;
+    for (const TraceFieldSpec& f : spec.fields) {
+      if (f.name == nullptr) break;
+      JsonValue line = (*entries)[0].object;
+      ASSERT_TRUE(line.Erase(f.name));
+      ASSERT_TRUE(line.Erase("crc"));
+      auto dropped = ParseAuditJournal(SplicedLine(line.Dump()));
+      MMDB_ASSERT_OK(dropped);
+      Status st = VerifyAuditStructure(*dropped);
+      EXPECT_TRUE(st.IsCorruption()) << spec.name << " without " << f.name;
+      EXPECT_NE(st.message().find("missing field '" + std::string(f.name)),
+                std::string::npos)
+          << st;
+    }
+  }
 }
 
 TEST_F(AuditGrammarTest, UnknownEventIsRejected) {
-  Status st = Verdict(
-      [](AuditJournal& j) { j.Record("ckpt.telepathy", 1.0); });
-  EXPECT_TRUE(st.IsCorruption()) << st;
+  // Neither a name no kind has nor a ring-only kind is a journal event.
+  for (const char* event : {"ckpt.telepathy", "log.append"}) {
+    auto entries = ParseAuditJournal(SplicedLine(
+        std::string(R"({"seq":1,"t":1,"event":")") + event + R"("})"));
+    MMDB_ASSERT_OK(entries);
+    Status st = VerifyAuditStructure(*entries);
+    EXPECT_TRUE(st.IsCorruption()) << event;
+    EXPECT_NE(st.message().find("unknown event"), std::string::npos) << st;
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -496,6 +525,215 @@ TEST_F(AuditEngineTest, AuditingNeverPerturbsModeledResults) {
   EXPECT_EQ(diff->mismatches, 0u)
       << (diff->reports.empty() ? "" : diff->reports.front());
   EXPECT_GT(diff->leaves_compared, 100u);
+}
+
+// ---------------------------------------------------------------------------
+// Journal bytes: fixed MemEnv engines driven through all 14 journaled
+// kinds, each audit.log compared byte for byte with tests/testdata/.
+// Regenerate after an intentional format change with
+//   MMDB_REGENERATE_GOLDEN=1 ./audit_test --gtest_filter='AuditGoldenTest.*'
+// ---------------------------------------------------------------------------
+
+std::string GoldenPath(const std::string& name) {
+  return std::string(MMDB_TESTDATA_DIR) + "/" + name;
+}
+
+std::string ReadGolden(const std::string& name) {
+  std::string text;
+  if (std::FILE* f = std::fopen(GoldenPath(name).c_str(), "rb")) {
+    char buf[4096];
+    size_t n;
+    while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) text.append(buf, n);
+    std::fclose(f);
+  }
+  return text;
+}
+
+class AuditGoldenTest : public testing::Test {
+ protected:
+  AuditGoldenTest() : base_(NewMemEnv()), fenv_(base_.get()) {
+    // Each drive pins its own restart schedule; the instant lane's
+    // override would turn the blocking restarts into on-demand ones.
+    if (const char* v = std::getenv("MMDB_INSTANT_RECOVERY")) {
+      saved_instant_ = v;
+      had_instant_ = true;
+    }
+    unsetenv("MMDB_INSTANT_RECOVERY");
+  }
+  ~AuditGoldenTest() override {
+    if (had_instant_) {
+      setenv("MMDB_INSTANT_RECOVERY", saved_instant_.c_str(), 1);
+    }
+  }
+
+  std::unique_ptr<Engine> MustOpen(EngineOptions opt, const char* dir) {
+    opt.dir = dir;
+    auto engine = Engine::Open(opt, &fenv_);
+    EXPECT_TRUE(engine.ok()) << engine.status();
+    return engine.ok() ? std::move(*engine) : nullptr;
+  }
+
+  static void Put(Engine* e, SegmentId s, uint64_t marker) {
+    const RecordId r = s * e->params().db.records_per_segment();
+    MMDB_ASSERT_OK(
+        e->Apply({{r, MakeRecordImage(e->db().record_bytes(), r, marker)}})
+            .status());
+  }
+
+  static void Fill(Engine* e, uint64_t marker) {
+    for (SegmentId s = 0; s < e->db().num_segments(); ++s) {
+      ASSERT_NO_FATAL_FAILURE(Put(e, s, marker));
+    }
+  }
+
+  static void Settle(Engine* e) {
+    MMDB_ASSERT_OK(e->FlushLog());
+    MMDB_ASSERT_OK(e->AdvanceTime(1.0));
+  }
+
+  // Flips one byte of segment `s` in backup copy `copy`, leaving its CRC
+  // stale.
+  void Corrupt(Engine* e, uint32_t copy, SegmentId s) {
+    auto file = base_->NewRandomWriteFile(e->options().dir + "/backup_" +
+                                          std::to_string(copy) + ".db");
+    MMDB_ASSERT_OK(file);
+    const uint64_t off = BackupStore::SlotOffsetFor(e->params().db, s) + 17;
+    std::string byte;
+    MMDB_ASSERT_OK((*file)->Read(off, 1, &byte));
+    byte[0] = static_cast<char>(byte[0] ^ 0x40);
+    MMDB_ASSERT_OK((*file)->WriteAt(off, byte));
+    MMDB_ASSERT_OK((*file)->Close());
+  }
+
+  // The engine's journal must equal tests/testdata/<name> byte for byte.
+  void ExpectGolden(Engine* e, const std::string& name) {
+    std::string text;
+    MMDB_ASSERT_OK(base_->ReadFileToString(e->AuditLogPath(), &text));
+    auto entries = ParseAuditJournal(text);
+    MMDB_ASSERT_OK(entries);
+    MMDB_EXPECT_OK(VerifyAuditStructure(*entries));
+    if (std::getenv("MMDB_REGENERATE_GOLDEN") != nullptr) {
+      std::FILE* f = std::fopen(GoldenPath(name).c_str(), "wb");
+      ASSERT_NE(f, nullptr) << GoldenPath(name);
+      std::fwrite(text.data(), 1, text.size(), f);
+      std::fclose(f);
+      GTEST_SKIP() << "golden regenerated at " << GoldenPath(name);
+    }
+    EXPECT_EQ(text, ReadGolden(name))
+        << "the journal drifted from " << GoldenPath(name)
+        << "; regenerate with MMDB_REGENERATE_GOLDEN=1 only if the format "
+           "change is intentional";
+  }
+
+  std::unique_ptr<Env> base_;
+  FaultInjectionEnv fenv_;
+  std::string saved_instant_;
+  bool had_instant_ = false;
+};
+
+// Checkpoint chain: a ZIGZAG sweep whose one snapshot buffer runs out
+// (ckpt.degraded), log truncation after each completed checkpoint
+// (ckpt.log_cut), an attempt aborted by a backup write fault and its
+// retry, then a crash and a blocking restart.
+TEST_F(AuditGoldenTest, CheckpointsAndBlockingRestart) {
+  EngineOptions opt = TinyOptions();
+  opt.algorithm = Algorithm::kZigzag;
+  opt.max_snapshot_buffers = 1;
+  opt.truncate_log_at_checkpoint = true;
+  auto e = MustOpen(opt, "golden_checkpoints");
+  ASSERT_NE(e, nullptr);
+  ASSERT_NO_FATAL_FAILURE(Fill(e.get(), 1));
+  MMDB_ASSERT_OK(e->StartCheckpoint());
+  const SegmentId n = e->db().num_segments();
+  for (SegmentId s : {n - 1, n - 2, n - 3}) {
+    ASSERT_NO_FATAL_FAILURE(Put(e.get(), s, 2));
+  }
+  while (e->CheckpointInProgress()) MMDB_ASSERT_OK(e->StepCheckpoint());
+  fenv_.InjectFault(
+      {FaultKind::kWriteError, "backup_", fenv_.op_count(), /*times=*/1});
+  EXPECT_TRUE(e->RunCheckpointToCompletion().IsIoError());
+  MMDB_ASSERT_OK(e->RunCheckpointToCompletion());
+  ASSERT_NO_FATAL_FAILURE(Put(e.get(), n / 2, 3));
+  ASSERT_NO_FATAL_FAILURE(Settle(e.get()));
+  MMDB_ASSERT_OK(e->Crash());
+  MMDB_ASSERT_OK(e->Recover());
+  ExpectGolden(e.get(), "audit_golden_checkpoints.log");
+}
+
+// An instant restart: two touch loads, background loads while the clock
+// moves, then the drain.
+TEST_F(AuditGoldenTest, InstantRestart) {
+  EngineOptions opt = TinyOptions();
+  opt.instant_recovery = true;
+  auto e = MustOpen(opt, "golden_instant");
+  ASSERT_NE(e, nullptr);
+  ASSERT_NO_FATAL_FAILURE(Fill(e.get(), 1));
+  MMDB_ASSERT_OK(e->RunCheckpointToCompletion());
+  const SegmentId n = e->db().num_segments();
+  ASSERT_NO_FATAL_FAILURE(Put(e.get(), 0, 2));
+  ASSERT_NO_FATAL_FAILURE(Put(e.get(), n / 2, 2));
+  ASSERT_NO_FATAL_FAILURE(Settle(e.get()));
+  MMDB_ASSERT_OK(e->Crash());
+  MMDB_ASSERT_OK(e->Recover());
+  ASSERT_NO_FATAL_FAILURE(Put(e.get(), n - 1, 3));
+  ASSERT_NO_FATAL_FAILURE(Put(e.get(), 1, 3));
+  MMDB_ASSERT_OK(e->AdvanceTime(0.05));
+  MMDB_ASSERT_OK(e->DrainRecovery());
+  std::string text;
+  MMDB_ASSERT_OK(base_->ReadFileToString(e->AuditLogPath(), &text));
+  EXPECT_NE(text.find("\"trigger\":\"touch\""), std::string::npos);
+  EXPECT_NE(text.find("\"trigger\":\"background\""), std::string::npos);
+  ExpectGolden(e.get(), "audit_golden_instant.log");
+}
+
+// The newest copy rots: the blocking restart falls back to the older one.
+TEST_F(AuditGoldenTest, OlderCopyFallback) {
+  auto e = MustOpen(TinyOptions(), "golden_fallback");
+  ASSERT_NE(e, nullptr);
+  ASSERT_NO_FATAL_FAILURE(Fill(e.get(), 1));
+  MMDB_ASSERT_OK(e->RunCheckpointToCompletion());  // id 1 -> copy 1
+  ASSERT_NO_FATAL_FAILURE(Put(e.get(), 3, 2));
+  MMDB_ASSERT_OK(e->RunCheckpointToCompletion());  // id 2 -> copy 0
+  ASSERT_NO_FATAL_FAILURE(Put(e.get(), 5, 3));
+  ASSERT_NO_FATAL_FAILURE(Settle(e.get()));
+  MMDB_ASSERT_OK(e->Crash());
+  ASSERT_NO_FATAL_FAILURE(Corrupt(e.get(), 0, 0));
+  MMDB_ASSERT_OK(e->Recover());
+  EXPECT_TRUE(e->last_recovery().fell_back_to_older_copy);
+  ExpectGolden(e.get(), "audit_golden_fallback.log");
+}
+
+// The only complete copy rots and nothing older exists: the restart fails
+// and its chain ends in recovery.error.
+TEST_F(AuditGoldenTest, FailedRestart) {
+  auto e = MustOpen(TinyOptions(), "golden_error");
+  ASSERT_NE(e, nullptr);
+  ASSERT_NO_FATAL_FAILURE(Fill(e.get(), 1));
+  MMDB_ASSERT_OK(e->RunCheckpointToCompletion());  // id 1 -> copy 1
+  ASSERT_NO_FATAL_FAILURE(Settle(e.get()));
+  MMDB_ASSERT_OK(e->Crash());
+  ASSERT_NO_FATAL_FAILURE(Corrupt(e.get(), 1, 0));
+  EXPECT_TRUE(e->Recover().status().IsCorruption());
+  ExpectGolden(e.get(), "audit_golden_error.log");
+}
+
+// Together the four goldens hold every journaled kind.
+TEST(AuditGoldenCoverageTest, GoldensHoldEveryJournaledKind) {
+  std::set<std::string> seen;
+  for (const char* name :
+       {"audit_golden_checkpoints.log", "audit_golden_instant.log",
+        "audit_golden_fallback.log", "audit_golden_error.log"}) {
+    auto entries = ParseAuditJournal(ReadGolden(name));
+    MMDB_ASSERT_OK(entries);
+    for (const AuditEntry& e : *entries) seen.insert(e.event);
+  }
+  EXPECT_EQ(seen,
+            (std::set<std::string>{
+                "ckpt.begin", "ckpt.flush", "ckpt.degraded", "ckpt.end",
+                "ckpt.abort", "ckpt.log_cut", "recovery.begin",
+                "recovery.log", "recovery.plan", "recovery.fallback",
+                "recovery.segment_on_demand", "recovery.lineage",
+                "recovery.end", "recovery.error"}));
 }
 
 }  // namespace

@@ -301,7 +301,7 @@ class BareCheckpointerTest : public testing::TestWithParam<Algorithm> {
     ctx.timestamps = &timestamps_;
     ctx.meter = &meter_;
     ctx.params = p;
-    ctx.tracer = tracer_.get();
+    ctx.events.tracer = tracer_.get();
     auto ck = Checkpointer::Create(a, ctx, CheckpointMode::kFull);
     MMDB_ASSERT_OK(ck);
     checkpointer_ = std::move(*ck);
@@ -334,7 +334,7 @@ TEST_P(BareCheckpointerTest, AbortAtTimeZeroTracesNonNegativeTimestamp) {
   for (const TraceEvent& e : tracer_->Snapshot()) {
     EXPECT_GE(e.time, 0.0) << "negative trace timestamp, event type "
                            << static_cast<int>(e.type);
-    if (e.type == TraceEventType::kCheckpointAbort) {
+    if (e.type == TraceEventType::kCkptAbort) {
       abort_seen = true;
       EXPECT_DOUBLE_EQ(e.time, 0.0);  // begin-time fallback, clamped
     }

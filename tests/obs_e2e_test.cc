@@ -55,10 +55,10 @@ TEST(ObsE2eTest, CheckpointCrashRecoveryTraceIsWellFormed) {
   std::map<std::string, int> recovery_phases;
   for (const JsonValue& ev : trace->Find("events")->array_items()) {
     const std::string& kind = ev.Find("kind")->string_value();
-    if (kind == "checkpoint.begin") {
-      ++begins[static_cast<int64_t>(ev.Find("checkpoint")->number_value())];
-    } else if (kind == "checkpoint.end") {
-      ++ends[static_cast<int64_t>(ev.Find("checkpoint")->number_value())];
+    if (kind == "ckpt.begin") {
+      ++begins[static_cast<int64_t>(ev.Find("ckpt")->number_value())];
+    } else if (kind == "ckpt.end") {
+      ++ends[static_cast<int64_t>(ev.Find("ckpt")->number_value())];
     } else if (kind == "recovery.begin") {
       ++recovery_begin;
       EXPECT_FALSE(ev.Find("restart")->bool_value());
@@ -71,7 +71,7 @@ TEST(ObsE2eTest, CheckpointCrashRecoveryTraceIsWellFormed) {
     }
   }
   EXPECT_FALSE(begins.empty());
-  EXPECT_EQ(begins, ends) << "every checkpoint.begin needs a matching end";
+  EXPECT_EQ(begins, ends) << "every ckpt.begin needs a matching end";
 
   // Recovery: one begin, one end, and the full phase breakdown.
   EXPECT_EQ(recovery_begin, 1);
@@ -165,15 +165,11 @@ TEST(ObsE2eTest, FaultInjectionAppearsInTrace) {
   // The engine finds a FaultInjectionEnv it is handed and mirrors every
   // rule firing into its metrics and trace.
   auto base = NewMemEnv();
-  MetricsRegistry shared;
   FaultInjectionEnv faults(base.get());
 
-  EngineOptions opt = TinyOptions();
-  opt.shared_metrics = &shared;
-  auto engine = Engine::Open(opt, &faults);
+  auto engine = Engine::Open(TinyOptions(), &faults);
   MMDB_ASSERT_OK(engine);
   Engine& e = **engine;
-  EXPECT_EQ(e.metrics(), &shared);
 
   FaultRule rule;
   rule.kind = FaultKind::kWriteError;
@@ -187,12 +183,12 @@ TEST(ObsE2eTest, FaultInjectionAppearsInTrace) {
   MMDB_ASSERT_OK(e.Commit(t).status());
   EXPECT_FALSE(e.FlushLog().ok());
 
-  EXPECT_EQ(shared.counter("faults.injected")->value(), 1u);
+  EXPECT_EQ(e.metrics()->counter("faults.injected")->value(), 1u);
   bool saw_fault = false, saw_flush_error = false;
   for (const TraceEvent& ev : e.tracer()->Snapshot()) {
     if (ev.type == TraceEventType::kFaultInjected) {
       saw_fault = true;
-      EXPECT_EQ(static_cast<FaultKind>(ev.a), FaultKind::kWriteError);
+      EXPECT_EQ(static_cast<FaultKind>(ev.v[0]), FaultKind::kWriteError);
     }
     if (ev.type == TraceEventType::kLogFlushError) saw_flush_error = true;
   }

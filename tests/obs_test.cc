@@ -86,7 +86,7 @@ TEST(TracerTest, RingOverwritesOldestAndCountsDrops) {
   ASSERT_EQ(events.size(), 4u);
   // Oldest-first, and only the newest four survive.
   for (size_t i = 0; i < events.size(); ++i) {
-    EXPECT_EQ(events[i].a, static_cast<int64_t>(6 + i));
+    EXPECT_EQ(events[i].v[0], 6 + i);
   }
   tracer.Clear();
   EXPECT_EQ(tracer.recorded(), 0u);
@@ -110,17 +110,39 @@ TEST(TracerTest, JsonCarriesSequenceAcrossDrops) {
 }
 
 TEST(TracerTest, EventFormatterNamesTypedFields) {
-  JsonWriter w;
-  TraceEventToJson(
-      TraceEvent{TraceEventType::kCheckpointBegin, 1.5, 0.0, /*id=*/3,
-                 /*algorithm=*/0, /*mode=*/1},
-      /*seq=*/0, &w);
-  StatusOr<JsonValue> doc = JsonValue::Parse(w.str());
+  Tracer tracer;
+  tracer.Record(TraceEvent{TraceEventType::kCkptBegin, 1.5, 0.0,
+                           {/*id=*/3, /*algorithm=*/0, /*mode=*/1}});
+  StatusOr<JsonValue> doc = JsonValue::Parse(tracer.ToJsonString());
   MMDB_ASSERT_OK(doc);
-  EXPECT_EQ(doc->Find("kind")->string_value(), "checkpoint.begin");
-  EXPECT_EQ(doc->Find("algorithm")->string_value(), "FUZZYCOPY");
-  EXPECT_EQ(doc->Find("mode")->string_value(), "partial");
-  EXPECT_EQ(doc->Find("checkpoint")->number_value(), 3.0);
+  const JsonValue& e = doc->Find("events")->array_items()[0];
+  EXPECT_EQ(e.Find("kind")->string_value(), "ckpt.begin");
+  EXPECT_EQ(e.Find("algorithm")->string_value(), "FUZZYCOPY");
+  EXPECT_EQ(e.Find("mode")->string_value(), "partial");
+  EXPECT_EQ(e.Find("ckpt")->number_value(), 3.0);
+}
+
+TEST(TracerTest, TextAndSegmentsStayWithTheirEvent) {
+  Tracer tracer(/*capacity=*/2);
+  auto events = [&tracer] {
+    StatusOr<JsonValue> doc = JsonValue::Parse(tracer.ToJsonString());
+    return doc.ok() ? doc->Find("events")->array_items()
+                    : std::vector<JsonValue>{};
+  };
+  const SegmentId failed[] = {4, 7};
+  tracer.Record({TraceEventType::kRecoveryFallback, 1.0, 0.0, {2, 0, 1, 1, 0}},
+                {.text = "CORRUPTION: rot", .segments = failed});
+  ASSERT_EQ(events().size(), 1u);
+  EXPECT_EQ(events()[0].Find("trigger")->string_value(), "CORRUPTION: rot");
+  EXPECT_EQ(events()[0].Find("failed_segments")->Dump(), "[4,7]");
+  // Once the ring wraps, each retained event still shows its own text.
+  for (const char* cause : {"a", "b", "c"}) {
+    tracer.Record({TraceEventType::kCkptAbort, 2.0, 0.0, {1, 0}},
+                  {.text = cause});
+  }
+  ASSERT_EQ(events().size(), 2u);
+  EXPECT_EQ(events()[0].Find("cause")->string_value(), "b");
+  EXPECT_EQ(events()[1].Find("cause")->string_value(), "c");
 }
 
 TEST(TimerRatioTest, FirstCallerPinsBucketRatio) {

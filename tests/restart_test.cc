@@ -37,6 +37,46 @@ class RestartTest : public testing::TestWithParam<Algorithm> {
   std::unique_ptr<Env> env_;
 };
 
+// An instant restart times its backup reads and its REDO where they
+// happen, in each on-demand and background load, so once drained its
+// dump's host.recovery reads neither as 0.
+TEST(InstantRestartHostTimeTest, DrainedRestartTimesReadsAndReplay) {
+  auto env = NewMemEnv();
+  EngineOptions opt = TinyOptions();
+  {
+    auto engine = Engine::Open(opt, env.get());
+    MMDB_ASSERT_OK(engine);
+    Engine& e = **engine;
+    const uint32_t rps = e.params().db.records_per_segment();
+    for (SegmentId s = 0; s < e.db().num_segments(); ++s) {
+      const RecordId r = s * rps;
+      MMDB_ASSERT_OK(
+          e.Apply({{r, MakeRecordImage(e.db().record_bytes(), r, 1)}})
+              .status());
+    }
+    MMDB_ASSERT_OK(e.RunCheckpointToCompletion());
+    for (RecordId r : {RecordId{0}, RecordId{5} * rps, RecordId{9} * rps}) {
+      MMDB_ASSERT_OK(
+          e.Apply({{r, MakeRecordImage(e.db().record_bytes(), r, 2)}})
+              .status());
+    }
+    MMDB_ASSERT_OK(e.FlushLog());
+    MMDB_ASSERT_OK(e.AdvanceTime(1.0));
+  }
+  opt.instant_recovery = true;
+  auto reopened = Engine::OpenExisting(opt, env.get());
+  MMDB_ASSERT_OK(reopened);
+  ASSERT_TRUE((*reopened)->recovery_pending());
+  MMDB_ASSERT_OK((*reopened)->DrainRecovery());
+  auto dump = JsonValue::Parse((*reopened)->DumpMetricsJson());
+  MMDB_ASSERT_OK(dump);
+  for (const char* phase : {"backup_read_seconds", "replay_seconds"}) {
+    const JsonValue* v = dump->FindPath({"host", "recovery", phase});
+    ASSERT_NE(v, nullptr) << phase;
+    EXPECT_GT(v->number_value(), 0.0) << phase;
+  }
+}
+
 TEST_P(RestartTest, OpenExistingRequiresPriorState) {
   EngineOptions opt = Options();
   auto engine = Engine::OpenExisting(opt, env_.get());

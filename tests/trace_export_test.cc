@@ -1,4 +1,4 @@
-// Perfetto/Chrome trace_event exporter (obs/trace_export.h): the name
+// Perfetto/Chrome trace_event exporter (obs/trace_export.h): the event
 // table is complete and collision-free, a scripted ring covering every
 // TraceEventType exports to the committed golden file byte for byte, and
 // the emitted document is structurally valid trace_event JSON (the
@@ -25,83 +25,113 @@ namespace {
 
 TEST(TraceEventTableTest, NamesNonEmptyAndUnique) {
   std::set<std::string> seen;
+  size_t journaled = 0;
   for (size_t i = 0; i < kNumTraceEventTypes; ++i) {
     auto type = static_cast<TraceEventType>(i);
-    std::string name(TraceEventTypeName(type));
+    const TraceEventSpec& spec = TraceEventSpecFor(type);
+    ASSERT_NE(spec.name, nullptr) << "enumerator " << i;
+    std::string name(spec.name);
     EXPECT_FALSE(name.empty()) << "enumerator " << i;
-    EXPECT_NE(name, "unknown") << "enumerator " << i;
     EXPECT_TRUE(seen.insert(name).second)
         << "duplicate name '" << name << "' at enumerator " << i;
+    TraceEventType back;
+    ASSERT_TRUE(TraceEventTypeFromName(name, &back)) << name;
+    EXPECT_EQ(back, type) << name;
+    if (spec.journaled) ++journaled;
   }
   EXPECT_EQ(seen.size(), kNumTraceEventTypes);
+  EXPECT_EQ(journaled, 14u);
+  TraceEventType unused;
+  EXPECT_FALSE(TraceEventTypeFromName("ckpt.telepathy", &unused));
 }
 
 TEST(TraceEventTableTest, FieldTableConsistent) {
-  std::set<std::string> json_names;
   for (size_t i = 0; i < kNumTraceEventTypes; ++i) {
-    auto type = static_cast<TraceEventType>(i);
-    const TraceEventFields& fields = TraceEventFieldsFor(type);
-    // t2_is_end_time only makes sense when the type has a t2 member.
-    if (fields.t2_name == nullptr) {
-      EXPECT_FALSE(fields.t2_is_end_time) << i;
+    const TraceEventSpec& spec =
+        TraceEventSpecFor(static_cast<TraceEventType>(i));
+    // Only the journal syncs, and only the journal keeps the lineage.
+    EXPECT_TRUE(spec.journaled || !spec.synced) << spec.name;
+    std::set<std::string> json_names;
+    size_t named = 0;
+    if (spec.t2_name != nullptr) {
+      json_names.insert(spec.t2_name);
+      ++named;
     }
-    json_names.clear();
-    if (fields.t2_name != nullptr) json_names.insert(fields.t2_name);
-    size_t named = json_names.size();
-    for (const TraceFieldSpec* spec : {&fields.a, &fields.b, &fields.c}) {
-      // A field is either fully specified or fully absent.
-      EXPECT_EQ(spec->name == nullptr,
-                spec->coding == TraceFieldCoding::kNone)
-          << "enumerator " << i;
-      if (spec->name != nullptr) {
-        json_names.insert(spec->name);
-        ++named;
+    bool ended = false;
+    for (const TraceFieldSpec& f : spec.fields) {
+      if (f.name == nullptr) {
+        ended = true;
+        continue;
       }
+      // The list ends at its first unnamed slot, and no field takes a
+      // member name the ring or the journal line already writes.
+      EXPECT_FALSE(ended) << spec.name << "." << f.name;
+      for (const char* taken : {"seq", "kind", "t", "event", "crc"}) {
+        EXPECT_STRNE(f.name, taken) << spec.name;
+      }
+      if (f.coding == TraceFieldCoding::kLineage) {
+        EXPECT_TRUE(spec.journaled) << spec.name;
+      }
+      json_names.insert(f.name);
+      ++named;
     }
     // No two members of one event may share a JSON spelling.
-    EXPECT_EQ(json_names.size(), named) << "enumerator " << i;
+    EXPECT_EQ(json_names.size(), named) << spec.name;
   }
   // Out-of-range lookups clamp instead of reading past the table.
-  EXPECT_EQ(&TraceEventFieldsFor(static_cast<TraceEventType>(255)),
-            &TraceEventFieldsFor(static_cast<TraceEventType>(0)));
+  EXPECT_EQ(&TraceEventSpecFor(static_cast<TraceEventType>(255)),
+            &TraceEventSpecFor(static_cast<TraceEventType>(0)));
 }
 
 // One scripted event per TraceEventType (plus the degraded unmatched-end
 // path), at exact binary-fraction times so the golden bytes carry no
 // floating-point noise.
 void Script(Tracer* t) {
-  t->Record(TraceEventType::kCheckpointBegin, 0.125, 0, 1,
-                static_cast<int64_t>(Algorithm::kFuzzyCopy),
-                static_cast<int64_t>(CheckpointMode::kPartial));
-  t->Record(TraceEventType::kCheckpointSegmentWrite, 0.25, 0.375, 7, 0,
-                65536);
-  t->Record(TraceEventType::kLogAppend, 0.5, 0, 41,
-                static_cast<int64_t>(LogRecordType::kUpdate), 48);
-  t->Record(TraceEventType::kLogFlush, 0.5, 0.625, 41, 4096);
-  t->Record(TraceEventType::kLogFlushError, 0.75, 0, 42);
-  t->Record(TraceEventType::kLockWait, 0.875, 1.0);
-  t->Record(TraceEventType::kLockConflict, 1.0, 0, 9, 123);
-  t->Record(TraceEventType::kFaultInjected, 1.125, 0,
-                static_cast<int64_t>(FaultKind::kWriteError), 5);
-  t->Record(TraceEventType::kCheckpointEnd, 1.25, 0, 1, 100, 28);
-  t->Record(TraceEventType::kCheckpointBegin, 1.3125, 0, 2,
-                static_cast<int64_t>(Algorithm::kCouCopy),
-                static_cast<int64_t>(CheckpointMode::kFull));
-  t->Record(TraceEventType::kCheckpointAbort, 1.375, 0, 2, 17, 0);
+  using T = TraceEventType;
+  const SegmentId failed[] = {3, 5};
+  t->Record({T::kCkptBegin, 0.125, 0,
+             {1, static_cast<uint64_t>(Algorithm::kFuzzyCopy),
+              static_cast<uint64_t>(CheckpointMode::kPartial), 1, 40, 4096}});
+  t->Record({T::kCkptFlush, 0.25, 0.375, {1, 7, 1, 40, 65536}});
+  t->Record({T::kCkptDegraded, 0.25, 0, {1, 9}});
+  t->Record(T::kLogAppend, 0.5, 0, 41,
+            static_cast<uint64_t>(LogRecordType::kUpdate), 48);
+  t->Record(T::kLogFlush, 0.5, 0.625, 41, 4096);
+  t->Record(T::kLogFlushError, 0.75, 0, 42);
+  t->Record(T::kLockWait, 0.875, 1.0);
+  t->Record(T::kLockConflict, 1.0, 0, 9, 123);
+  t->Record(T::kFaultInjected, 1.125, 0,
+            static_cast<uint64_t>(FaultKind::kWriteError), 5);
+  t->Record({T::kCkptEnd, 1.25, 0, {1, 1, 100, 28}});
+  t->Record({T::kCkptLogCut, 1.25, 0, {4096, 4096}});
+  t->Record({T::kCkptBegin, 1.3125, 0,
+             {2, static_cast<uint64_t>(Algorithm::kCouCopy),
+              static_cast<uint64_t>(CheckpointMode::kFull), 0, 90, 8192}});
+  t->Record({T::kCkptAbort, 1.375, 0, {2, 17}},
+            {.text = "IO error: injected write error"});
   // A begin that fell out of the ring: its end degrades to an instant.
-  t->Record(TraceEventType::kCheckpointEnd, 1.4375, 0, 3, 0, 0);
-  t->Record(TraceEventType::kRecoveryBegin, 1.5, 0, 1);
-  t->Record(TraceEventType::kRecoveryPhase, 1.5, 0.125,
-                static_cast<int64_t>(RecoveryPhase::kBackupLoad), 128, 2);
-  t->Record(TraceEventType::kRecoveryPhase, 1.5, 0.0625,
-                static_cast<int64_t>(RecoveryPhase::kLogRead), 8192, 0);
-  t->Record(TraceEventType::kRecoveryPhase, 1.5, 0.3125,
-                static_cast<int64_t>(RecoveryPhase::kReplay), 200, 12);
-  t->Record(TraceEventType::kRecoveryEnd, 1.5, 0.5, 2);
-  // Instant recovery: a touch-triggered on-demand reload (flows from the
-  // stalling transaction on the lock track) and a background one.
-  t->Record(TraceEventType::kRecoverySegmentOnDemand, 2.0, 2.25, 5, 0, 0);
-  t->Record(TraceEventType::kRecoverySegmentOnDemand, 2.0, 2.5, 9, 1, 1);
+  t->Record({T::kCkptEnd, 1.4375, 0, {3, 1, 0, 0}});
+  t->Record({T::kRecoveryBegin, 1.5, 0, {1}});
+  t->Record({T::kRecoveryLog, 1.5, 0, {16384, 1}});
+  t->Record({T::kRecoveryPlan, 1.5, 0,
+             {2, 0, 8192, static_cast<uint64_t>(RestoreSource::kMeta)}});
+  t->Record({T::kRecoveryFallback, 1.5, 0, {2, 0, 1, 1, 0}},
+            {.text = "CORRUPTION: checksum mismatch", .segments = failed});
+  t->Record({T::kRecoveryPhase, 1.5, 0.125,
+             {static_cast<uint64_t>(RecoveryPhase::kBackupLoad), 128, 2}});
+  t->Record({T::kRecoveryPhase, 1.5, 0.0625,
+             {static_cast<uint64_t>(RecoveryPhase::kLogRead), 8192, 0}});
+  t->Record({T::kRecoveryPhase, 1.5, 0.3125,
+             {static_cast<uint64_t>(RecoveryPhase::kReplay), 200, 12}});
+  t->Record({T::kRecoveryLineage, 1.5});
+  t->Record({T::kRecoveryEnd, 1.5, 0.5, {2, 0, 0, 90, 200, 12}});
+  // Instant recovery: a touch-triggered on-demand load (flows from the
+  // stalling transaction on the lock track) and a background one, each
+  // from its read's submission to its materialization.
+  t->Record({T::kRecoverySegmentOnDemand, 2.25, 2.0, {5, 0, 2, 0, 0, 3, 0}});
+  t->Record({T::kRecoverySegmentOnDemand, 2.5, 2.0, {9, 1, 2, 0, 0, 0, 1}});
+  t->Record({T::kRecoveryError, 2.75},
+            {.text = "CORRUPTION: no older complete checkpoint"});
 }
 
 std::string GoldenPath() {
@@ -208,7 +238,7 @@ TEST(TraceExportTest, OutputIsStructurallyValidTraceEventJson) {
     if (phase == "E") ++ends;
   }
   // The scripted ring covers every component the acceptance criteria name.
-  for (const char* cat : {"checkpoint", "log", "lock", "fault", "recovery"}) {
+  for (const char* cat : {"ckpt", "log", "lock", "fault", "recovery"}) {
     EXPECT_EQ(cats.count(cat), 1u) << cat;
   }
   for (const char* track : {"checkpoint", "checkpoint.io", "log", "lock",

@@ -26,7 +26,10 @@
 #
 # The sanitize gate also re-runs the crash/recovery suites with
 # MMDB_INSTANT_RECOVERY=1, forcing every restart through the on-demand
-# instant-recovery path (DESIGN.md §19) under ASan+UBSan, and smokes
+# instant-recovery path (DESIGN.md §19) under ASan+UBSan; that lane
+# exports its journals to build-sanitize/audit-export-instant, where the
+# mmdb_audit binary re-verifies them too, so the journals that carry
+# recovery.segment_on_demand reach the CLI verifier as well. It smokes
 # recovery_bench --quick in that lane (its modeled self-gate proves the
 # drained instant state bit-identical to blocking recovery). The lane
 # includes the logical-logging, COU and modern-algorithm suites, so delta
@@ -108,9 +111,12 @@ run_sanitize() {
       ctest --test-dir build-sanitize --output-on-failure -j "$jobs"
   verify_audit_exports build-sanitize build-sanitize/audit-export
   echo "check.sh: sanitize instant-recovery lane (MMDB_INSTANT_RECOVERY=1)"
+  rm -rf build-sanitize/audit-export-instant
   MMDB_INSTANT_RECOVERY=1 \
+      MMDB_AUDIT_EXPORT_DIR="$PWD/build-sanitize/audit-export-instant" \
       ctest --test-dir build-sanitize --output-on-failure -j "$jobs" \
       -R '^(recovery_test|restart_test|consistency_test|sweep_determinism_test|fault_injection_test|audit_test|obs_e2e_test|logical_logging_test|modern_test|cou_test)$'
+  verify_audit_exports build-sanitize build-sanitize/audit-export-instant
   echo "check.sh: sanitize bench smoke (recovery_bench --quick --jobs=2, instant lane)"
   MMDB_INSTANT_RECOVERY=1 \
       MMDB_METRICS_SIDECAR=build-sanitize/recovery_instant_asan_smoke.json \
