@@ -368,27 +368,12 @@ void Checkpointer::Abort(double now, std::string_view cause) {
   Reset();
 }
 
-double Checkpointer::EarliestExecutionTime(
+Checkpointer::Admission Checkpointer::AdmissionAt(
     const std::vector<SegmentId>& segments, double now) const {
-  double t = now;
+  double quiesce_t = now;
   if (InProgress() && QuiescesTransactions() && now < sweep_start_) {
     // COU admission barrier: new transactions wait until the checkpoint's
     // begin protocol (quiesce + marker flush) completes.
-    t = std::max(t, sweep_start_);
-  }
-  for (SegmentId s : segments) {
-    auto it = locked_until_.find(s);
-    if (it != locked_until_.end()) t = std::max(t, it->second);
-  }
-  return t;
-}
-
-Checkpointer::StallCause Checkpointer::ClassifyStall(
-    const std::vector<SegmentId>& segments, double now) const {
-  // Mirrors EarliestExecutionTime's two delay sources; the one that
-  // releases last is the cause the caller is actually waiting on.
-  double quiesce_t = now;
-  if (InProgress() && QuiescesTransactions() && now < sweep_start_) {
     quiesce_t = sweep_start_;
   }
   double lock_t = now;
@@ -396,9 +381,9 @@ Checkpointer::StallCause Checkpointer::ClassifyStall(
     auto it = locked_until_.find(s);
     if (it != locked_until_.end()) lock_t = std::max(lock_t, it->second);
   }
-  if (quiesce_t <= now && lock_t <= now) return StallCause::kNone;
-  return quiesce_t >= lock_t ? StallCause::kQuiesce
-                             : StallCause::kCheckpointLock;
+  if (quiesce_t <= now && lock_t <= now) return {now, StallCause::kNone};
+  return quiesce_t >= lock_t ? Admission{quiesce_t, StallCause::kQuiesce}
+                             : Admission{lock_t, StallCause::kCheckpointLock};
 }
 
 bool Checkpointer::AdmitAccess(const std::vector<SegmentId>&, double) {

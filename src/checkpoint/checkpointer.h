@@ -227,20 +227,24 @@ class Checkpointer : public CheckpointHooks {
   // algorithm without hard-coding the list.
   virtual bool QuiescesTransactions() const { return false; }
 
-  // Which condition is delaying admission at `now` for this access set —
-  // the COU quiesce barrier or a checkpoint-held segment lock. kNone when
-  // the set can execute immediately (EarliestExecutionTime == now). When
-  // both apply, the later-releasing condition wins: it is the one that
-  // determines the admission time the engine actually waits for. The
-  // engine uses this to attribute admission stalls to their cause in the
-  // per-transaction latency breakdown.
+  // Earliest virtual time >= `now` at which a transaction touching
+  // `segments` may execute, and what holds it back until then: the COU
+  // quiesce barrier at checkpoint start (Section 3.2.2) or a segment the
+  // checkpointer holds locked through a disk I/O (2CFLUSH / COUFLUSH).
+  // kNone when the set can execute immediately (time == now). When both
+  // apply, the later-releasing condition is the cause: it is the one the
+  // caller waits for. The engine waits until `time`, servicing checkpoint
+  // events, and attributes the stall to `cause` in the per-transaction
+  // latency breakdown.
   enum class StallCause : uint8_t { kNone, kQuiesce, kCheckpointLock };
-  StallCause ClassifyStall(const std::vector<SegmentId>& segments,
-                           double now) const;
+  struct Admission {
+    double time;
+    StallCause cause;
+  };
+  Admission AdmissionAt(const std::vector<SegmentId>& segments,
+                        double now) const;
 
   // --- CheckpointHooks (defaults; subclasses refine) ---------------------
-  double EarliestExecutionTime(const std::vector<SegmentId>& segments,
-                               double now) const override;
   bool AdmitAccess(const std::vector<SegmentId>& segments,
                    double now) override;
   void BeforeSegmentUpdate(SegmentId s, RecordId record, Timestamp txn_ts,

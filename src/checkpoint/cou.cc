@@ -7,9 +7,9 @@ namespace mmdb {
 
 Status CouCheckpointer::OnBegin(double) {
   // Figure 3.3 preamble. The quiesce itself is modeled as the admission
-  // barrier in EarliestExecutionTime (transactions execute atomically on
-  // the virtual timeline, so there are never half-finished transactions to
-  // drain — new arrivals simply wait for sweep_start_).
+  // barrier in Checkpointer::AdmissionAt (transactions execute atomically
+  // on the virtual timeline, so there are never half-finished transactions
+  // to drain — new arrivals simply wait for sweep_start_).
   tau_prev_ = tau_ch_;
   tau_ch_ = ctx_.timestamps->Next();
   return Status::OK();

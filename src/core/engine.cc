@@ -4,6 +4,7 @@
 #include <cassert>
 #include <cstdlib>
 #include <limits>
+#include <utility>
 
 #include "env/fault_injection_env.h"
 #include "util/json.h"
@@ -233,25 +234,21 @@ Status Engine::WaitForAdmission(const std::vector<SegmentId>& segs) {
   // servicing checkpoint events so the blocker actually clears. Loops in
   // case servicing those events takes further locks on our segments.
   while (true) {
-    double t = checkpointer_->EarliestExecutionTime(segs, clock_.now());
-    if (t <= clock_.now()) return Status::OK();
+    const Checkpointer::Admission admit =
+        checkpointer_->AdmissionAt(segs, clock_.now());
+    if (admit.cause == Checkpointer::StallCause::kNone) return Status::OK();
     if (tracer_) {
-      tracer_->Record(TraceEventType::kLockWait, clock_.now(), t);
+      tracer_->Record(TraceEventType::kLockWait, clock_.now(), admit.time);
     }
-    double wait = t - clock_.now();
+    double wait = admit.time - clock_.now();
     if (m_admission_wait_) m_admission_wait_->Record(wait);
     // Attribute the stall to its cause for the latency breakdown.
-    switch (checkpointer_->ClassifyStall(segs, clock_.now())) {
-      case Checkpointer::StallCause::kQuiesce:
-        stall_quiesce_seconds_ += wait;
-        if (m_stall_quiesce_) m_stall_quiesce_->Record(wait);
-        break;
-      case Checkpointer::StallCause::kCheckpointLock:
-        stall_ckpt_lock_seconds_ += wait;
-        if (m_stall_ckpt_lock_) m_stall_ckpt_lock_->Record(wait);
-        break;
-      case Checkpointer::StallCause::kNone:
-        break;
+    if (admit.cause == Checkpointer::StallCause::kQuiesce) {
+      stall_quiesce_seconds_ += wait;
+      if (m_stall_quiesce_) m_stall_quiesce_->Record(wait);
+    } else {
+      stall_ckpt_lock_seconds_ += wait;
+      if (m_stall_ckpt_lock_) m_stall_ckpt_lock_->Record(wait);
     }
     MMDB_RETURN_IF_ERROR(AdvanceTime(wait));
   }
@@ -522,12 +519,15 @@ Status Engine::MaybeTruncateLog() {
   if (!meta.ok()) {
     return meta.status().IsNotFound() ? Status::OK() : meta.status();
   }
-  // Everything before the newest complete checkpoint's begin marker is
-  // unreachable by recovery (which replays forward from that marker).
-  StatusOr<uint64_t> reclaimed = log_->TruncateBefore(meta->log_offset);
+  // Recovery replays forward from the newest complete checkpoint's begin
+  // marker, or from the previous one's when the newest copy is unreadable
+  // (the older-copy fallback): everything before that previous marker is
+  // unreachable.
+  const uint64_t cut = std::exchange(fallback_marker_, meta->log_offset);
+  StatusOr<uint64_t> reclaimed = log_->TruncateBefore(cut);
   if (reclaimed.ok()) {
-    events_.Emit({TraceEventType::kCkptLogCut, clock_.now(), 0.0,
-                  {meta->log_offset, *reclaimed}});
+    events_.Emit(
+        {TraceEventType::kCkptLogCut, clock_.now(), 0.0, {cut, *reclaimed}});
   }
   // Truncation is purely an optimization, and a failed rewrite leaves the
   // original file intact (temp + rename): degrade by keeping the longer
@@ -591,8 +591,8 @@ StatusOr<RecoveryStats> Engine::Recover() {
     if (!loaded.ok()) return FailRecovery(std::move(loaded));
   }
   const RecoveryResult& result = instant_->result();
-  Status reopened =
-      log_->OpenExisting(result.log_valid_bytes, result.last_lsn + 1);
+  Status reopened = log_->OpenExisting(
+      result.log_base_offset, result.log_valid_bytes, result.last_lsn + 1);
   if (!reopened.ok()) return FailRecovery(std::move(reopened));
   const RecoveryStats stats = result.stats;
   crashed_ = false;
@@ -692,6 +692,7 @@ void Engine::FinishRecovery() {
     avail_.drained = true;
   }
   RecoveryResult r = ir->TakeResult();
+  fallback_marker_ = r.replay_from_offset;
   last_recovery_ = r.stats;
   has_last_recovery_ = true;
   // The outcome is journaled and published once, on the crash-instant

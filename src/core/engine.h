@@ -364,6 +364,10 @@ class Engine {
   // re-run after a fallback rewinds stats.checkpoint_id).
   double recovery_crash_now_ = 0.0;
   CheckpointId newest_end_id_ = 0;
+  // Begin marker of the checkpoint the older-copy fallback would restore
+  // once the next checkpoint completes: the newest complete one, or after
+  // a restart the restored one. Log truncation never cuts past it.
+  uint64_t fallback_marker_ = 0;
   // The last restart failed after it had served transactions: the next
   // Recover() loads every segment before it admits any, so commits it
   // serves cannot fail it the same way again (FailRecovery).

@@ -48,8 +48,9 @@ struct EngineOptions {
   bool unsafe_allow_logical_logging = false;
 
   // Reclaim log space each time a checkpoint completes: frames before the
-  // new checkpoint's begin marker can never be replayed again and are
-  // dropped (the log file keeps a logical base offset, so previously
+  // previous complete checkpoint's begin marker — the oldest one the
+  // older-copy fallback may replay from — can never be replayed again and
+  // are dropped (the log file keeps a logical base offset, so previously
   // published offsets stay valid). Off by default so diagnostic scans of
   // the full history keep working.
   bool truncate_log_at_checkpoint = false;

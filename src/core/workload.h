@@ -83,7 +83,7 @@ struct WorkloadResult {
   // instructions, never as clock time — so the six components below sum
   // to latency_total_seconds (up to float rounding). Stalls are classified
   // at the blocking point by the checkpointer
-  // (Checkpointer::ClassifyStall); retry waits by the abort cause the
+  // (Checkpointer::AdmissionAt); retry waits by the abort cause the
   // TxnManager tagged (TxnAbortCause). Queueing delay is the gap between a
   // transaction's scheduled execution time (arrival or retry) and the
   // instant the serial driver actually gets to it: while one transaction

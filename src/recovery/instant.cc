@@ -95,7 +95,7 @@ Status InstantRecovery::LoadAll() {
   loaded_count_ = num_segments_;
   // Nothing reads the log snapshot or the buckets again: free them before
   // the engine rewrites the log, as a restart's peak memory.
-  plan_.reader = LogReader(std::string());
+  plan_.reader = LogReader();
   plan_.redo.buckets = {};
   return Status::OK();
 }
@@ -259,36 +259,26 @@ Status InstantRecovery::FallBack(std::vector<SegmentId> failed,
   // tail, scribbled in-flight slots, or device faults). The ping-pong
   // protocol guarantees the PREVIOUS checkpoint's copy was complete
   // before this one started overwriting the other file, so fall back to
-  // it and replay the longer log suffix from its begin marker — which
-  // must still be in the log, since truncation only ever cuts before the
-  // newest complete checkpoint's marker.
+  // it and replay the longer log suffix from its begin marker, which log
+  // truncation keeps (it cuts before the begin marker of the checkpoint
+  // preceding the newest complete one). A first checkpoint has no
+  // predecessor: then the restart fails.
   const CheckpointId prev_id = plan_.restore_id - 1;
   // Finding and scanning the longer suffix is log-scan time.
   std::optional<HostTimer> rescan(&stats.log_scan_wall_seconds);
-  bool found_prev = false;
-  uint64_t prev_offset = 0;
-  LogRecord prev_begin;
-  if (prev_id >= 1) {
-    MMDB_RETURN_IF_ERROR(
-        reader.ScanBackward([&](const LogRecord& r, uint64_t offset) {
-          if (r.type == LogRecordType::kBeginCheckpoint &&
-              r.checkpoint_id == prev_id) {
-            prev_offset = offset;
-            prev_begin = r;
-            found_prev = true;
-            return false;
-          }
-          return true;
-        }));
-  }
-  if (!found_prev) {
+  StatusOr<LogReader::CheckpointMarker> prev =
+      prev_id >= 1 ? reader.FindCheckpointBegin(prev_id)
+                   : NotFoundError("no checkpoint precedes the first");
+  if (prev.status().IsNotFound()) {
     return CorruptionError(StringPrintf(
         "backup copy %u of checkpoint %llu is unreadable (%s) and no "
         "older complete checkpoint is reachable in the log",
         plan_.restore_copy, static_cast<unsigned long long>(plan_.restore_id),
         trigger.message().c_str()));
   }
-  for (const ActiveTxnEntry& e : prev_begin.active_txns) {
+  MMDB_RETURN_IF_ERROR(prev.status());
+  const uint64_t prev_offset = prev->begin_offset;
+  for (const ActiveTxnEntry& e : prev->begin_record.active_txns) {
     if (e.first_lsn != kInvalidLsn) {
       return NotSupportedError(
           "active transaction with pre-marker log records; update-time "
@@ -356,6 +346,7 @@ Status InstantRecovery::FallBack(std::vector<SegmentId> failed,
   }
   stats.segments_loaded =
       num_segments_ - failed.size() + stats.segments_retried;
+  result.replay_from_offset = prev_offset;
   stats.log_bytes_read = result.log_valid_bytes > prev_offset
                              ? result.log_valid_bytes - prev_offset
                              : 0;

@@ -196,6 +196,7 @@ Status RecoveryManager::ChooseRestore(BackupStore* backup,
   // its end marker was cut), so the log wins. Metadata NEWER than the
   // log's last end marker is corruption.
   MMDB_ASSIGN_OR_RETURN(LogReader reader, LogReader::Open(env_, log_path));
+  result->log_base_offset = reader.base_offset();
   result->log_valid_bytes = reader.valid_bytes();
   // What the log reopen will keep: the valid prefix, and whether a torn
   // tail past it is cut off.
@@ -204,8 +205,7 @@ Status RecoveryManager::ChooseRestore(BackupStore* backup,
 
   StatusOr<CheckpointMeta> meta = backup->ReadMeta();
   if (!meta.ok() && !meta.status().IsNotFound()) return meta.status();
-  StatusOr<LogReader::CheckpointMarker> marker =
-      reader.FindLastCompleteCheckpoint();
+  StatusOr<LogReader::CheckpointMarker> marker = reader.FindCheckpointBegin();
   if (!marker.ok() && !marker.status().IsNotFound()) return marker.status();
 
   bool have_checkpoint = false;
@@ -299,7 +299,7 @@ Status RecoveryManager::ChooseRestore(BackupStore* backup,
   plan->have_checkpoint = have_checkpoint;
   plan->restore_id = restore_id;
   plan->restore_copy = restore_copy;
-  plan->replay_from_offset = replay_from_offset;
+  result->replay_from_offset = replay_from_offset;
   return Status::OK();
 }
 
@@ -323,20 +323,12 @@ StatusOr<RecoveryPlan> RecoveryManager::Plan(BackupStore* backup,
   std::size_t start_frame = 0;
   if (reader.num_frames() > 0) {
     MMDB_ASSIGN_OR_RETURN(start_frame,
-                          reader.FrameIndexAt(plan.replay_from_offset));
+                          reader.FrameIndexAt(result.replay_from_offset));
   }
   MMDB_ASSIGN_OR_RETURN(plan.redo, ScanRedo(reader, start_frame, params_.db,
                                             &result.lineage));
-  // LSNs are monotone in file order, but records before the marker can
-  // carry higher ids after a previous recovery reopened the log. Take the
-  // global max.
-  Lsn last_lsn = plan.redo.max_lsn;
-  MMDB_RETURN_IF_ERROR(
-      reader.ScanBackward([&](const LogRecord& r, uint64_t) {
-        if (last_lsn == kInvalidLsn || r.lsn > last_lsn) last_lsn = r.lsn;
-        return false;  // only the newest record is needed
-      }));
-  result.last_lsn = last_lsn;
+  // The suffix ends at the newest frame, so its max is the log's.
+  result.last_lsn = plan.redo.max_lsn;
   stats.log_scan_wall_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                     scan_start)
@@ -351,8 +343,9 @@ StatusOr<RecoveryPlan> RecoveryManager::Plan(BackupStore* backup,
     stats.copy = plan.restore_copy;
     stats.segments_loaded = db->num_segments();
   }
-  stats.log_bytes_read = result.log_valid_bytes > plan.replay_from_offset
-                             ? result.log_valid_bytes - plan.replay_from_offset
+  stats.log_bytes_read = result.log_valid_bytes > result.replay_from_offset
+                             ? result.log_valid_bytes -
+                                   result.replay_from_offset
                              : 0;
   stats.records_scanned = plan.redo.records;
   stats.updates_applied = plan.redo.full_applies + plan.redo.delta_applies;

@@ -70,9 +70,14 @@ struct RecoveryStats {
 struct RecoveryResult {
   RecoveryStats stats;
   Lsn last_lsn = kInvalidLsn;      // highest LSN found in the log
-  // Logical end offset of the well-formed log prefix (base included) —
-  // what LogManager::OpenExisting keeps when it reopens the log.
+  // The log's base offset and the logical end offset of its well-formed
+  // prefix (base included) — what LogManager::OpenExisting keeps when it
+  // reopens the log.
+  uint64_t log_base_offset = 0;
   uint64_t log_valid_bytes = 0;
+  // Begin marker of the restored checkpoint (0 for a cold start): where
+  // REDO starts, and the oldest frame log truncation keeps afterwards.
+  uint64_t replay_from_offset = 0;
   // Id of the newest end-checkpoint marker in the log (0 if none). Equals
   // stats.checkpoint_id except when recovery fell back to the older copy;
   // the engine must then skip past this id so a stale end marker is never
@@ -133,14 +138,11 @@ double ReplayInstructions(const SystemParams& params, uint64_t full_applies,
 // on demand.
 struct RecoveryPlan {
   RecoveryResult result;
-  // Placeholder-initialized (an empty log) until Plan moves the log in;
-  // LogReader has no default constructor.
-  LogReader reader{std::string()};
+  LogReader reader;  // empty until Plan moves the log in
   double crash_time = 0.0;  // the anchor of every modeled phase time
   bool have_checkpoint = false;
   CheckpointId restore_id = 0;
   uint32_t restore_copy = 0;
-  uint64_t replay_from_offset = 0;  // the restored checkpoint's begin marker
   RedoScan redo;
 };
 

@@ -1,6 +1,5 @@
 #include "tools/inspect.h"
 
-#include <algorithm>
 #include <unordered_set>
 
 #include "util/coding.h"
@@ -43,49 +42,56 @@ StatusOr<LogSummary> SummarizeLog(Env* env, const std::string& log_path) {
   summary.torn_tail = reader.truncated_tail();
 
   std::unordered_set<TxnId> txns;
-  MMDB_RETURN_IF_ERROR(reader.ScanForward(
-      reader.base_offset(), [&](const LogRecord& r, uint64_t offset) {
-        ++summary.records;
-        switch (r.type) {
-          case LogRecordType::kUpdate:
-          case LogRecordType::kDelta:
-            ++summary.updates;
-            txns.insert(r.txn_id);
-            break;
-          case LogRecordType::kCommit:
-            ++summary.commits;
-            txns.insert(r.txn_id);
-            break;
-          case LogRecordType::kAbort:
-            ++summary.aborts;
-            txns.insert(r.txn_id);
-            break;
-          case LogRecordType::kBeginCheckpoint:
-            ++summary.begin_markers;
-            summary.checkpoints.push_back(
-                LogSummary::CheckpointSpan{r.checkpoint_id, offset, false});
-            break;
-          case LogRecordType::kEndCheckpoint:
-            ++summary.end_markers;
-            for (auto& span : summary.checkpoints) {
-              if (span.id == r.checkpoint_id) span.complete = true;
-            }
-            break;
+  for (size_t i = 0; i < reader.num_frames(); ++i) {
+    LogRecordHeader h;
+    MMDB_RETURN_IF_ERROR(reader.HeaderAt(i, &h));
+    ++summary.records;
+    switch (h.type) {
+      case LogRecordType::kUpdate:
+      case LogRecordType::kDelta:
+        ++summary.updates;
+        txns.insert(h.txn_id);
+        break;
+      case LogRecordType::kCommit:
+        ++summary.commits;
+        txns.insert(h.txn_id);
+        break;
+      case LogRecordType::kAbort:
+        ++summary.aborts;
+        txns.insert(h.txn_id);
+        break;
+      case LogRecordType::kBeginCheckpoint:
+        ++summary.begin_markers;
+        summary.checkpoints.push_back(LogSummary::CheckpointSpan{
+            h.checkpoint_id, reader.FrameOffset(i), false});
+        break;
+      case LogRecordType::kEndCheckpoint:
+        ++summary.end_markers;
+        for (auto& span : summary.checkpoints) {
+          if (span.id == h.checkpoint_id) span.complete = true;
         }
-        return true;
-      }));
+        break;
+    }
+  }
   summary.distinct_txns = txns.size();
   return summary;
 }
 
+namespace {
+
+// The frame a dump starts at: the one at `from_offset`, or the first
+// frame when `from_offset` lies at or below the base.
+StatusOr<size_t> DumpStart(const LogReader& reader, uint64_t from_offset) {
+  if (from_offset <= reader.base_offset()) return size_t{0};
+  return reader.FrameIndexAt(from_offset);
+}
+
+}  // namespace
+
 StatusOr<uint64_t> DumpLog(Env* env, const std::string& log_path,
                            uint64_t from_offset, std::FILE* out) {
   MMDB_ASSIGN_OR_RETURN(LogReader reader, LogReader::Open(env, log_path));
-  uint64_t start = std::max(from_offset, reader.base_offset());
-  size_t begin = 0;
-  if (start > reader.base_offset()) {
-    MMDB_ASSIGN_OR_RETURN(begin, reader.FrameIndexAt(start));
-  }
+  MMDB_ASSIGN_OR_RETURN(size_t begin, DumpStart(reader, from_offset));
   uint64_t printed = 0;
   for (size_t i = begin; i < reader.num_frames(); ++i) {
     MMDB_ASSIGN_OR_RETURN(LogRecord r, reader.RecordAtIndex(i));
@@ -104,6 +110,7 @@ StatusOr<uint64_t> DumpLog(Env* env, const std::string& log_path,
 StatusOr<uint64_t> DumpLogJson(Env* env, const std::string& log_path,
                                uint64_t from_offset, std::string* out) {
   MMDB_ASSIGN_OR_RETURN(LogReader reader, LogReader::Open(env, log_path));
+  MMDB_ASSIGN_OR_RETURN(size_t begin, DumpStart(reader, from_offset));
   JsonWriter w;
   w.BeginObject();
   w.Key("base_offset");
@@ -115,11 +122,6 @@ StatusOr<uint64_t> DumpLogJson(Env* env, const std::string& log_path,
   w.Key("records");
   w.BeginArray();
   uint64_t emitted = 0;
-  uint64_t start = std::max(from_offset, reader.base_offset());
-  size_t begin = 0;
-  if (start > reader.base_offset()) {
-    MMDB_ASSIGN_OR_RETURN(begin, reader.FrameIndexAt(start));
-  }
   for (size_t i = begin; i < reader.num_frames(); ++i) {
     MMDB_ASSIGN_OR_RETURN(LogRecord r, reader.RecordAtIndex(i));
     w.BeginObject();

@@ -18,15 +18,6 @@ class CheckpointHooks {
  public:
   virtual ~CheckpointHooks() = default;
 
-  // Earliest virtual time >= now at which a transaction touching
-  // `segments` may execute: respects segments the checkpointer holds
-  // locked through a disk I/O (2CFLUSH / COUFLUSH) and the COU quiesce
-  // barrier at checkpoint start. Used by the simulation driver; the
-  // interactive facade treats a future time as "spin the checkpointer
-  // until then".
-  virtual double EarliestExecutionTime(const std::vector<SegmentId>& segments,
-                                       double now) const = 0;
-
   // Two-color admission test (Pu's constraint): false means the access set
   // spans both white and black data and the transaction must abort and
   // restart. Non-two-color algorithms always return true.
@@ -55,10 +46,6 @@ class CheckpointHooks {
 // extra bookkeeping.
 class NullCheckpointHooks : public CheckpointHooks {
  public:
-  double EarliestExecutionTime(const std::vector<SegmentId>&,
-                               double now) const override {
-    return now;
-  }
   bool AdmitAccess(const std::vector<SegmentId>&, double) override {
     return true;
   }

@@ -82,22 +82,18 @@ Status LogManager::Repair() {
   return Status::OK();
 }
 
-Status LogManager::OpenExisting(uint64_t valid_bytes, Lsn next_lsn) {
+Status LogManager::OpenExisting(uint64_t base, uint64_t valid_bytes,
+                                Lsn next_lsn) {
   std::string contents;
   MMDB_RETURN_IF_ERROR(env_->ReadFileToString(path_, &contents));
-  uint64_t base = 0;
-  if (contents.size() >= kLogFileHeaderBytes &&
-      DecodeFixed32(contents.data()) == kLogFileMagic) {
-    base = DecodeFixed64(contents.data() + 8);
-    contents.erase(0, kLogFileHeaderBytes);
-  }
-  if (base + contents.size() < valid_bytes || valid_bytes < base) {
+  // The file's header already reads `base` (LogReader::Open checked it);
+  // keep it and the valid frames.
+  if (valid_bytes < base ||
+      contents.size() < kLogFileHeaderBytes + (valid_bytes - base)) {
     return CorruptionError("log file shorter than its valid prefix");
   }
-  contents.resize(valid_bytes - base);
-  std::string rewritten = EncodeLogFileHeader(base);
-  rewritten += contents;
-  MMDB_RETURN_IF_ERROR(PersistRewrite(rewritten));
+  contents.resize(kLogFileHeaderBytes + (valid_bytes - base));
+  MMDB_RETURN_IF_ERROR(PersistRewrite(contents));
   MMDB_ASSIGN_OR_RETURN(file_, env_->NewAppendableFile(path_));
   damaged_ = false;
   tail_.clear();

@@ -59,11 +59,11 @@ class LogManager {
   // Reopens the existing file after recovery, keeping its well-formed
   // prefix through logical offset `valid_bytes` (base-inclusive; anything
   // beyond it is cut off) and continuing the LSN sequence from `next_lsn`.
-  Status OpenExisting(uint64_t valid_bytes, Lsn next_lsn);
+  // `base` and `valid_bytes` are what LogReader::Open read from the file.
+  Status OpenExisting(uint64_t base, uint64_t valid_bytes, Lsn next_lsn);
 
-  // Drops all frames before logical offset `cut` (typically the begin
-  // marker of the newest complete checkpoint, which recovery will never
-  // scan past). The file is rewritten with its base offset raised, so
+  // Drops all frames before logical offset `cut` (the begin marker of the
+  // previous complete checkpoint, which recovery never scans past). The file is rewritten with its base offset raised, so
   // previously published offsets remain valid. Everything before `cut`
   // must already be durable. Returns the number of bytes reclaimed.
   StatusOr<uint64_t> TruncateBefore(uint64_t cut);

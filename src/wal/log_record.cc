@@ -57,48 +57,6 @@ LogRecord LogRecord::EndCheckpoint(CheckpointId id) {
   return r;
 }
 
-Status LogRecordHeader::DecodeFrom(std::string_view payload,
-                                   LogRecordHeader* out) {
-  *out = LogRecordHeader();
-  if (payload.empty()) return CorruptionError("empty log record payload");
-  uint8_t raw_type = static_cast<uint8_t>(payload.front());
-  payload.remove_prefix(1);
-  if (raw_type < static_cast<uint8_t>(LogRecordType::kUpdate) ||
-      raw_type > static_cast<uint8_t>(LogRecordType::kDelta)) {
-    return CorruptionError(
-        StringPrintf("unknown log record type %u", raw_type));
-  }
-  out->type = static_cast<LogRecordType>(raw_type);
-  if (!GetVarint64(&payload, &out->lsn) ||
-      !GetVarint64(&payload, &out->txn_id)) {
-    return CorruptionError("truncated log record header");
-  }
-  if (out->type != LogRecordType::kUpdate &&
-      out->type != LogRecordType::kDelta) {
-    return Status::OK();
-  }
-  if (!GetVarint64(&payload, &out->record_id)) {
-    return CorruptionError("truncated data record header");
-  }
-  if (out->type == LogRecordType::kUpdate) {
-    std::string_view image;
-    if (!GetLengthPrefixed(&payload, &image)) {
-      return CorruptionError("truncated update record");
-    }
-    out->image_size = image.size();
-  } else {
-    uint64_t raw_delta;
-    if (!GetVarint32(&payload, &out->field_offset) ||
-        !GetFixed64(&payload, &raw_delta)) {
-      return CorruptionError("truncated delta record");
-    }
-  }
-  if (!payload.empty()) {
-    return CorruptionError("trailing bytes after log record payload");
-  }
-  return Status::OK();
-}
-
 void LogRecord::EncodeTo(std::string* dst) const {
   dst->push_back(static_cast<char>(type));
   PutVarint64(dst, lsn);
@@ -131,8 +89,14 @@ void LogRecord::EncodeTo(std::string* dst) const {
   }
 }
 
-Status LogRecord::DecodeFrom(std::string_view payload, LogRecord* out) {
-  *out = LogRecord();
+namespace {
+
+// The one payload parser behind both decoders. `full`, when given, also
+// receives the bulk fields; without it they are walked and dropped, so the
+// header decoder accepts exactly the payloads the full one does.
+Status DecodePayload(std::string_view payload, LogRecordHeader* h,
+                     LogRecord* full) {
+  *h = LogRecordHeader();
   if (payload.empty()) return CorruptionError("empty log record payload");
   uint8_t raw_type = static_cast<uint8_t>(payload.front());
   payload.remove_prefix(1);
@@ -141,62 +105,88 @@ Status LogRecord::DecodeFrom(std::string_view payload, LogRecord* out) {
     return CorruptionError(
         StringPrintf("unknown log record type %u", raw_type));
   }
-  out->type = static_cast<LogRecordType>(raw_type);
-  if (!GetVarint64(&payload, &out->lsn) ||
-      !GetVarint64(&payload, &out->txn_id)) {
+  h->type = static_cast<LogRecordType>(raw_type);
+  if (!GetVarint64(&payload, &h->lsn) || !GetVarint64(&payload, &h->txn_id)) {
     return CorruptionError("truncated log record header");
   }
-  switch (out->type) {
-    case LogRecordType::kUpdate: {
-      std::string_view image;
-      if (!GetVarint64(&payload, &out->record_id) ||
+  std::string_view image;
+  uint64_t raw_delta = 0;
+  Timestamp tau = 0;
+  switch (h->type) {
+    case LogRecordType::kUpdate:
+      if (!GetVarint64(&payload, &h->record_id) ||
           !GetLengthPrefixed(&payload, &image)) {
         return CorruptionError("truncated update record");
       }
-      out->image.assign(image.data(), image.size());
+      h->image_size = image.size();
       break;
-    }
     case LogRecordType::kCommit:
     case LogRecordType::kAbort:
       break;
     case LogRecordType::kBeginCheckpoint: {
-      uint64_t count;
-      if (!GetVarint64(&payload, &out->checkpoint_id) ||
-          !GetVarint64(&payload, &out->timestamp) ||
-          !GetVarint64(&payload, &count)) {
+      uint64_t count = 0;
+      if (!GetVarint64(&payload, &h->checkpoint_id) ||
+          !GetVarint64(&payload, &tau) || !GetVarint64(&payload, &count)) {
         return CorruptionError("truncated begin-checkpoint record");
       }
-      out->active_txns.reserve(count);
+      // Each entry is two varints of at least one byte each: a count the
+      // bytes left cannot hold never sizes the list.
+      if (count > payload.size() / 2) {
+        return CorruptionError(
+            "begin-checkpoint active count overruns its payload");
+      }
+      if (full != nullptr) full->active_txns.reserve(count);
       for (uint64_t i = 0; i < count; ++i) {
         ActiveTxnEntry e;
         if (!GetVarint64(&payload, &e.txn_id) ||
             !GetVarint64(&payload, &e.first_lsn)) {
           return CorruptionError("truncated active-transaction list");
         }
-        out->active_txns.push_back(e);
+        if (full != nullptr) full->active_txns.push_back(e);
       }
       break;
     }
     case LogRecordType::kEndCheckpoint:
-      if (!GetVarint64(&payload, &out->checkpoint_id)) {
+      if (!GetVarint64(&payload, &h->checkpoint_id)) {
         return CorruptionError("truncated end-checkpoint record");
       }
       break;
-    case LogRecordType::kDelta: {
-      uint64_t raw_delta;
-      if (!GetVarint64(&payload, &out->record_id) ||
-          !GetVarint32(&payload, &out->field_offset) ||
+    case LogRecordType::kDelta:
+      if (!GetVarint64(&payload, &h->record_id) ||
+          !GetVarint32(&payload, &h->field_offset) ||
           !GetFixed64(&payload, &raw_delta)) {
         return CorruptionError("truncated delta record");
       }
-      out->delta = static_cast<int64_t>(raw_delta);
       break;
-    }
   }
   if (!payload.empty()) {
     return CorruptionError("trailing bytes after log record payload");
   }
+  if (full != nullptr) {
+    full->type = h->type;
+    full->lsn = h->lsn;
+    full->txn_id = h->txn_id;
+    full->record_id = h->record_id;
+    full->image.assign(image.data(), image.size());
+    full->field_offset = h->field_offset;
+    full->delta = static_cast<int64_t>(raw_delta);
+    full->checkpoint_id = h->checkpoint_id;
+    full->timestamp = tau;
+  }
   return Status::OK();
+}
+
+}  // namespace
+
+Status LogRecordHeader::DecodeFrom(std::string_view payload,
+                                   LogRecordHeader* out) {
+  return DecodePayload(payload, out, nullptr);
+}
+
+Status LogRecord::DecodeFrom(std::string_view payload, LogRecord* out) {
+  *out = LogRecord();
+  LogRecordHeader header;
+  return DecodePayload(payload, &header, out);
 }
 
 size_t LogRecord::EncodedSize() const {

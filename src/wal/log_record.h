@@ -66,13 +66,13 @@ struct ActiveTxnEntry {
       default;
 };
 
-// Shallow view of a record payload: the fixed prefix every record carries
-// (type, lsn, txn), plus the record id and operand shape of the two data
-// kinds — enough for recovery's classification scan (commit set, segment
-// bucketing, max lsn, malformed-record checks) without copying an
-// after-image. A data record's payload is validated exactly as the full
-// LogRecord::DecodeFrom would, so a frame whose header decodes always
-// decodes in full; other kinds are checked only up to their prefix.
+// Shallow view of a record payload: every field but the bulk ones (an
+// update's after-image, a delta's amount, a begin marker's tau and active
+// list) — enough for recovery's classification scan (commit set, segment
+// bucketing, max lsn, malformed-record checks) and its marker search
+// without copying an after-image. The bulk fields are walked, not stored,
+// by the same parser as LogRecord::DecodeFrom, so a frame whose header
+// decodes always decodes in full, whatever its kind.
 struct LogRecordHeader {
   LogRecordType type = LogRecordType::kUpdate;
   Lsn lsn = kInvalidLsn;
@@ -80,9 +80,10 @@ struct LogRecordHeader {
   RecordId record_id = 0;      // kUpdate / kDelta only; 0 otherwise
   uint64_t image_size = 0;     // kUpdate: after-image length
   uint32_t field_offset = 0;   // kDelta: byte offset of the 8-byte field
+  CheckpointId checkpoint_id = 0;  // kBeginCheckpoint / kEndCheckpoint
 
-  // Parses the common prefix of a payload produced by LogRecord::EncodeTo.
-  // Returns CORRUPTION if even the prefix is malformed.
+  // Parses a payload produced by LogRecord::EncodeTo. Returns CORRUPTION
+  // exactly when LogRecord::DecodeFrom would.
   static Status DecodeFrom(std::string_view payload, LogRecordHeader* out);
 };
 

@@ -49,7 +49,7 @@ TEST_P(CheckpointTest, WritesMarkersAndMetadata) {
   MMDB_ASSERT_OK(engine_->Crash());
   auto reader = LogReader::Open(env_.get(), engine_->LogPath());
   MMDB_ASSERT_OK(reader);
-  auto marker = reader->FindLastCompleteCheckpoint();
+  auto marker = reader->FindCheckpointBegin();
   MMDB_ASSERT_OK(marker);
   EXPECT_EQ(marker->checkpoint_id, 1u);
   EXPECT_EQ(marker->begin_offset, meta->log_offset);
@@ -83,10 +83,11 @@ TEST_P(CheckpointTest, WalGateHoldsSegmentsUntilCommitDurable) {
   auto reader = LogReader::Open(env_.get(), engine_->LogPath());
   MMDB_ASSERT_OK(reader);
   bool commit_found = false;
-  MMDB_ASSERT_OK(reader->ScanForward(0, [&](const LogRecord& r, uint64_t) {
-    if (r.type == LogRecordType::kCommit) commit_found = true;
-    return true;
-  }));
+  for (size_t i = 0; i < reader->num_frames(); ++i) {
+    LogRecordHeader h;
+    MMDB_ASSERT_OK(reader->HeaderAt(i, &h));
+    if (h.type == LogRecordType::kCommit) commit_found = true;
+  }
   EXPECT_TRUE(commit_found)
       << "segment images reached the backup before the covering commit";
 }

@@ -19,6 +19,7 @@
 #include <memory>
 #include <span>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -375,11 +376,28 @@ class RecoveryFallbackTest : public testing::Test {
  protected:
   RecoveryFallbackTest() : base_(NewMemEnv()), fenv_(base_.get()) {}
 
+  EngineOptions Options() const {
+    EngineOptions opt =
+        SweepOptions(Algorithm::kFuzzyCopy, CheckpointMode::kPartial);
+    opt.truncate_log_at_checkpoint = truncate_;
+    return opt;
+  }
+
   void OpenEngine() {
-    auto engine_or = Engine::Open(
-        SweepOptions(Algorithm::kFuzzyCopy, CheckpointMode::kPartial), &fenv_);
+    auto engine_or = Engine::Open(Options(), &fenv_);
     MMDB_ASSERT_OK(engine_or);
     engine_ = std::move(*engine_or);
+  }
+
+  // Power cut and a cold restart into a new engine over the same files.
+  void Restart() {
+    ASSERT_NO_FATAL_FAILURE(Settle());
+    MMDB_ASSERT_OK(engine_->Crash());
+    engine_.reset();
+    auto engine_or = Engine::OpenExisting(Options(), &fenv_);
+    MMDB_ASSERT_OK(engine_or);
+    engine_ = std::move(*engine_or);
+    MMDB_ASSERT_OK(engine_->DrainRecovery());
   }
 
   void Commit(RecordId r, uint64_t marker) {
@@ -431,12 +449,25 @@ class RecoveryFallbackTest : public testing::Test {
   FaultInjectionEnv fenv_;
   std::unique_ptr<Engine> engine_;
   Oracle oracle_;
+  bool truncate_ = false;  // EngineOptions::truncate_log_at_checkpoint
 };
 
-TEST_F(RecoveryFallbackTest, FallsBackToOlderCopyOnCrcMismatch) {
+// Inputs: log truncation at each checkpoint on or off, and whether the
+// engine restarts between the two checkpoints. Truncation must keep the
+// older checkpoint's begin marker, which the fallback replays from.
+class RecoveryFallbackInputsTest
+    : public RecoveryFallbackTest,
+      public testing::WithParamInterface<std::tuple<bool, bool>> {};
+
+TEST_P(RecoveryFallbackInputsTest, FallsBackToOlderCopyOnCrcMismatch) {
+  const auto [truncate, restart_between] = GetParam();
+  truncate_ = truncate;
   OpenEngine();
   Commit(1, 1);
   MMDB_ASSERT_OK(engine_->RunCheckpointToCompletion());  // id 1 -> copy 1
+  if (restart_between) {
+    ASSERT_NO_FATAL_FAILURE(Restart());
+  }
   Commit(40, 2);
   MMDB_ASSERT_OK(engine_->RunCheckpointToCompletion());  // id 2 -> copy 0
   Commit(80, 3);
@@ -510,6 +541,14 @@ TEST_F(RecoveryFallbackTest, FallsBackToOlderCopyOnCrcMismatch) {
   ASSERT_NO_FATAL_FAILURE(Audit(*engine_, oracle_, durable2));
   VerifyAuditTrail(engine_.get());
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    TruncateAndRestart, RecoveryFallbackInputsTest,
+    testing::Combine(testing::Bool(), testing::Bool()),
+    [](const testing::TestParamInfo<std::tuple<bool, bool>>& info) {
+      return std::string(std::get<0>(info.param) ? "Truncate" : "KeepLog") +
+             (std::get<1>(info.param) ? "Restart" : "NoRestart");
+    });
 
 TEST_F(RecoveryFallbackTest, FallsBackToOlderCopyOnReadError) {
   OpenEngine();
@@ -970,6 +1009,9 @@ class TruncationFaultTest : public testing::Test {
 TEST_F(TruncationFaultTest, FailedTruncationRewriteDegradesToLongerLog) {
   OpenEngine();
   ASSERT_NO_FATAL_FAILURE(CommitTxn(engine_.get(), &oracle_, 1, 2, 1));
+  // The first checkpoint's completion cuts nothing: the cut keeps the
+  // previous checkpoint's begin marker, and there is none yet.
+  MMDB_ASSERT_OK(engine_->RunCheckpointToCompletion());
 
   // The truncation rewrite targets wal.log.tmp; fail it. Truncation is an
   // optimization, so the checkpoint itself must still report success and
@@ -998,6 +1040,7 @@ TEST_F(TruncationFaultTest, FailedTruncationRewriteDegradesToLongerLog) {
 TEST_F(TruncationFaultTest, CrashRightAfterFailedTruncationWrite) {
   OpenEngine();
   ASSERT_NO_FATAL_FAILURE(CommitTxn(engine_.get(), &oracle_, 1, 1, 1));
+  MMDB_ASSERT_OK(engine_->RunCheckpointToCompletion());  // cuts nothing
 
   // Half the rewritten file lands in wal.log.tmp, then the machine dies:
   // the rename never happened, wal.log is untouched, and the stray tmp
@@ -1010,13 +1053,14 @@ TEST_F(TruncationFaultTest, CrashRightAfterFailedTruncationWrite) {
   MMDB_ASSERT_OK(engine_->Crash());
   auto stats = engine_->Recover();
   MMDB_ASSERT_OK(stats);
-  EXPECT_EQ(stats->checkpoint_id, 1u);
+  EXPECT_EQ(stats->checkpoint_id, 2u);
   ASSERT_NO_FATAL_FAILURE(Audit(*engine_, oracle_, durable));
 }
 
 TEST_F(TruncationFaultTest, RecoveryFindsMarkerAfterSuccessfulTruncation) {
   OpenEngine();
   ASSERT_NO_FATAL_FAILURE(CommitTxn(engine_.get(), &oracle_, 1, 2, 1));
+  MMDB_ASSERT_OK(engine_->RunCheckpointToCompletion());  // cuts nothing
   MMDB_ASSERT_OK(engine_->RunCheckpointToCompletion());
   const uint64_t base = engine_->log()->BaseOffset();
   EXPECT_GT(base, 0u);
@@ -1030,7 +1074,7 @@ TEST_F(TruncationFaultTest, RecoveryFindsMarkerAfterSuccessfulTruncation) {
   MMDB_ASSERT_OK(engine_->Crash());
   auto stats = engine_->Recover();
   MMDB_ASSERT_OK(stats);
-  EXPECT_EQ(stats->checkpoint_id, 1u);
+  EXPECT_EQ(stats->checkpoint_id, 2u);
   ASSERT_NO_FATAL_FAILURE(Audit(*engine_, oracle_, durable));
 
   // A successful truncation leaves a ckpt.log_cut record naming the cut
@@ -1077,7 +1121,7 @@ TEST(LogRepairTest, FailedFlushKeepsTailAndRepairsOnRetry) {
   MMDB_ASSERT_OK(log.Crash(*done));
   auto reader = LogReader::Open(&fenv, "wal.log");
   MMDB_ASSERT_OK(reader);
-  EXPECT_EQ(reader->num_records(), 2u);
+  EXPECT_EQ(reader->num_frames(), 2u);
   EXPECT_FALSE(reader->truncated_tail());
 }
 

@@ -107,8 +107,8 @@ TEST_F(TxnManagerTest, CommitInstallsLogsAndMarksControlState) {
   MMDB_ASSERT_OK(log_->Crash(1000.0));
   auto reader = LogReader::Open(env_.get(), "wal.log");
   MMDB_ASSERT_OK(reader);
-  ASSERT_EQ(reader->num_records(), 2u);
-  auto first = reader->RecordAt(0);
+  ASSERT_EQ(reader->num_frames(), 2u);
+  auto first = reader->RecordAtIndex(0);
   MMDB_ASSERT_OK(first);
   EXPECT_EQ(first->type, LogRecordType::kUpdate);
   EXPECT_EQ(first->record_id, 40u);

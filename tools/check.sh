@@ -33,7 +33,9 @@
 # recovery_bench --quick in that lane (its modeled self-gate proves the
 # drained instant state bit-identical to blocking recovery). The lane
 # includes the logical-logging, COU and modern-algorithm suites, so delta
-# REDO and their restarts also pass through the on-demand applier.
+# REDO and their restarts also pass through the on-demand applier, and
+# torture_test, so its random crash histories (log truncation on and off)
+# restart through the on-demand applier too.
 #
 # The bench-smoke gate replays fig4a, fig_modern, fig_interference
 # and recovery_bench at --jobs=2 with a shrunken trace ring
@@ -115,7 +117,7 @@ run_sanitize() {
   MMDB_INSTANT_RECOVERY=1 \
       MMDB_AUDIT_EXPORT_DIR="$PWD/build-sanitize/audit-export-instant" \
       ctest --test-dir build-sanitize --output-on-failure -j "$jobs" \
-      -R '^(recovery_test|restart_test|consistency_test|sweep_determinism_test|fault_injection_test|audit_test|obs_e2e_test|logical_logging_test|modern_test|cou_test)$'
+      -R '^(recovery_test|restart_test|consistency_test|sweep_determinism_test|fault_injection_test|audit_test|obs_e2e_test|logical_logging_test|modern_test|cou_test|torture_test)$'
   verify_audit_exports build-sanitize build-sanitize/audit-export-instant
   echo "check.sh: sanitize bench smoke (recovery_bench --quick --jobs=2, instant lane)"
   MMDB_INSTANT_RECOVERY=1 \
