@@ -42,26 +42,20 @@ void MeasuredSeries(SweepRunner* runner, MetricsSidecar* sidecar) {
   std::printf("%-10s %12s %10s %10s %9s %10s %12s %8s\n", "algorithm",
               "overhead/txn", "sync", "async", "restarts", "recovery_s",
               "ckpt_dur_s", "commits");
-  std::vector<SweepPoint> points;
   for (Algorithm a : MainAlgorithms()) {
-    points.push_back(SweepPoint{
-        std::string(AlgorithmName(a)), [a] {
-          EngineOptions opt =
-              MeasuredOptions(a, CheckpointMode::kPartial, /*stable=*/false);
-          return MeasureEngine(opt, /*seconds=*/2.0);
-        }});
-  }
-  std::vector<StatusOr<MeasuredPoint>> results =
-      runner->Run(points, sidecar);
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    if (!results[i].ok()) {
-      std::printf("%-10s %12s\n", points[i].label.c_str(), "ERR");
+    const std::string label(AlgorithmName(a));
+    EngineOptions opt =
+        MeasuredOptions(a, CheckpointMode::kPartial, /*stable=*/false);
+    StatusOr<MeasuredPoint> result =
+        runner->Add(label, MeasureEngine(opt, /*seconds=*/2.0), sidecar);
+    if (!result.ok()) {
+      std::printf("%-10s %12s\n", label.c_str(), "ERR");
       continue;
     }
-    const MeasuredPoint& point = *results[i];
+    const MeasuredPoint& point = *result;
     const WorkloadResult& w = point.workload;
     std::printf("%-10s %12.1f %10.1f %10.1f %9llu %10.3f %12.3f %8llu\n",
-                points[i].label.c_str(), w.overhead_per_txn, w.sync_per_txn,
+                label.c_str(), w.overhead_per_txn, w.sync_per_txn,
                 w.async_per_txn,
                 static_cast<unsigned long long>(w.color_restarts),
                 point.recovery.total_seconds, w.avg_checkpoint_duration,
@@ -73,15 +67,14 @@ void MeasuredSeries(SweepRunner* runner, MetricsSidecar* sidecar) {
 }  // namespace bench
 }  // namespace mmdb
 
-int main(int argc, char** argv) {
+int main() {
   mmdb::bench::BenchWallClock wall;
-  std::size_t jobs = mmdb::bench::ParseJobs(argc, argv);
   mmdb::bench::AnalyticSeries();
   mmdb::MetricsSidecar sidecar("fig4a");
-  mmdb::bench::SweepRunner runner(jobs);
+  mmdb::bench::SweepRunner runner;
   mmdb::bench::MeasuredSeries(&runner, &sidecar);
   runner.ReportValidation(&sidecar);
-  wall.Report("fig4a", jobs, &sidecar);
+  wall.Report("fig4a", &sidecar);
   if (!sidecar.Write().ok()) return 1;
   return runner.AnyFailed() ? 1 : 0;
 }

@@ -47,33 +47,17 @@ void AnalyticSeries() {
 void MeasuredSeries(SweepRunner* runner, MetricsSidecar* sidecar) {
   PrintHeader("Figure 4b (measured, engine at 1 Mword scale)",
               "three duration points per algorithm, 20 disks");
-  const Algorithm algorithms[] = {Algorithm::kTwoColorCopy,
-                                  Algorithm::kCouCopy};
-  const double intervals[] = {0.0, 1.0, 2.0};
-  std::vector<SweepPoint> points;
-  for (Algorithm a : algorithms) {
-    for (double interval : intervals) {
-      points.push_back(SweepPoint{
-          std::string(AlgorithmName(a)) + "/interval=" +
-              std::to_string(interval),
-          [a, interval] {
-            EngineOptions opt =
-                MeasuredOptions(a, CheckpointMode::kPartial, false);
-            opt.checkpoint_interval = interval;
-            return MeasureEngine(opt, /*seconds=*/4.0);
-          }});
-    }
-  }
-  std::vector<StatusOr<MeasuredPoint>> results =
-      runner->Run(points, sidecar);
-  std::size_t i = 0;
-  for (Algorithm a : algorithms) {
+  for (Algorithm a : {Algorithm::kTwoColorCopy, Algorithm::kCouCopy}) {
     std::printf("\n%s\n", std::string(AlgorithmName(a)).c_str());
     std::printf("  %12s %12s %12s %9s\n", "interval_s", "recovery_s",
                 "overhead/txn", "restarts");
-    for (double interval : intervals) {
-      (void)interval;
-      const StatusOr<MeasuredPoint>& point = results[i++];
+    for (double interval : {0.0, 1.0, 2.0}) {
+      EngineOptions opt = MeasuredOptions(a, CheckpointMode::kPartial, false);
+      opt.checkpoint_interval = interval;
+      StatusOr<MeasuredPoint> point = runner->Add(
+          std::string(AlgorithmName(a)) + "/interval=" +
+              std::to_string(interval),
+          MeasureEngine(opt, /*seconds=*/4.0), sidecar);
       if (!point.ok()) {
         std::printf("  %12s\n", "ERR");
         continue;
@@ -92,15 +76,14 @@ void MeasuredSeries(SweepRunner* runner, MetricsSidecar* sidecar) {
 }  // namespace bench
 }  // namespace mmdb
 
-int main(int argc, char** argv) {
+int main() {
   mmdb::bench::BenchWallClock wall;
-  std::size_t jobs = mmdb::bench::ParseJobs(argc, argv);
   mmdb::bench::AnalyticSeries();
   mmdb::MetricsSidecar sidecar("fig4b");
-  mmdb::bench::SweepRunner runner(jobs);
+  mmdb::bench::SweepRunner runner;
   mmdb::bench::MeasuredSeries(&runner, &sidecar);
   runner.ReportValidation(&sidecar);
-  wall.Report("fig4b", jobs, &sidecar);
+  wall.Report("fig4b", &sidecar);
   if (!sidecar.Write().ok()) return 1;
   return runner.AnyFailed() ? 1 : 0;
 }

@@ -44,34 +44,20 @@ void MeasuredSeries(SweepRunner* runner, MetricsSidecar* sidecar) {
   const Algorithm algorithms[] = {Algorithm::kFuzzyCopy,
                                   Algorithm::kTwoColorFlush,
                                   Algorithm::kCouCopy};
-  const double loads[] = {250.0, 1000.0, 3000.0};
   std::printf("%-10s", "lambda");
   for (Algorithm a : algorithms) {
     std::printf(" %12s", std::string(AlgorithmName(a)).c_str());
   }
   std::printf("\n");
-  std::vector<SweepPoint> points;
-  for (double lambda : loads) {
-    for (Algorithm a : algorithms) {
-      points.push_back(SweepPoint{
-          std::string(AlgorithmName(a)) + "/lambda=" +
-              std::to_string(static_cast<int>(lambda)),
-          [a, lambda] {
-            EngineOptions opt =
-                MeasuredOptions(a, CheckpointMode::kPartial, false);
-            opt.params.txn.arrival_rate = lambda;
-            return MeasureEngine(opt, /*seconds=*/2.0);
-          }});
-    }
-  }
-  std::vector<StatusOr<MeasuredPoint>> results =
-      runner->Run(points, sidecar);
-  std::size_t i = 0;
-  for (double lambda : loads) {
+  for (double lambda : {250.0, 1000.0, 3000.0}) {
     std::printf("%-10.0f", lambda);
     for (Algorithm a : algorithms) {
-      (void)a;
-      const StatusOr<MeasuredPoint>& point = results[i++];
+      EngineOptions opt = MeasuredOptions(a, CheckpointMode::kPartial, false);
+      opt.params.txn.arrival_rate = lambda;
+      StatusOr<MeasuredPoint> point = runner->Add(
+          std::string(AlgorithmName(a)) + "/lambda=" +
+              std::to_string(static_cast<int>(lambda)),
+          MeasureEngine(opt, /*seconds=*/2.0), sidecar);
       if (point.ok()) {
         std::printf(" %12.1f", point->workload.overhead_per_txn);
       } else {
@@ -86,15 +72,14 @@ void MeasuredSeries(SweepRunner* runner, MetricsSidecar* sidecar) {
 }  // namespace bench
 }  // namespace mmdb
 
-int main(int argc, char** argv) {
+int main() {
   mmdb::bench::BenchWallClock wall;
-  std::size_t jobs = mmdb::bench::ParseJobs(argc, argv);
   mmdb::bench::AnalyticSeries();
   mmdb::MetricsSidecar sidecar("fig4c");
-  mmdb::bench::SweepRunner runner(jobs);
+  mmdb::bench::SweepRunner runner;
   mmdb::bench::MeasuredSeries(&runner, &sidecar);
   runner.ReportValidation(&sidecar);
-  wall.Report("fig4c", jobs, &sidecar);
+  wall.Report("fig4c", &sidecar);
   if (!sidecar.Write().ok()) return 1;
   return runner.AnyFailed() ? 1 : 0;
 }

@@ -53,34 +53,19 @@ void MeasuredSeries(SweepRunner* runner, MetricsSidecar* sidecar) {
               "run-as-fast-as-possible, overhead vs segment size");
   const Algorithm algorithms[] = {Algorithm::kTwoColorFlush,
                                   Algorithm::kCouCopy};
-  const uint32_t segments[] = {2048u, 8192u, 32768u};
   std::printf("%-10s", "seg_words");
   for (Algorithm a : algorithms) {
     std::printf(" %12s", std::string(AlgorithmName(a)).c_str());
   }
   std::printf("\n");
-  std::vector<SweepPoint> points;
-  for (uint32_t seg : segments) {
-    for (Algorithm a : algorithms) {
-      points.push_back(SweepPoint{
-          std::string(AlgorithmName(a)) + "/seg_words=" +
-              std::to_string(seg),
-          [a, seg] {
-            EngineOptions opt =
-                MeasuredOptions(a, CheckpointMode::kPartial, false);
-            opt.params.db.segment_words = seg;
-            return MeasureEngine(opt, /*seconds=*/2.0);
-          }});
-    }
-  }
-  std::vector<StatusOr<MeasuredPoint>> results =
-      runner->Run(points, sidecar);
-  std::size_t i = 0;
-  for (uint32_t seg : segments) {
+  for (uint32_t seg : {2048u, 8192u, 32768u}) {
     std::printf("%-10u", seg);
     for (Algorithm a : algorithms) {
-      (void)a;
-      const StatusOr<MeasuredPoint>& point = results[i++];
+      EngineOptions opt = MeasuredOptions(a, CheckpointMode::kPartial, false);
+      opt.params.db.segment_words = seg;
+      StatusOr<MeasuredPoint> point = runner->Add(
+          std::string(AlgorithmName(a)) + "/seg_words=" + std::to_string(seg),
+          MeasureEngine(opt, /*seconds=*/2.0), sidecar);
       if (point.ok()) {
         std::printf(" %12.1f", point->workload.overhead_per_txn);
       } else {
@@ -95,18 +80,17 @@ void MeasuredSeries(SweepRunner* runner, MetricsSidecar* sidecar) {
 }  // namespace bench
 }  // namespace mmdb
 
-int main(int argc, char** argv) {
+int main() {
   mmdb::bench::BenchWallClock wall;
-  std::size_t jobs = mmdb::bench::ParseJobs(argc, argv);
   mmdb::bench::AnalyticSeries(0.0,
                               "minimum interval (solid curves), overhead");
   mmdb::bench::AnalyticSeries(
       300.0, "fixed 300 s interval (dotted curves), overhead");
   mmdb::MetricsSidecar sidecar("fig4d");
-  mmdb::bench::SweepRunner runner(jobs);
+  mmdb::bench::SweepRunner runner;
   mmdb::bench::MeasuredSeries(&runner, &sidecar);
   runner.ReportValidation(&sidecar);
-  wall.Report("fig4d", jobs, &sidecar);
+  wall.Report("fig4d", &sidecar);
   if (!sidecar.Write().ok()) return 1;
   return runner.AnyFailed() ? 1 : 0;
 }

@@ -50,26 +50,20 @@ void MeasuredSeries(SweepRunner* runner, MetricsSidecar* sidecar) {
   PrintHeader("Figure 4e (measured, engine at 1 Mword scale)",
               "overhead with a stable log tail");
   std::printf("%-10s %14s %9s\n", "algorithm", "overhead/txn", "restarts");
-  std::vector<SweepPoint> points;
   for (Algorithm a : WithFastFuzzy()) {
-    points.push_back(SweepPoint{
-        std::string(AlgorithmName(a)), [a] {
-          EngineOptions opt =
-              MeasuredOptions(a, CheckpointMode::kPartial, /*stable=*/true);
-          return MeasureEngine(opt, /*seconds=*/2.0);
-        }});
-  }
-  std::vector<StatusOr<MeasuredPoint>> results =
-      runner->Run(points, sidecar);
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    if (!results[i].ok()) {
-      std::printf("%-10s %14s\n", points[i].label.c_str(), "ERR");
+    const std::string label(AlgorithmName(a));
+    EngineOptions opt =
+        MeasuredOptions(a, CheckpointMode::kPartial, /*stable=*/true);
+    StatusOr<MeasuredPoint> result =
+        runner->Add(label, MeasureEngine(opt, /*seconds=*/2.0), sidecar);
+    if (!result.ok()) {
+      std::printf("%-10s %14s\n", label.c_str(), "ERR");
       continue;
     }
-    std::printf("%-10s %14.1f %9llu\n", points[i].label.c_str(),
-                results[i]->workload.overhead_per_txn,
+    std::printf("%-10s %14.1f %9llu\n", label.c_str(),
+                result->workload.overhead_per_txn,
                 static_cast<unsigned long long>(
-                    results[i]->workload.color_restarts));
+                    result->workload.color_restarts));
   }
 }
 
@@ -77,15 +71,14 @@ void MeasuredSeries(SweepRunner* runner, MetricsSidecar* sidecar) {
 }  // namespace bench
 }  // namespace mmdb
 
-int main(int argc, char** argv) {
+int main() {
   mmdb::bench::BenchWallClock wall;
-  std::size_t jobs = mmdb::bench::ParseJobs(argc, argv);
   mmdb::bench::AnalyticSeries();
   mmdb::MetricsSidecar sidecar("fig4e");
-  mmdb::bench::SweepRunner runner(jobs);
+  mmdb::bench::SweepRunner runner;
   mmdb::bench::MeasuredSeries(&runner, &sidecar);
   runner.ReportValidation(&sidecar);
-  wall.Report("fig4e", jobs, &sidecar);
+  wall.Report("fig4e", &sidecar);
   if (!sidecar.Write().ok()) return 1;
   return runner.AnyFailed() ? 1 : 0;
 }

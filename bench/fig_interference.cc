@@ -21,7 +21,6 @@
 // closest to the checkpoint-free floor.
 //
 //   --quick    shorter workload per point (sanitizer lanes)
-//   --jobs=N   sweep width (stdout and sidecar are byte-identical at any N)
 
 #include <cmath>
 #include <cstdio>
@@ -81,48 +80,42 @@ void MeasuredSeries(double seconds, SweepRunner* runner,
               "algorithm/dist", "commits", "p50ms", "p90ms", "p99ms",
               "p999ms", "maxms", "quies%", "cklck%", "color%", "lock%",
               "queue%");
-  std::vector<SweepPoint> points;
   for (Algorithm a : kAllAlgorithms) {
     for (bool zipf : {false, true}) {
-      points.push_back(SweepPoint{
-          std::string(AlgorithmName(a)) + (zipf ? "/zipf" : "/uniform"),
-          [a, zipf, seconds] {
-            return MeasureInterference(a, zipf, seconds);
-          }});
-    }
-  }
-  std::vector<StatusOr<MeasuredPoint>> results =
-      runner->Run(points, sidecar);
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    if (!results[i].ok()) {
-      std::printf("%-18s %8s\n", points[i].label.c_str(), "ERR");
-      continue;
-    }
-    const WorkloadResult& w = results[i]->workload;
-    const double total = w.latency_total_seconds;
-    auto share = [total](double component) {
-      return total > 0.0 ? 100.0 * component / total : 0.0;
-    };
-    std::printf(
-        "%-18s %8llu %8.3f %8.3f %8.3f %8.3f %8.3f %7.1f %7.1f %7.1f "
-        "%7.1f %7.1f\n",
-        points[i].label.c_str(), static_cast<unsigned long long>(w.committed),
-        w.latency.Percentile(50) / 1e3, w.latency.Percentile(90) / 1e3,
-        w.latency.Percentile(99) / 1e3, w.latency.Percentile(99.9) / 1e3,
-        w.latency.max() / 1e3, share(w.stall_quiesce_seconds),
-        share(w.stall_ckpt_lock_seconds), share(w.backoff_color_seconds),
-        share(w.backoff_lock_seconds), share(w.queue_seconds));
-    if (!AttributionConsistent(w)) {
-      runner->NoteFailure(
-          points[i].label.c_str(),
-          InternalError(StringPrintf(
-              "latency attribution broken: causes sum to %.9f but "
-              "latency_total=%.9f",
-              w.stall_quiesce_seconds + w.stall_ckpt_lock_seconds +
-                  w.stall_recovery_wait_seconds + w.backoff_color_seconds +
-                  w.backoff_lock_seconds + w.queue_seconds,
-              total)),
-          sidecar);
+      const std::string label =
+          std::string(AlgorithmName(a)) + (zipf ? "/zipf" : "/uniform");
+      StatusOr<MeasuredPoint> result = runner->Add(
+          label, MeasureInterference(a, zipf, seconds), sidecar);
+      if (!result.ok()) {
+        std::printf("%-18s %8s\n", label.c_str(), "ERR");
+        continue;
+      }
+      const WorkloadResult& w = result->workload;
+      const double total = w.latency_total_seconds;
+      auto share = [total](double component) {
+        return total > 0.0 ? 100.0 * component / total : 0.0;
+      };
+      std::printf(
+          "%-18s %8llu %8.3f %8.3f %8.3f %8.3f %8.3f %7.1f %7.1f %7.1f "
+          "%7.1f %7.1f\n",
+          label.c_str(), static_cast<unsigned long long>(w.committed),
+          w.latency.Percentile(50) / 1e3, w.latency.Percentile(90) / 1e3,
+          w.latency.Percentile(99) / 1e3, w.latency.Percentile(99.9) / 1e3,
+          w.latency.max() / 1e3, share(w.stall_quiesce_seconds),
+          share(w.stall_ckpt_lock_seconds), share(w.backoff_color_seconds),
+          share(w.backoff_lock_seconds), share(w.queue_seconds));
+      if (!AttributionConsistent(w)) {
+        runner->NoteFailure(
+            label.c_str(),
+            InternalError(StringPrintf(
+                "latency attribution broken: causes sum to %.9f but "
+                "latency_total=%.9f",
+                w.stall_quiesce_seconds + w.stall_ckpt_lock_seconds +
+                    w.stall_recovery_wait_seconds + w.backoff_color_seconds +
+                    w.backoff_lock_seconds + w.queue_seconds,
+                total)),
+            sidecar);
+      }
     }
   }
 }
@@ -133,15 +126,14 @@ void MeasuredSeries(double seconds, SweepRunner* runner,
 
 int main(int argc, char** argv) {
   mmdb::bench::BenchWallClock wall;
-  std::size_t jobs = mmdb::bench::ParseJobs(argc, argv);
   bool quick = false;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--quick") == 0) quick = true;
   }
   mmdb::MetricsSidecar sidecar("fig_interference");
-  mmdb::bench::SweepRunner runner(jobs);
+  mmdb::bench::SweepRunner runner;
   mmdb::bench::MeasuredSeries(quick ? 0.5 : 2.0, &runner, &sidecar);
-  wall.Report("fig_interference", jobs, &sidecar);
+  wall.Report("fig_interference", &sidecar);
   if (!sidecar.Write().ok()) return 1;
   return runner.AnyFailed() ? 1 : 0;
 }

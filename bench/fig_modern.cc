@@ -15,7 +15,6 @@
 // in the same band as the six — the backup format is shared.
 //
 //   --quick    shorter workload per point (sanitizer lanes)
-//   --jobs=N   sweep width (stdout and sidecar are byte-identical at any N)
 
 #include <cstdio>
 #include <cstring>
@@ -56,36 +55,29 @@ void MeasuredSeries(double seconds, SweepRunner* runner,
   std::printf("%-18s %12s %10s %10s %9s %10s %8s\n", "algorithm/mode",
               "overhead/txn", "sync", "async", "restarts", "recovery_s",
               "commits");
-  std::vector<SweepPoint> points;
   for (Algorithm a : kAllAlgorithms) {
     for (CheckpointMode mode :
          {CheckpointMode::kPartial, CheckpointMode::kFull}) {
-      const char* mode_name =
-          mode == CheckpointMode::kPartial ? "partial" : "full";
-      points.push_back(SweepPoint{
-          std::string(AlgorithmName(a)) + "/" + mode_name,
-          [a, mode, seconds] {
-            EngineOptions opt = MeasuredOptions(
-                a, mode, /*stable=*/a == Algorithm::kFastFuzzy);
-            return MeasureEngine(opt, seconds);
-          }});
+      const std::string label =
+          std::string(AlgorithmName(a)) + "/" +
+          (mode == CheckpointMode::kPartial ? "partial" : "full");
+      EngineOptions opt =
+          MeasuredOptions(a, mode, /*stable=*/a == Algorithm::kFastFuzzy);
+      StatusOr<MeasuredPoint> result =
+          runner->Add(label, MeasureEngine(opt, seconds), sidecar);
+      if (!result.ok()) {
+        std::printf("%-18s %12s\n", label.c_str(), "ERR");
+        continue;
+      }
+      const MeasuredPoint& point = *result;
+      const WorkloadResult& w = point.workload;
+      std::printf("%-18s %12.1f %10.1f %10.1f %9llu %10.3f %8llu\n",
+                  label.c_str(), w.overhead_per_txn, w.sync_per_txn,
+                  w.async_per_txn,
+                  static_cast<unsigned long long>(w.color_restarts),
+                  point.recovery.total_seconds,
+                  static_cast<unsigned long long>(w.committed));
     }
-  }
-  std::vector<StatusOr<MeasuredPoint>> results =
-      runner->Run(points, sidecar);
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    if (!results[i].ok()) {
-      std::printf("%-18s %12s\n", points[i].label.c_str(), "ERR");
-      continue;
-    }
-    const MeasuredPoint& point = *results[i];
-    const WorkloadResult& w = point.workload;
-    std::printf("%-18s %12.1f %10.1f %10.1f %9llu %10.3f %8llu\n",
-                points[i].label.c_str(), w.overhead_per_txn, w.sync_per_txn,
-                w.async_per_txn,
-                static_cast<unsigned long long>(w.color_restarts),
-                point.recovery.total_seconds,
-                static_cast<unsigned long long>(w.committed));
   }
 }
 
@@ -95,17 +87,16 @@ void MeasuredSeries(double seconds, SweepRunner* runner,
 
 int main(int argc, char** argv) {
   mmdb::bench::BenchWallClock wall;
-  std::size_t jobs = mmdb::bench::ParseJobs(argc, argv);
   bool quick = false;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--quick") == 0) quick = true;
   }
   mmdb::bench::AnalyticSeries();
   mmdb::MetricsSidecar sidecar("fig_modern");
-  mmdb::bench::SweepRunner runner(jobs);
+  mmdb::bench::SweepRunner runner;
   mmdb::bench::MeasuredSeries(quick ? 0.5 : 2.0, &runner, &sidecar);
   runner.ReportValidation(&sidecar);
-  wall.Report("fig_modern", jobs, &sidecar);
+  wall.Report("fig_modern", &sidecar);
   if (!sidecar.Write().ok()) return 1;
   return runner.AnyFailed() ? 1 : 0;
 }

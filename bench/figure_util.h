@@ -6,17 +6,14 @@
 // paper's full 256 Mword scale, and measured from the executable engine at
 // a scaled-down database (the shapes must agree; see EXPERIMENTS.md).
 //
-// The measured series run through SweepRunner: every point is an
-// independent deterministic engine in its own MemEnv, so the sweep fans
-// out across a ThreadPool (--jobs=N / MMDB_BENCH_JOBS; 1 = the old serial
-// loop) while results, stdout rows, and sidecar entries are merged in
-// declared point order — the tables are byte-identical at any width.
+// The measured series run one point after another on the calling thread:
+// each point is an independent deterministic engine in its own MemEnv, and
+// SweepRunner merges each result into the sidecar as it arrives, so
+// sidecar entries follow the declared point order and each point's host
+// time is a single-thread measurement.
 
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <functional>
 #include <memory>
 #include <string>
 #include <utility>
@@ -28,8 +25,6 @@
 #include "model/analytic_model.h"
 #include "model/model_oracle.h"
 #include "obs/sidecar.h"
-#include "parallel/parallel.h"
-#include "util/string_util.h"
 
 namespace mmdb {
 namespace bench {
@@ -114,82 +109,36 @@ inline StatusOr<MeasuredPoint> MeasureEngine(const EngineOptions& options,
   return point;
 }
 
-// Sweep width for this bench process: --jobs=N beats MMDB_BENCH_JOBS beats
-// min(points, hardware_concurrency). 1 selects the serial path (no worker
-// threads at all). A width that is not a whole number >= 1 prints a
-// one-line error naming the flag or variable and exits 2.
-inline std::size_t ParseJobs(int argc, char** argv) {
-  const char* source = nullptr;
-  const char* text = nullptr;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--jobs=", 7) == 0) {
-      source = "--jobs";
-      text = argv[i] + 7;
-    }
-  }
-  const char* env_jobs = std::getenv("MMDB_BENCH_JOBS");
-  if (text == nullptr && env_jobs != nullptr && *env_jobs != '\0') {
-    source = "MMDB_BENCH_JOBS";
-    text = env_jobs;
-  }
-  if (text == nullptr) return DefaultSweepWidth(~std::size_t{0});
-  uint64_t jobs = 0;
-  if (!ParseNumber(text, &jobs) || jobs < 1) {
-    std::fprintf(stderr, "%s: %s=%s is not a whole number >= 1\n", argv[0],
-                 source, text);
-    std::exit(2);
-  }
-  return static_cast<std::size_t>(jobs);
-}
-
-// One declarative sweep point: a sidecar label plus the closure producing
-// its measurement. The closure must be self-contained (it builds its own
-// MemEnv + Engine) — workers share nothing but the pool queue.
-struct SweepPoint {
-  std::string label;
-  std::function<StatusOr<MeasuredPoint>()> work;
-};
-
-// Executes the declared points across `jobs` workers and merges the ok
-// results into `sidecar` in declared order. Results come back indexed like
-// `points`; the caller formats its table rows from them (printing ERR for
-// failed cells) and must exit nonzero if AnyFailed().
+// Merges a bench's measured points, in the order the bench measures them,
+// into its sidecar and the model-validation summary, and remembers whether
+// any point failed: the bench prints ERR for a failed point's cells and
+// must exit nonzero if AnyFailed().
 class SweepRunner {
  public:
-  explicit SweepRunner(std::size_t jobs) : jobs_(jobs) {}
-
-  std::vector<StatusOr<MeasuredPoint>> Run(
-      const std::vector<SweepPoint>& points, MetricsSidecar* sidecar) {
-    std::vector<std::function<StatusOr<MeasuredPoint>()>> tasks;
-    tasks.reserve(points.size());
-    for (const SweepPoint& p : points) tasks.push_back(p.work);
-    std::vector<StatusOr<MeasuredPoint>> results =
-        RunSweep<MeasuredPoint>(PoolFor(points.size()), tasks);
-    for (std::size_t i = 0; i < results.size(); ++i) {
-      if (!results[i].ok()) {
-        // The Status message goes to the sidecar too, so ERR cells stay
-        // diagnosable from the artifact alone.
-        NoteFailure(points[i].label.c_str(), results[i].status(), sidecar);
-        continue;
-      }
-      std::string validation_json;
-      if (results[i]->has_validation) {
-        summary_.Add(results[i]->validation);
-        validation_json = results[i]->validation.ToJsonString();
-      }
-      if (sidecar != nullptr) {
-        sidecar->Add(points[i].label, std::move(results[i]->metrics_json),
-                     std::move(validation_json));
-      }
+  // Records one point's result under `label` and hands it back for the
+  // bench's table row. The engine dump moves into `sidecar`; a failure is
+  // recorded there with its Status message, so ERR cells stay diagnosable
+  // from the artifact alone.
+  StatusOr<MeasuredPoint> Add(std::string label,
+                              StatusOr<MeasuredPoint> result,
+                              MetricsSidecar* sidecar) {
+    if (!result.ok()) {
+      NoteFailure(label.c_str(), result.status(), sidecar);
+      return result;
     }
-    return results;
+    std::string validation_json;
+    if (result->has_validation) {
+      summary_.Add(result->validation);
+      validation_json = result->validation.ToJsonString();
+    }
+    if (sidecar != nullptr) {
+      sidecar->Add(std::move(label), std::move(result->metrics_json),
+                   std::move(validation_json));
+    }
+    return result;
   }
 
-  std::size_t jobs() const { return jobs_; }
   bool AnyFailed() const { return any_failed_; }
-
-  // Model-oracle residuals accumulated across every Run() so far.
-  const ResidualSummary& validation_summary() const { return summary_; }
 
   // Writes the accumulated residual summary into the sidecar's
   // "validation_summary" member. Call once, after the measured series and
@@ -199,9 +148,9 @@ class SweepRunner {
     sidecar->SetValidationSummary(summary_.ToJsonString());
   }
 
-  // For sweeps a bench runs through RunSweep() directly (custom result
-  // types): fold their failures into this runner's exit status, and record
-  // the failure in the sidecar when one is in use.
+  // For points a bench measures into its own result type: fold their
+  // failures into this runner's exit status, and record the failure in
+  // the sidecar when one is in use.
   void NoteFailure(const char* what, const Status& status,
                    MetricsSidecar* sidecar = nullptr) {
     any_failed_ = true;
@@ -212,26 +161,12 @@ class SweepRunner {
   }
 
  private:
-  // Lazily builds — then reuses — one pool for every Run() this runner
-  // serves, instead of spinning threads up and down per sweep. Serial
-  // (jobs <= 1) and single-point sweeps get nullptr: the inline path.
-  ThreadPool* PoolFor(std::size_t num_points) {
-    if (jobs_ <= 1 || num_points <= 1) return nullptr;
-    std::size_t want = std::min(jobs_, num_points);
-    if (pool_ == nullptr || pool_->num_threads() < want) {
-      pool_ = std::make_unique<ThreadPool>(want);
-    }
-    return pool_.get();
-  }
-
-  std::size_t jobs_;
-  std::unique_ptr<ThreadPool> pool_;
   bool any_failed_ = false;
   ResidualSummary summary_;
 };
 
 // Wall-clock scope for a whole bench run; reports on stderr (stdout tables
-// must stay byte-identical across --jobs widths) and into the sidecar.
+// must stay byte-identical from run to run) and into the sidecar.
 class BenchWallClock {
  public:
   BenchWallClock() : start_(std::chrono::steady_clock::now()) {}
@@ -242,13 +177,11 @@ class BenchWallClock {
     return d.count();
   }
 
-  // Prints "<bench>: wall_seconds=W jobs=N" and records both in `sidecar`.
-  void Report(const char* bench, std::size_t jobs,
-              MetricsSidecar* sidecar) const {
+  // Prints "<bench>: wall_seconds=W" and records W in `sidecar`.
+  void Report(const char* bench, MetricsSidecar* sidecar) const {
     double wall = ElapsedSeconds();
-    std::fprintf(stderr, "%s: wall_seconds=%.3f jobs=%zu\n", bench, wall,
-                 jobs);
-    if (sidecar != nullptr) sidecar->SetHost(jobs, wall);
+    std::fprintf(stderr, "%s: wall_seconds=%.3f\n", bench, wall);
+    if (sidecar != nullptr) sidecar->SetHost(wall);
   }
 
  private:

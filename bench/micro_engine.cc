@@ -253,11 +253,8 @@ BENCHMARK(BM_WorkloadSecond)->Unit(benchmark::kMillisecond);
 }  // namespace
 }  // namespace mmdb
 
-// Like BENCHMARK_MAIN(), plus the harness-wide wall_seconds/jobs report
-// every bench emits. google-benchmark times each case on the calling
-// thread, so the measured cases always run serially (jobs=1 here by
-// design — concurrent timing would contaminate the numbers; the sweep
-// parallelism lives in the figure benches, see DESIGN.md §12).
+// Like BENCHMARK_MAIN(), plus the harness-wide wall_seconds report every
+// bench emits.
 int main(int argc, char** argv) {
   auto start = std::chrono::steady_clock::now();
   benchmark::Initialize(&argc, argv);
@@ -266,7 +263,6 @@ int main(int argc, char** argv) {
   benchmark::Shutdown();
   std::chrono::duration<double> wall =
       std::chrono::steady_clock::now() - start;
-  std::fprintf(stderr, "micro_engine: wall_seconds=%.3f jobs=1\n",
-               wall.count());
+  std::fprintf(stderr, "micro_engine: wall_seconds=%.3f\n", wall.count());
   return 0;
 }

@@ -15,21 +15,18 @@
 // and to each engine dump's "host.recovery" block (skipped by every
 // comparison of bench artifacts).
 //
-//   recovery_bench [--jobs=N] [--quick]
+//   recovery_bench [--quick]
 //
 // --quick: the small size only (the sanitizer smoke configuration).
-// Honest wall times want --jobs=1 so concurrent points don't steal each
-// other's cores; the check.sh gate runs --jobs=2 and ignores wall fields.
 //
 // Baseline regeneration (the committed bench/baselines/recovery.json), as
 // one command line:
 //   MMDB_TRACE_CAPACITY=64 MMDB_METRICS_SIDECAR=bench/baselines/recovery.json
-//       ./build/bench/recovery_bench --jobs=2 > /dev/null
+//       ./build/bench/recovery_bench > /dev/null
 
 #include <chrono>
 #include <cstdio>
 #include <cstring>
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -144,7 +141,6 @@ int Run(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--quick") == 0) quick = true;
   }
-  const std::size_t jobs = ParseJobs(argc, argv);
 
   std::vector<SizeConfig> sizes = {
       {"small", 1ull << 20, 0.5},  // 128 segments, 4 MiB
@@ -154,7 +150,7 @@ int Run(int argc, char** argv) {
 
   MetricsSidecar sidecar("recovery");
   BenchWallClock bench_wall;
-  SweepRunner runner(jobs);
+  SweepRunner runner;
 
   PrintHeader("recovery_bench", "blocking vs instant restart");
   std::printf("modeled columns are virtual-clock quantities and must be\n"
@@ -165,11 +161,10 @@ int Run(int argc, char** argv) {
     const std::vector<std::string> labels = {
         std::string(size.name) + "/blocking",
         std::string(size.name) + "/instant"};
-    std::vector<std::function<StatusOr<RecoveryPoint>()>> tasks = {
-        [size]() { return MeasureRecovery(size, /*instant=*/false); },
-        [size]() { return MeasureRecovery(size, /*instant=*/true); }};
-    std::vector<StatusOr<RecoveryPoint>> results =
-        RunSweep<RecoveryPoint>(jobs, tasks);
+    std::vector<StatusOr<RecoveryPoint>> results;
+    for (bool instant : {false, true}) {
+      results.push_back(MeasureRecovery(size, instant));
+    }
 
     std::printf("\n%s (%llu words, %.2fs workload)\n", size.name,
                 static_cast<unsigned long long>(size.db_words),
@@ -232,8 +227,7 @@ int Run(int argc, char** argv) {
     }
   }
 
-  runner.ReportValidation(&sidecar);
-  bench_wall.Report("recovery_bench", jobs, &sidecar);
+  bench_wall.Report("recovery_bench", &sidecar);
   if (!sidecar.Write().ok() || runner.AnyFailed()) rc = 1;
   return rc;
 }

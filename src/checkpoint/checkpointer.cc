@@ -117,8 +117,7 @@ Checkpointer::Checkpointer(const Context& ctx, CheckpointMode mode)
     m_log_wait_seconds_ = r->timer("ckpt.log_wait_seconds");
     m_copy_seconds_ = r->timer("ckpt.copy_seconds");
     m_quiesce_seconds_ = r->timer("ckpt.quiesce_seconds");
-    r->gauge("ckpt.history_cap")
-        ->Set(static_cast<double>(ctx_.history_cap));
+    r->gauge("ckpt.history_cap")->Set(static_cast<double>(kHistoryCap));
   }
 }
 
@@ -290,7 +289,7 @@ StatusOr<double> Checkpointer::Step(double now) {
           ctx_.meter->Count(CpuCategory::kSyncCopy) - copy_instr_at_begin_);
       last_stats_ = stats_;
       history_.push_back(stats_);
-      while (ctx_.history_cap > 0 && history_.size() > ctx_.history_cap) {
+      while (history_.size() > kHistoryCap) {
         history_.pop_front();
         ++history_dropped_;
         if (m_history_dropped_ != nullptr) m_history_dropped_->Increment();
@@ -322,17 +321,6 @@ StatusOr<double> Checkpointer::Step(double now) {
     }
   }
   return InternalError("unreachable checkpoint state");
-}
-
-StatusOr<double> Checkpointer::RunToCompletion(CheckpointId id, double now) {
-  MMDB_RETURN_IF_ERROR(Begin(id, now));
-  double t = now;
-  while (InProgress()) {
-    MMDB_ASSIGN_OR_RETURN(double next, Step(t));
-    if (next == kNever) break;
-    t = std::max(t, next);
-  }
-  return t;
 }
 
 Status Checkpointer::OnBegin(double) { return Status::OK(); }

@@ -157,10 +157,11 @@ class Checkpointer : public CheckpointHooks {
     // begin/flush/degraded/end/abort events go to `events`.
     MetricsRegistry* metrics = nullptr;
     EventSink events;
-    // Completed-checkpoint stats retained by history(); older entries are
-    // discarded once the cap is exceeded (0 = unbounded).
-    size_t history_cap = 256;
   };
+
+  // Completed-checkpoint stats retained by history(); older entries are
+  // discarded once the cap is exceeded.
+  static constexpr size_t kHistoryCap = 256;
 
   // Builds the requested algorithm. Fails (FAILED_PRECONDITION) for
   // kFastFuzzy without a stable log tail, which would violate the
@@ -183,11 +184,6 @@ class Checkpointer : public CheckpointHooks {
   // +infinity when idle. Monotonically nondecreasing `now` across calls.
   StatusOr<double> Step(double now);
 
-  // Runs Begin-to-completion, advancing an internal notion of time from
-  // `now`; returns the completion time. Convenience for the facade, tests
-  // and recovery-free workloads (no transactions interleave).
-  StatusOr<double> RunToCompletion(CheckpointId id, double now);
-
   bool InProgress() const { return state_ != State::kIdle; }
   CheckpointId current_id() const { return id_; }
   // Next segment the sweep will visit (== num_segments once the sweep is
@@ -196,13 +192,12 @@ class Checkpointer : public CheckpointHooks {
 
   const CheckpointStats& last_stats() const { return last_stats_; }
   // Most recent completed checkpoints, oldest first, bounded by
-  // Context::history_cap. Callers that index relative to a remembered
+  // kHistoryCap. Callers that index relative to a remembered
   // position must use history_dropped() to translate absolute checkpoint
   // ordinals (dropped + index) back into deque positions.
   const std::deque<CheckpointStats>& history() const { return history_; }
   // Entries discarded from the front of history() to honor the cap.
   uint64_t history_dropped() const { return history_dropped_; }
-  size_t history_cap() const { return ctx_.history_cap; }
 
   // Abandons any in-progress checkpoint and volatile state (crash path).
   virtual void Reset();

@@ -144,7 +144,6 @@ Status Engine::Init(bool fresh) {
   ctx.params = p;
   ctx.metrics = metrics_.get();
   ctx.events = events_;
-  ctx.history_cap = options_.checkpoint_history_cap;
   MMDB_ASSIGN_OR_RETURN(
       checkpointer_,
       Checkpointer::Create(options_.algorithm, ctx, options_.checkpoint_mode));
@@ -287,24 +286,9 @@ Status Engine::WriteDelta(Transaction* txn, RecordId record,
 
 StatusOr<Lsn> Engine::ApplyDelta(RecordId record, uint32_t field_offset,
                                  int64_t delta, int max_attempts) {
-  Random backoff(apply_seed_++);
-  Status last = Status::OK();
-  for (int attempt = 0; attempt < max_attempts; ++attempt) {
-    Transaction* txn = Begin();
-    txn->attempt = attempt + 1;
-    Status st = WriteDelta(txn, record, field_offset, delta);
-    if (st.ok()) return Commit(txn);
-    txns_->Abort(txn,
-                 st.IsAborted() ? AbortReason::kColorViolation
-                                : AbortReason::kUser,
-                 clock_.now());
-    if (!st.IsAborted()) return st;
-    last = st;
-    MMDB_RETURN_IF_ERROR(AdvanceTime(
-        backoff.Exponential(2.0 * options_.params.txn.instructions /
-                            (options_.params.cpu_mips * 1e6))));
-  }
-  return last;
+  return RetryTxn(max_attempts, [&](Transaction* txn) {
+    return WriteDelta(txn, record, field_offset, delta);
+  });
 }
 
 StatusOr<Lsn> Engine::Commit(Transaction* txn) {
@@ -345,16 +329,22 @@ void Engine::Abort(Transaction* txn, AbortReason reason) {
 StatusOr<Lsn> Engine::Apply(
     const std::vector<std::pair<RecordId, std::string>>& updates,
     int max_attempts) {
+  return RetryTxn(max_attempts, [&](Transaction* txn) {
+    for (const auto& [record, image] : updates) {
+      MMDB_RETURN_IF_ERROR(Write(txn, record, image));
+    }
+    return Status::OK();
+  });
+}
+
+StatusOr<Lsn> Engine::RetryTxn(
+    int max_attempts, const std::function<Status(Transaction*)>& body) {
   Random backoff(apply_seed_++);
   Status last = Status::OK();
   for (int attempt = 0; attempt < max_attempts; ++attempt) {
     Transaction* txn = Begin();
     txn->attempt = attempt + 1;
-    Status st = Status::OK();
-    for (const auto& [record, image] : updates) {
-      st = Write(txn, record, image);
-      if (!st.ok()) break;
-    }
+    Status st = body(txn);
     if (st.ok()) return Commit(txn);
     txns_->Abort(txn,
                  st.IsAborted() ? AbortReason::kColorViolation
@@ -806,7 +796,7 @@ std::string Engine::DumpMetricsJson() const {
   w.Key("checkpoints");
   w.BeginObject();
   w.Key("history_cap");
-  w.Uint(checkpointer_->history_cap());
+  w.Uint(Checkpointer::kHistoryCap);
   w.Key("history_dropped");
   w.Uint(checkpointer_->history_dropped());
   w.Key("history");

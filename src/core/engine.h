@@ -1,6 +1,7 @@
 #ifndef MMDB_CORE_ENGINE_H_
 #define MMDB_CORE_ENGINE_H_
 
+#include <functional>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -298,6 +299,10 @@ class Engine {
   }
   // Flushes the log if the tail exceeds the group-commit threshold.
   Status MaybeGroupFlush();
+  // The retry loop of Apply and ApplyDelta: runs `body` in a fresh
+  // transaction and commits it, retrying two-color aborts.
+  StatusOr<Lsn> RetryTxn(int max_attempts,
+                         const std::function<Status(Transaction*)>& body);
   // Aborts the in-progress checkpoint after `error` and records it.
   Status FailCheckpoint(Status error);
 

@@ -73,10 +73,6 @@ struct EngineOptions {
   // other. Independent of enable_metrics.
   bool audit_journal = true;
 
-  // Completed-checkpoint stats retained by Checkpointer::history().
-  // 0 = unbounded (the historical behaviour, for long diagnostic runs).
-  size_t checkpoint_history_cap = 256;
-
   // Virtual-clock sampling epoch (seconds) for the engine's time-series
   // sampler: every `timeseries_epoch` of virtual time, a fixed set of
   // instruments (commits, aborts by cause, checkpoint progress, admission

@@ -253,6 +253,30 @@ StatusOr<const JsonValue*> Member(const JsonValue& obj, std::string_view key,
   return v;
 }
 
+// A journal line is plain JSON under a CRC anyone can recompute, so before
+// any per-segment array of a recovery.lineage payload is indexed, all six
+// must be present and hold `segments` entries.
+Status CheckLineageShape(const JsonValue* lineage) {
+  if (lineage == nullptr) {
+    return CorruptionError("recovery.lineage has no payload");
+  }
+  const JsonValue* segments = lineage->Find("segments");
+  if (segments == nullptr || !segments->is_number()) {
+    return CorruptionError("recovery.lineage has no segment count");
+  }
+  for (const char* key : {"checkpoint", "copy", "retried", "frames",
+                          "first_lsn", "last_lsn"}) {
+    const JsonValue* a = lineage->Find(key);
+    if (a == nullptr || !a->is_array() ||
+        static_cast<double>(a->array_items().size()) !=
+            segments->number_value()) {
+      return CorruptionError("recovery.lineage array '" + std::string(key) +
+                             "' does not hold one entry per segment");
+    }
+  }
+  return Status::OK();
+}
+
 }  // namespace
 
 Status VerifyAuditAgainstDump(const std::vector<AuditEntry>& entries,
@@ -345,8 +369,8 @@ Status VerifyAuditAgainstDump(const std::vector<AuditEntry>& entries,
         "engine recovered but dump member audit.lineage is null");
   }
   const JsonValue* journal_lineage = lineage->object.Find("lineage");
-  if (journal_lineage == nullptr ||
-      journal_lineage->Dump() != dump_lineage->Dump()) {
+  MMDB_RETURN_IF_ERROR(CheckLineageShape(journal_lineage));
+  if (journal_lineage->Dump() != dump_lineage->Dump()) {
     return CorruptionError(
         "recovery.lineage (seq " + std::to_string(lineage->seq) +
         ") diverges from the engine's recovered per-segment lineage");
@@ -358,9 +382,6 @@ Status VerifyAuditAgainstDump(const std::vector<AuditEntry>& entries,
   const JsonValue* frames = journal_lineage->Find("frames");
   const JsonValue* retried = journal_lineage->Find("retried");
   const JsonValue* last_lsn = journal_lineage->Find("last_lsn");
-  if (frames == nullptr || retried == nullptr || last_lsn == nullptr) {
-    return CorruptionError("recovery.lineage arrays are incomplete");
-  }
   uint64_t frame_total = 0;
   for (const JsonValue& f : frames->array_items()) frame_total += AsU64(f);
   MMDB_ASSIGN_OR_RETURN(const JsonValue* applied,
@@ -394,9 +415,6 @@ Status VerifyAuditAgainstDump(const std::vector<AuditEntry>& entries,
   if (!fell_back->bool_value()) {
     const JsonValue* ckpts = journal_lineage->Find("checkpoint");
     const JsonValue* copies = journal_lineage->Find("copy");
-    if (ckpts == nullptr || copies == nullptr) {
-      return CorruptionError("recovery.lineage arrays are incomplete");
-    }
     uint64_t want_ckpt = AsU64(*rec->Find("checkpoint"));
     uint64_t want_copy = AsU64(*rec->Find("copy"));
     for (size_t i = 0; i < ckpts->array_items().size(); ++i) {
@@ -450,17 +468,13 @@ StatusOr<SegmentProvenance> ExplainSegment(
         "journal holds no recovery lineage; nothing to explain");
   }
   const JsonValue* l = lineage->object.Find("lineage");
-  if (l == nullptr) return CorruptionError("recovery.lineage has no payload");
+  MMDB_RETURN_IF_ERROR(CheckLineageShape(l));
   const JsonValue* ckpts = l->Find("checkpoint");
   const JsonValue* copies = l->Find("copy");
   const JsonValue* retried = l->Find("retried");
   const JsonValue* frames = l->Find("frames");
   const JsonValue* first_lsn = l->Find("first_lsn");
   const JsonValue* last_lsn = l->Find("last_lsn");
-  if (ckpts == nullptr || copies == nullptr || retried == nullptr ||
-      frames == nullptr || first_lsn == nullptr || last_lsn == nullptr) {
-    return CorruptionError("recovery.lineage arrays are incomplete");
-  }
   if (segment >= ckpts->array_items().size()) {
     return OutOfRangeError("segment " + std::to_string(segment) +
                            " out of range: lineage covers " +

@@ -19,8 +19,8 @@ namespace mmdb {
 //
 // Comparison rules:
 //   * A member named "host" is skipped, at any depth and on either side:
-//     it holds every host-clock value (the sidecar's jobs and wall
-//     seconds, an engine dump's recovery phase timings). It is the only
+//     it holds every host-clock value (the sidecar's wall seconds, an
+//     engine dump's recovery phase timings). It is the only
 //     exception; everything else, the provenance "audit" block included,
 //     is compared.
 //   * Leaves whose key names a virtual-clock timing or model quantity

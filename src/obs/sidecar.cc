@@ -30,8 +30,7 @@ void MetricsSidecar::SetValidationSummary(std::string summary_json) {
   validation_summary_json_ = std::move(summary_json);
 }
 
-void MetricsSidecar::SetHost(std::size_t jobs, double wall_seconds) {
-  jobs_ = jobs;
+void MetricsSidecar::SetHost(double wall_seconds) {
   wall_seconds_ = wall_seconds;
 }
 
@@ -65,13 +64,11 @@ Status MetricsSidecar::Write() const {
     w.Key("validation_summary");
     w.RawValue(validation_summary_json_);
   }
-  if (jobs_ != 0) {
+  if (wall_seconds_.has_value()) {
     w.Key("host");
     w.BeginObject();
-    w.Key("jobs");
-    w.Uint(jobs_);
     w.Key("wall_seconds");
-    w.Double(wall_seconds_);
+    w.Double(*wall_seconds_);
     w.EndObject();
   }
   w.EndObject();
@@ -84,7 +81,7 @@ Status MetricsSidecar::Write() const {
     return IoError("metrics sidecar: cannot write " + path_);
   }
   // stderr, like the wall_seconds report: stdout carries only the tables,
-  // which must be byte-identical across --jobs widths (DESIGN.md §12).
+  // which must be byte-identical from run to run (DESIGN.md §12).
   std::fprintf(stderr, "metrics sidecar: %s (%zu points)\n", path_.c_str(),
                points_.size());
   return Status::OK();

@@ -2,6 +2,7 @@
 #define MMDB_OBS_SIDECAR_H_
 
 #include <cstddef>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -15,7 +16,7 @@ namespace mmdb {
 //    "points":[{"label":"FUZZYCOPY","engine":{...},"validation":{...}},
 //              {"label":"BAD","error":"INTERNAL: ..."},...],
 //    "validation_summary":{"points":5,"overhead_per_txn":{...},...},
-//    "host":{"jobs":4,"wall_seconds":1.23}}
+//    "host":{"wall_seconds":1.23}}
 //
 // Per point, "validation" (when present) holds the model oracle's
 // predicted/measured/residual block (src/model/model_oracle.h); a failed
@@ -27,12 +28,10 @@ namespace mmdb {
 // directory; the MMDB_METRICS_SIDECAR environment variable overrides the
 // path, and setting it to the empty string disables the sidecar entirely.
 //
-// Determinism contract (DESIGN.md §12): "points" is merged in declared
-// point order by the sweep runner, never in completion order, so its bytes
-// are identical no matter how many workers produced the entries. Only
-// "host" members — here the sweep width and the real wall-clock spend,
-// and each engine dump's own "host" — may differ between runs; bench_diff
-// skips them and compares everything else.
+// Determinism contract (DESIGN.md §12): "points" holds the sweep's points
+// in declared order, and every byte outside the "host" members — here the
+// run's real wall-clock spend, and each engine dump's own "host" — is the
+// same on every run; bench_diff skips "host" and compares everything else.
 class MetricsSidecar {
  public:
   // `bench` names the document and the default output file.
@@ -40,9 +39,7 @@ class MetricsSidecar {
 
   // Appends one measured point. Dropped when the sidecar is disabled or
   // `engine_json` is empty. `validation_json` (optional) is the model
-  // oracle's predicted/measured/residual block for the point. Not
-  // thread-safe: the sweep runner merges results on the coordinating
-  // thread after the workers are done.
+  // oracle's predicted/measured/residual block for the point.
   void Add(std::string label, std::string engine_json,
            std::string validation_json = std::string());
 
@@ -54,8 +51,8 @@ class MetricsSidecar {
   // value, typically ResidualSummary::ToJsonString). Empty = omitted.
   void SetValidationSummary(std::string summary_json);
 
-  // Records the sweep width and wall-clock seconds for the "host" member.
-  void SetHost(std::size_t jobs, double wall_seconds);
+  // Records the run's wall-clock seconds for the "host" member.
+  void SetHost(double wall_seconds);
 
   // Writes the collected document (call once, after the measured series).
   // OK when the sidecar is disabled; otherwise any failure to open, write
@@ -77,8 +74,7 @@ class MetricsSidecar {
   std::string path_;
   std::vector<Point> points_;
   std::string validation_summary_json_;
-  std::size_t jobs_ = 0;  // 0 = SetHost never called; "host" omitted
-  double wall_seconds_ = 0.0;
+  std::optional<double> wall_seconds_;  // unset: "host" omitted
 };
 
 }  // namespace mmdb

@@ -256,19 +256,18 @@ Status InstantRecovery::FallBack(std::vector<SegmentId> failed,
   RecoveryStats& stats = result.stats;
 
   // The newest copy has CRC-bad or unreadable segments (a torn checkpoint
-  // tail, scribbled in-flight slots, or device faults). The ping-pong
-  // protocol guarantees the PREVIOUS checkpoint's copy was complete
-  // before this one started overwriting the other file, so fall back to
-  // it and replay the longer log suffix from its begin marker, which log
-  // truncation keeps (it cuts before the begin marker of the checkpoint
-  // preceding the newest complete one). A first checkpoint has no
-  // predecessor: then the restart fails.
-  const CheckpointId prev_id = plan_.restore_id - 1;
+  // tail, scribbled in-flight slots, or device faults). The other copy
+  // holds the newest complete checkpoint written to it: the ping-pong
+  // protocol finished that copy before the restored checkpoint started
+  // overwriting this one. Fall back to it and replay the longer log
+  // suffix from its begin marker, which log truncation keeps (it cuts
+  // just before that marker). It is not always restore_id - 1: after an
+  // earlier fallback, Engine::RestoreCheckpointNumbering skips ids to keep
+  // each copy's parity. With no such checkpoint the restart fails.
   // Finding and scanning the longer suffix is log-scan time.
   std::optional<HostTimer> rescan(&stats.log_scan_wall_seconds);
   StatusOr<LogReader::CheckpointMarker> prev =
-      prev_id >= 1 ? reader.FindCheckpointBegin(prev_id)
-                   : NotFoundError("no checkpoint precedes the first");
+      reader.FindCheckpointBegin(plan_.restore_id);
   if (prev.status().IsNotFound()) {
     return CorruptionError(StringPrintf(
         "backup copy %u of checkpoint %llu is unreadable (%s) and no "
@@ -277,6 +276,7 @@ Status InstantRecovery::FallBack(std::vector<SegmentId> failed,
         trigger.message().c_str()));
   }
   MMDB_RETURN_IF_ERROR(prev.status());
+  const CheckpointId prev_id = prev->checkpoint_id;
   const uint64_t prev_offset = prev->begin_offset;
   for (const ActiveTxnEntry& e : prev->begin_record.active_txns) {
     if (e.first_lsn != kInvalidLsn) {

@@ -15,9 +15,6 @@ class TimestampOracle {
   // Returns a fresh timestamp, strictly greater than all earlier ones.
   Timestamp Next() { return next_++; }
 
-  // Largest timestamp issued so far (0 if none).
-  Timestamp Current() const { return next_ - 1; }
-
   void Reset() { next_ = 1; }
 
  private:

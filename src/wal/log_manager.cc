@@ -182,7 +182,6 @@ StatusOr<double> LogManager::Flush(double now) {
     uint64_t batch_words = batch.words + words;
     done = std::max(batch.done_time,
                     batch.start_time + FlushSeconds(batch_words));
-    flush_busy_seconds_ += done - batch.done_time;
     pending_.push_back(PendingFlush{tail_last_lsn_, written_bytes_,
                                     batch_words, batch.start_time, done});
     if (m_group_merges_ != nullptr) m_group_merges_->Increment();
@@ -196,7 +195,6 @@ StatusOr<double> LogManager::Flush(double now) {
     if (!pending_.empty()) start = std::max(start, pending_.back().done_time);
     last_flush_start_ = start;
     done = start + FlushSeconds(words);
-    flush_busy_seconds_ += done - start;
     ++flush_count_;
     pending_.push_back(
         PendingFlush{tail_last_lsn_, written_bytes_, words, start, done});

@@ -120,10 +120,8 @@ class LogManager {
   // Total words ever appended (for bandwidth accounting).
   uint64_t AppendedWords() const { return appended_bytes_ / kWordBytes; }
 
-  // Number of physical flush batches issued and total seconds the log
-  // devices spent serving them (utilization metrics).
+  // Number of physical flush batches issued.
   uint64_t FlushCount() const { return flush_count_; }
-  double FlushBusySeconds() const { return flush_busy_seconds_; }
 
   bool stable_log_tail() const { return stable_log_tail_; }
 
@@ -175,7 +173,6 @@ class LogManager {
   Lsn flushed_lsn_ = kInvalidLsn;  // highest LSN handed to the file
   uint64_t base_offset_ = 0;       // logical offset of the file's first frame
   uint64_t flush_count_ = 0;
-  double flush_busy_seconds_ = 0.0;
   double min_flush_spacing_;
   double last_flush_start_ = -1e300;
   // LSN / byte prefix whose durability predates this LogManager instance

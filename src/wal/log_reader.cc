@@ -105,13 +105,19 @@ StatusOr<LogRecord> LogReader::RecordAtIndex(size_t i) const {
 }
 
 StatusOr<LogReader::CheckpointMarker> LogReader::FindCheckpointBegin(
-    std::optional<CheckpointId> id) const {
-  const bool newest_complete = !id.has_value();
+    std::optional<CheckpointId> older_than) const {
+  auto wanted = [&older_than](CheckpointId id) {
+    return !older_than.has_value() ||
+           (id < *older_than && (*older_than - id) % 2 == 1);
+  };
+  std::optional<CheckpointId> id;  // the newest wanted end marker's
   for (size_t i = index_.size(); i-- > 0;) {
     LogRecordHeader h;
     MMDB_RETURN_IF_ERROR(HeaderAt(i, &h));
     if (!id.has_value()) {
-      if (h.type == LogRecordType::kEndCheckpoint) id = h.checkpoint_id;
+      if (h.type == LogRecordType::kEndCheckpoint && wanted(h.checkpoint_id)) {
+        id = h.checkpoint_id;
+      }
     } else if (h.type == LogRecordType::kBeginCheckpoint &&
                h.checkpoint_id == *id) {
       MMDB_ASSIGN_OR_RETURN(LogRecord begin, RecordAtIndex(i));
@@ -119,13 +125,14 @@ StatusOr<LogReader::CheckpointMarker> LogReader::FindCheckpointBegin(
     }
   }
   if (!id.has_value()) {
-    return NotFoundError("no completed checkpoint in the log");
+    return NotFoundError(older_than.has_value()
+                             ? "no older complete checkpoint on the other copy"
+                             : "no completed checkpoint in the log");
   }
-  const std::string what =
-      StringPrintf("no begin marker for checkpoint %llu in the log",
-                   static_cast<unsigned long long>(*id));
   // A completion marker without its begin marker is damage.
-  return newest_complete ? CorruptionError(what) : NotFoundError(what);
+  return CorruptionError(
+      StringPrintf("no begin marker for checkpoint %llu in the log",
+                   static_cast<unsigned long long>(*id)));
 }
 
 }  // namespace mmdb

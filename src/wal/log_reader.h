@@ -67,14 +67,16 @@ class LogReader {
   };
   // The paper's backward scan for a begin-checkpoint marker (Section 3.3),
   // over headers from the newest frame; only the marker it returns is
-  // decoded in full. Without `id`: the marker of the newest checkpoint
-  // whose end marker is in the log, skipping a begin marker with no
-  // completion (a checkpoint in progress at crash time) — NOT_FOUND if no
-  // checkpoint ever completed, CORRUPTION if that end marker has no begin
-  // marker. With `id`: the begin marker of checkpoint `id`, NOT_FOUND if
-  // it is not in the log. An undecodable frame on the way is CORRUPTION.
+  // decoded in full. It returns the marker of the newest complete
+  // checkpoint (its end marker is in the log), skipping a begin marker
+  // with no completion (a checkpoint in progress at crash time). With
+  // `older_than`: the newest complete checkpoint with a smaller id written
+  // to the other backup copy (ids alternate copies, BackupStore::CopyFor),
+  // the one the older-copy fallback restores. NOT_FOUND if there is no
+  // such checkpoint; CORRUPTION if its end marker has no begin marker or
+  // a frame on the way does not decode.
   StatusOr<CheckpointMarker> FindCheckpointBegin(
-      std::optional<CheckpointId> id = std::nullopt) const;
+      std::optional<CheckpointId> older_than = std::nullopt) const;
 
  private:
   struct FrameRef {

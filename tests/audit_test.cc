@@ -456,6 +456,31 @@ TEST_F(AuditEngineTest, CorruptedJournalEntryFailsVerify) {
   std::string truncated = text;
   truncated.resize(truncated.rfind('\n', truncated.size() - 2) + 1);
   EXPECT_FALSE(VerifyAuditJournal(truncated, &*dump).ok());
+
+  // And a lineage whose arrays do not all hold `segments` entries, under
+  // valid CRCs and with a dump that agrees with it: CORRUPTION for the
+  // verifier and for ExplainSegment, never an index past an array's end.
+  const std::string lineage =
+      R"({"segments":3,"checkpoint":[1,1,1],"copy":[],"retried":[],)"
+      R"("frames":[],"first_lsn":[],"last_lsn":[]})";
+  const std::string forged =
+      SplicedLine(R"({"seq":1,"t":0,"event":"recovery.begin","restart":true})") +
+      SplicedLine(R"({"seq":2,"t":0,"event":"recovery.lineage","lineage":)" +
+                  lineage + "}") +
+      SplicedLine(R"({"seq":3,"t":0,"event":"recovery.end","checkpoint":1,)"
+                  R"("copy":1,"fell_back":false,"last_lsn":0,"applies":0,)"
+                  R"("txns":0})");
+  auto forged_dump = JsonValue::Parse(
+      R"({"audit":{"journal":{"next_seq":4},"lineage":)" + lineage +
+      R"(},"recovery":{"checkpoint":1,"copy":1,"updates_applied":0,)"
+      R"("txns_redone":0,"fell_back":false,"segments_retried":0}})");
+  MMDB_ASSERT_OK(forged_dump);
+  auto forged_entries = ParseAuditJournal(forged);
+  MMDB_ASSERT_OK(forged_entries);
+  Status verdict = VerifyAuditJournal(forged, &*forged_dump);
+  EXPECT_TRUE(verdict.IsCorruption()) << verdict;
+  auto explained = ExplainSegment(*forged_entries, 2);
+  EXPECT_TRUE(explained.status().IsCorruption()) << explained.status();
 }
 
 TEST_F(AuditEngineTest, ExplainSegmentTellsTheWholeStory) {

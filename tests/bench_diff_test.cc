@@ -28,7 +28,7 @@ const char kSidecar[] =
     R"({"label":"BAD","error":"INTERNAL: deterministic failure"}],)"
     R"("validation_summary":{"points":1,"overhead_per_txn":)"
     R"({"mean_abs_residual":0.286,"max_abs_residual":0.286}},)"
-    R"("host":{"jobs":4,"wall_seconds":12.5}})";
+    R"("host":{"wall_seconds":12.5}})";
 
 std::string Mutated(const std::string& from, const std::string& to) {
   std::string doc = kSidecar;
@@ -56,9 +56,8 @@ TEST(BenchDiffTest, HostMemberIsIgnored) {
   // Changed or dropped, at the top level (a sidecar without SetHost) and
   // inside an engine dump, on either side of the comparison.
   const Splice kSplices[] = {
-      {R"("host":{"jobs":4,"wall_seconds":12.5})",
-       R"("host":{"jobs":1,"wall_seconds":99.0})"},
-      {R"(,"host":{"jobs":4,"wall_seconds":12.5})", ""},
+      {R"("host":{"wall_seconds":12.5})", R"("host":{"wall_seconds":99.0})"},
+      {R"(,"host":{"wall_seconds":12.5})", ""},
       {R"("backup_read_seconds":0.012)", R"("backup_read_seconds":7)"},
       {R"(,"host":{"recovery":{"backup_read_seconds":0.012}})", ""},
   };

@@ -550,6 +550,62 @@ INSTANTIATE_TEST_SUITE_P(
              (std::get<1>(info.param) ? "Restart" : "NoRestart");
     });
 
+TEST_P(RecoveryFallbackInputsTest, SecondFallbackRestoresTheOtherCopy) {
+  const auto [truncate, restart_between] = GetParam();
+  truncate_ = truncate;
+  OpenEngine();
+  Commit(1, 1);
+  MMDB_ASSERT_OK(engine_->RunCheckpointToCompletion());  // id 1 -> copy 1
+  if (restart_between) {
+    ASSERT_NO_FATAL_FAILURE(Restart());
+  }
+  Commit(40, 2);
+  MMDB_ASSERT_OK(engine_->RunCheckpointToCompletion());  // id 2 -> copy 0
+  Settle();
+  MMDB_ASSERT_OK(engine_->Crash());
+  CorruptSegment(BackupPath(0), 0);
+  MMDB_ASSERT_OK(engine_->Recover());
+  MMDB_ASSERT_OK(engine_->DrainRecovery());
+  ASSERT_EQ(engine_->last_recovery().checkpoint_id, 1u);
+
+  // The next checkpoint skips past end marker 2 to id 4, which rewrites
+  // copy 0; then copy 0 rots again. Id 3 never existed: the fallback must
+  // still find checkpoint 1, complete on copy 1.
+  Commit(80, 3);
+  MMDB_ASSERT_OK(engine_->RunCheckpointToCompletion());  // id 4 -> copy 0
+  Commit(120, 4);
+  Settle();
+  const Lsn durable = engine_->DurableLsn();
+  MMDB_ASSERT_OK(engine_->Crash());
+  CorruptSegment(BackupPath(0), 0);
+  MMDB_ASSERT_OK(engine_->Recover());
+  MMDB_ASSERT_OK(engine_->DrainRecovery());
+  EXPECT_TRUE(engine_->last_recovery().fell_back_to_older_copy);
+  EXPECT_EQ(engine_->last_recovery().checkpoint_id, 1u);
+  EXPECT_EQ(engine_->last_recovery().copy, 1u);
+  ASSERT_NO_FATAL_FAILURE(Audit(*engine_, oracle_, durable));
+  {
+    std::vector<AuditEntry> entries = JournalEntries();
+    std::vector<const AuditEntry*> fallbacks;
+    for (const AuditEntry& e : entries) {
+      if (e.event == "recovery.fallback") fallbacks.push_back(&e);
+    }
+    ASSERT_EQ(fallbacks.size(), 2u);
+    EXPECT_EQ(Field(*fallbacks[1], "from_checkpoint"), 4u);
+    EXPECT_EQ(Field(*fallbacks[1], "from_copy"), 0u);
+    EXPECT_EQ(Field(*fallbacks[1], "to_checkpoint"), 1u);
+    EXPECT_EQ(Field(*fallbacks[1], "to_copy"), 1u);
+  }
+
+  // Numbering skips past end marker 4, keeping copy 1's checkpoint intact.
+  MMDB_ASSERT_OK(engine_->RunCheckpointToCompletion());
+  auto meta = engine_->backup()->ReadMeta();
+  MMDB_ASSERT_OK(meta);
+  EXPECT_EQ(meta->checkpoint_id, 6u);
+  EXPECT_EQ(meta->copy, 0u);
+  VerifyAuditTrail(engine_.get());
+}
+
 TEST_F(RecoveryFallbackTest, FallsBackToOlderCopyOnReadError) {
   OpenEngine();
   Commit(1, 1);

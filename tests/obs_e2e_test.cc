@@ -118,24 +118,23 @@ TEST(ObsE2eTest, CheckpointCrashRecoveryTraceIsWellFormed) {
 
 TEST(ObsE2eTest, HistoryCapBoundsRetainedCheckpoints) {
   auto env = NewMemEnv();
-  EngineOptions opt = TinyOptions();
-  opt.checkpoint_history_cap = 2;
-  auto engine = Engine::Open(opt, env.get());
+  auto engine = Engine::Open(TinyOptions(), env.get());
   MMDB_ASSERT_OK(engine);
   Engine& e = **engine;
-  for (int i = 0; i < 5; ++i) {
+  const size_t cap = Checkpointer::kHistoryCap;
+  for (size_t i = 0; i < cap + 3; ++i) {
     MMDB_ASSERT_OK(e.RunCheckpointToCompletion());
   }
-  EXPECT_EQ(e.checkpointer().history().size(), 2u);
+  EXPECT_EQ(e.checkpointer().history().size(), cap);
   EXPECT_EQ(e.checkpointer().history_dropped(), 3u);
   // Retained entries are the newest, in order.
-  EXPECT_EQ(e.checkpointer().history().back().id,
-            e.checkpointer().history().front().id + 1);
+  EXPECT_EQ(e.checkpointer().history().front().id, 4u);
+  EXPECT_EQ(e.checkpointer().history().back().id, cap + 3);
 
   StatusOr<JsonValue> doc = DumpAndParse(e);
   MMDB_ASSERT_OK(doc);
   EXPECT_EQ(doc->FindPath({"checkpoints", "history_cap"})->number_value(),
-            2.0);
+            static_cast<double>(cap));
   EXPECT_EQ(doc->FindPath({"checkpoints", "history_dropped"})->number_value(),
             3.0);
   EXPECT_EQ(doc->FindPath({"metrics", "counters", "ckpt.history_dropped"})

@@ -412,11 +412,21 @@ TEST_F(LogReaderTest, FindNewestCompleteCheckpoint) {
   EXPECT_EQ(marker->begin_offset, begin2);
   EXPECT_EQ(marker->begin_record.type, LogRecordType::kBeginCheckpoint);
   EXPECT_EQ(marker->begin_record.lsn, 4u);
-  // By id: the older checkpoint's marker, and an absent one.
-  auto older = reader.FindCheckpointBegin(1);
-  MMDB_ASSERT_OK(older);
-  EXPECT_EQ(older->begin_offset, begin1);
-  EXPECT_TRUE(reader.FindCheckpointBegin(7).status().IsNotFound());
+  // Older than a checkpoint: the newest complete one of the other id
+  // parity (the other backup copy). Checkpoint 3 never completed.
+  for (CheckpointId older_than : {2u, 4u}) {
+    auto older = reader.FindCheckpointBegin(older_than);
+    MMDB_ASSERT_OK(older);
+    EXPECT_EQ(older->checkpoint_id, 1u);
+    EXPECT_EQ(older->begin_offset, begin1);
+  }
+  for (CheckpointId older_than : {3u, 5u}) {
+    auto older = reader.FindCheckpointBegin(older_than);
+    MMDB_ASSERT_OK(older);
+    EXPECT_EQ(older->checkpoint_id, 2u);
+    EXPECT_EQ(older->begin_offset, begin2);
+  }
+  EXPECT_TRUE(reader.FindCheckpointBegin(1).status().IsNotFound());
 }
 
 TEST_F(LogReaderTest, NoCompleteCheckpointIsNotFound) {

@@ -12,12 +12,12 @@
 # build-hostbench/.
 # The plain build compiles with -Werror, so the tree stays warning-free
 # under -Wall -Wextra (the target-attributed CRC32C kernel included).
-# The TSan gate builds only the thread pool's tests, obs_test (the
-# metrics registry under concurrent increments) and the figure benches,
-# and runs the benches at --jobs=2 as a threaded smoke; the engines
-# themselves are single-threaded (EngineTest.RecoverStartsNoThread pins
-# that restarts start no thread), so the full suite under TSan would
-# just re-test serial code at 10x the cost.
+# The TSan gate builds and runs obs_test only: the metrics registry under
+# concurrent increments (MetricsRegistryTest.ConcurrentIncrementsSum) is
+# the one test that starts threads. The engines and the figure benches
+# run on the calling thread (EngineTest.RecoverStartsNoThread pins that
+# restarts start no thread), so the full suite under TSan would just
+# re-test serial code at 10x the cost.
 #
 # The sanitize full suite runs with MMDB_AUDIT_EXPORT_DIR set, so every
 # crash/recovery test exports its provenance journal and engine dump;
@@ -38,7 +38,7 @@
 # restart through the on-demand applier too.
 #
 # The bench-smoke gate replays fig4a, fig_modern, fig_interference
-# and recovery_bench at --jobs=2 with a shrunken trace ring
+# and recovery_bench with a shrunken trace ring
 # (MMDB_TRACE_CAPACITY=64 — the capacity the committed baselines were
 # recorded at; ring drop counts depend on it) and diffs each fresh
 # sidecar against bench/baselines/*.json with mmdb_bench_diff. Everything
@@ -50,16 +50,16 @@
 # Regenerate the baselines after an intentional engine/model change with
 #   MMDB_TRACE_CAPACITY=64 \
 #       MMDB_METRICS_SIDECAR=bench/baselines/fig4a.json \
-#       ./build/bench/fig4a_overhead_recovery --jobs=2 > /dev/null
+#       ./build/bench/fig4a_overhead_recovery > /dev/null
 #   MMDB_TRACE_CAPACITY=64 \
 #       MMDB_METRICS_SIDECAR=bench/baselines/modern.json \
-#       ./build/bench/fig_modern --jobs=2 > /dev/null
+#       ./build/bench/fig_modern > /dev/null
 #   MMDB_TRACE_CAPACITY=64 \
 #       MMDB_METRICS_SIDECAR=bench/baselines/interference.json \
-#       ./build/bench/fig_interference --jobs=2 > /dev/null
+#       ./build/bench/fig_interference > /dev/null
 #   MMDB_TRACE_CAPACITY=64 \
 #       MMDB_METRICS_SIDECAR=bench/baselines/recovery.json \
-#       ./build/bench/recovery_bench --jobs=2 > /dev/null
+#       ./build/bench/recovery_bench > /dev/null
 #
 # The hostbench gate builds the host-time benchmark (hostbench/, its own
 # CMake project over the engine sources), runs hostbench_test, then runs
@@ -119,37 +119,22 @@ run_sanitize() {
       ctest --test-dir build-sanitize --output-on-failure -j "$jobs" \
       -R '^(recovery_test|restart_test|consistency_test|sweep_determinism_test|fault_injection_test|audit_test|obs_e2e_test|logical_logging_test|modern_test|cou_test|torture_test)$'
   verify_audit_exports build-sanitize build-sanitize/audit-export-instant
-  echo "check.sh: sanitize bench smoke (recovery_bench --quick --jobs=2, instant lane)"
+  echo "check.sh: sanitize bench smoke (recovery_bench --quick, instant lane)"
   MMDB_INSTANT_RECOVERY=1 \
       MMDB_METRICS_SIDECAR=build-sanitize/recovery_instant_asan_smoke.json \
-      ./build-sanitize/bench/recovery_bench --quick --jobs=2 > /dev/null
-  echo "check.sh: sanitize bench smoke (fig_modern --quick --jobs=2)"
+      ./build-sanitize/bench/recovery_bench --quick > /dev/null
+  echo "check.sh: sanitize bench smoke (fig_modern --quick)"
   MMDB_METRICS_SIDECAR=build-sanitize/fig_modern_asan_smoke.json \
-      ./build-sanitize/bench/fig_modern --quick --jobs=2 > /dev/null
-  echo "check.sh: sanitize bench smoke (fig_interference --quick --jobs=2)"
+      ./build-sanitize/bench/fig_modern --quick > /dev/null
+  echo "check.sh: sanitize bench smoke (fig_interference --quick)"
   MMDB_METRICS_SIDECAR=build-sanitize/fig_interference_asan_smoke.json \
-      ./build-sanitize/bench/fig_interference --quick --jobs=2 > /dev/null
+      ./build-sanitize/bench/fig_interference --quick > /dev/null
 }
 
 run_tsan() {
   cmake -B build-tsan -S . -DMMDB_SANITIZE=thread
-  cmake --build build-tsan -j "$jobs" \
-      --target parallel_test obs_test fig4a_overhead_recovery \
-      fig_modern fig_interference recovery_bench
-  ctest --test-dir build-tsan --output-on-failure \
-      -R '^(parallel_test|obs_test)$'
-  echo "check.sh: tsan bench smoke (fig4a --jobs=2)"
-  MMDB_METRICS_SIDECAR=build-tsan/fig4a_tsan_smoke.json \
-      ./build-tsan/bench/fig4a_overhead_recovery --jobs=2 > /dev/null
-  echo "check.sh: tsan bench smoke (fig_modern --quick --jobs=2)"
-  MMDB_METRICS_SIDECAR=build-tsan/fig_modern_tsan_smoke.json \
-      ./build-tsan/bench/fig_modern --quick --jobs=2 > /dev/null
-  echo "check.sh: tsan bench smoke (fig_interference --quick --jobs=2)"
-  MMDB_METRICS_SIDECAR=build-tsan/fig_interference_tsan_smoke.json \
-      ./build-tsan/bench/fig_interference --quick --jobs=2 > /dev/null
-  echo "check.sh: tsan bench smoke (recovery_bench --quick --jobs=2)"
-  MMDB_METRICS_SIDECAR=build-tsan/recovery_tsan_smoke.json \
-      ./build-tsan/bench/recovery_bench --quick --jobs=2 > /dev/null
+  cmake --build build-tsan -j "$jobs" --target obs_test
+  ctest --test-dir build-tsan --output-on-failure -R '^obs_test$'
 }
 
 run_bench_smoke() {
@@ -157,32 +142,32 @@ run_bench_smoke() {
   cmake --build build -j "$jobs" \
       --target fig4a_overhead_recovery fig_modern fig_interference \
       recovery_bench mmdb_bench_diff
-  echo "check.sh: bench smoke (fig4a --jobs=2 vs bench/baselines/fig4a.json)"
+  echo "check.sh: bench smoke (fig4a vs bench/baselines/fig4a.json)"
   rm -f build/fig4a_bench_smoke.json
   MMDB_TRACE_CAPACITY=64 \
       MMDB_METRICS_SIDECAR=build/fig4a_bench_smoke.json \
-      ./build/bench/fig4a_overhead_recovery --jobs=2 > /dev/null
+      ./build/bench/fig4a_overhead_recovery > /dev/null
   ./build/tools/mmdb_bench_diff bench/baselines/fig4a.json \
       build/fig4a_bench_smoke.json
-  echo "check.sh: bench smoke (fig_modern --jobs=2 vs bench/baselines/modern.json)"
+  echo "check.sh: bench smoke (fig_modern vs bench/baselines/modern.json)"
   rm -f build/fig_modern_bench_smoke.json
   MMDB_TRACE_CAPACITY=64 \
       MMDB_METRICS_SIDECAR=build/fig_modern_bench_smoke.json \
-      ./build/bench/fig_modern --jobs=2 > /dev/null
+      ./build/bench/fig_modern > /dev/null
   ./build/tools/mmdb_bench_diff bench/baselines/modern.json \
       build/fig_modern_bench_smoke.json
-  echo "check.sh: bench smoke (fig_interference --jobs=2 vs bench/baselines/interference.json)"
+  echo "check.sh: bench smoke (fig_interference vs bench/baselines/interference.json)"
   rm -f build/fig_interference_bench_smoke.json
   MMDB_TRACE_CAPACITY=64 \
       MMDB_METRICS_SIDECAR=build/fig_interference_bench_smoke.json \
-      ./build/bench/fig_interference --jobs=2 > /dev/null
+      ./build/bench/fig_interference > /dev/null
   ./build/tools/mmdb_bench_diff bench/baselines/interference.json \
       build/fig_interference_bench_smoke.json
-  echo "check.sh: bench smoke (recovery_bench --jobs=2 vs bench/baselines/recovery.json)"
+  echo "check.sh: bench smoke (recovery_bench vs bench/baselines/recovery.json)"
   rm -f build/recovery_bench_smoke.json
   MMDB_TRACE_CAPACITY=64 \
       MMDB_METRICS_SIDECAR=build/recovery_bench_smoke.json \
-      ./build/bench/recovery_bench --jobs=2 > /dev/null
+      ./build/bench/recovery_bench > /dev/null
   ./build/tools/mmdb_bench_diff bench/baselines/recovery.json \
       build/recovery_bench_smoke.json
 }
