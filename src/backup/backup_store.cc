@@ -118,7 +118,7 @@ Status BackupStore::Open() {
     MMDB_ASSIGN_OR_RETURN(copies_[c], env_->NewRandomWriteFile(CopyPath(c)));
     if (!fresh) {
       // Reopening existing copies: the stored geometry must match ours, or
-      // every slot offset would be misinterpreted. Check before growing the
+      // every slot offset would be misinterpreted. Check before sizing the
       // file, so a rejected open leaves the copy as it found it.
       std::string header;
       MMDB_RETURN_IF_ERROR(copies_[c]->Read(0, kHeaderFieldBytes, &header));
@@ -137,6 +137,7 @@ Status BackupStore::Open() {
             db.record_words));
       }
     }
+    // Zero-filled extents when fresh; a reopened copy already has `total`.
     MMDB_RETURN_IF_ERROR(copies_[c]->Truncate(total));
     if (!fresh) continue;  // keep existing images and checksums
     // Header: magic + geometry, written once (idempotent).

@@ -269,8 +269,7 @@ Status Engine::Write(Transaction* txn, RecordId record,
 Status Engine::WriteDelta(Transaction* txn, RecordId record,
                           uint32_t field_offset, int64_t delta) {
   if (crashed_) return FailedPreconditionError("engine has crashed");
-  if (!SupportsLogicalLogging(options_.algorithm) &&
-      !options_.unsafe_allow_logical_logging) {
+  if (!SupportsLogicalLogging(options_.algorithm)) {
     return FailedPreconditionError(
         "logical (delta) operations require a copy-on-update checkpointing "
         "algorithm: replaying non-idempotent REDO against a fuzzy or "
@@ -339,6 +338,9 @@ StatusOr<Lsn> Engine::Apply(
 
 StatusOr<Lsn> Engine::RetryTxn(
     int max_attempts, const std::function<Status(Transaction*)>& body) {
+  if (max_attempts < 1) {
+    return InvalidArgumentError("max_attempts must be at least 1");
+  }
   Random backoff(apply_seed_++);
   Status last = Status::OK();
   for (int attempt = 0; attempt < max_attempts; ++attempt) {

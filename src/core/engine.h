@@ -105,7 +105,8 @@ class Engine {
 
   // One-shot read-modify-write transaction over `updates`, retrying
   // two-color aborts (with a small virtual-time backoff) up to
-  // `max_attempts` times. Returns the commit LSN.
+  // `max_attempts` times. Returns the commit LSN; INVALID_ARGUMENT, with
+  // no transaction begun, when `max_attempts` < 1.
   StatusOr<Lsn> Apply(
       const std::vector<std::pair<RecordId, std::string>>& updates,
       int max_attempts = 100);

@@ -41,12 +41,6 @@ struct EngineOptions {
   // copies); 0 = unbounded. See BufferPool.
   uint32_t max_snapshot_buffers = 0;
 
-  // Permit Engine::WriteDelta / ApplyDelta under checkpointing algorithms
-  // whose backups make logical REDO unsafe (fuzzy and two-color). Exists
-  // for experiments that demonstrate the resulting corruption; never
-  // enable it in real use.
-  bool unsafe_allow_logical_logging = false;
-
   // Reclaim log space each time a checkpoint completes: frames before the
   // previous complete checkpoint's begin marker — the oldest one the
   // older-copy fallback may replay from — can never be replayed again and

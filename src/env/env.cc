@@ -23,6 +23,14 @@ Status Env::WriteStringToFile(const std::string& path, std::string_view data,
   return file->Close();
 }
 
+Status Env::CutFile(const std::string& path, uint64_t size) {
+  MMDB_ASSIGN_OR_RETURN(std::unique_ptr<RandomWriteFile> file,
+                        NewRandomWriteFile(path));
+  MMDB_RETURN_IF_ERROR(file->Truncate(size));
+  MMDB_RETURN_IF_ERROR(file->Sync());
+  return file->Close();
+}
+
 Status Env::ReadFileToString(const std::string& path, std::string* out) {
   MMDB_ASSIGN_OR_RETURN(std::unique_ptr<RandomAccessFile> file,
                         NewRandomAccessFile(path));

@@ -53,7 +53,9 @@ class RandomWriteFile {
   // PosixEnv and MemEnv read in place.
   virtual StatusOr<size_t> ReadInto(uint64_t offset,
                                     std::span<char> dst) const;
-  // Grows the file to at least `size` bytes (zero-filled).
+  // Sets the file's size: cuts it to `size` bytes, or grows it to `size`
+  // with zeros (ftruncate on PosixEnv). Follow with Sync() to make it
+  // durable.
   virtual Status Truncate(uint64_t size) = 0;
   virtual Status Sync() = 0;
   virtual Status Close() = 0;
@@ -92,6 +94,9 @@ class Env {
   Status WriteStringToFile(const std::string& path, std::string_view data,
                            bool sync);
   Status ReadFileToString(const std::string& path, std::string* out);
+  // Sets `path`'s size in place (Truncate) and syncs it: how a torn tail
+  // is cut, with no second copy of the file.
+  Status CutFile(const std::string& path, uint64_t size);
 
   // Process-wide POSIX environment (never deleted).
   static Env* Posix();

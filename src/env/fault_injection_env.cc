@@ -71,6 +71,26 @@ namespace {
 
 using State = FaultInjectionEnv::State;
 
+// Numbers one write op and applies its fault, if any; `write` lands a
+// prefix of `data` for the shapes that tear.
+Status FaultedWrite(State* state, const std::string& path,
+                    std::string_view data,
+                    const std::function<Status(std::string_view)>& write) {
+  auto fault = state->NextOp(OpClass::kWrite, path);
+  if (!fault) return write(data);
+  switch (*fault) {
+    case FaultKind::kWriteError:
+      return Injected(path, "write error");
+    case FaultKind::kShortWrite:
+      MMDB_RETURN_IF_ERROR(write(data.substr(0, data.size() / 2)));
+      return Injected(path, "short write");
+    case FaultKind::kTornWrite:
+      return write(data.substr(0, data.size() / 2));
+    default:
+      return write(data);
+  }
+}
+
 class FaultWritableFile : public WritableFile {
  public:
   FaultWritableFile(std::unique_ptr<WritableFile> base, std::string path,
@@ -80,19 +100,8 @@ class FaultWritableFile : public WritableFile {
         state_(std::move(state)) {}
 
   Status Append(std::string_view data) override {
-    auto fault = state_->NextOp(OpClass::kWrite, path_);
-    if (!fault) return base_->Append(data);
-    switch (*fault) {
-      case FaultKind::kWriteError:
-        return Injected(path_, "write error");
-      case FaultKind::kShortWrite:
-        MMDB_RETURN_IF_ERROR(base_->Append(data.substr(0, data.size() / 2)));
-        return Injected(path_, "short write");
-      case FaultKind::kTornWrite:
-        return base_->Append(data.substr(0, data.size() / 2));
-      default:
-        return base_->Append(data);
-    }
+    return FaultedWrite(state_.get(), path_, data,
+                        [&](std::string_view d) { return base_->Append(d); });
   }
 
   Status Sync() override {
@@ -159,20 +168,9 @@ class FaultRandomWriteFile : public RandomWriteFile {
         state_(std::move(state)) {}
 
   Status WriteAt(uint64_t offset, std::string_view data) override {
-    auto fault = state_->NextOp(OpClass::kWrite, path_);
-    if (!fault) return base_->WriteAt(offset, data);
-    switch (*fault) {
-      case FaultKind::kWriteError:
-        return Injected(path_, "write error");
-      case FaultKind::kShortWrite:
-        MMDB_RETURN_IF_ERROR(
-            base_->WriteAt(offset, data.substr(0, data.size() / 2)));
-        return Injected(path_, "short write");
-      case FaultKind::kTornWrite:
-        return base_->WriteAt(offset, data.substr(0, data.size() / 2));
-      default:
-        return base_->WriteAt(offset, data);
-    }
+    return FaultedWrite(state_.get(), path_, data, [&](std::string_view d) {
+      return base_->WriteAt(offset, d);
+    });
   }
 
   Status Read(uint64_t offset, size_t n, std::string* out) const override {
@@ -181,7 +179,13 @@ class FaultRandomWriteFile : public RandomWriteFile {
         [&] { return base_->Read(offset, n, out); }, out);
   }
 
-  Status Truncate(uint64_t size) override { return base_->Truncate(size); }
+  // A write op that moves no data: every write kind fails it whole.
+  Status Truncate(uint64_t size) override {
+    if (state_->NextOp(OpClass::kWrite, path_)) {
+      return Injected(path_, "truncate error");
+    }
+    return base_->Truncate(size);
+  }
 
   Status Sync() override {
     if (state_->NextOp(OpClass::kSync, path_)) {

@@ -15,7 +15,7 @@ namespace mmdb {
 // The partial-failure shapes a storage stack must tolerate, beyond the
 // whole-process crash that Engine::Crash already models.
 enum class FaultKind : uint8_t {
-  kWriteError,   // Append/WriteAt fails; no bytes reach the file
+  kWriteError,   // Append/WriteAt/Truncate fails; no bytes reach the file
   kShortWrite,   // a prefix of the data lands, then the op reports IoError
   kTornWrite,    // a prefix lands but the op reports success (silent tear;
                  // only a checksum layer can catch it)
@@ -43,12 +43,13 @@ inline std::string_view FaultKindName(FaultKind kind) {
 }
 
 // One scheduled fault. Matching is deterministic: every data-path
-// operation (Append, WriteAt, Sync, Read) on any file of the wrapped Env
-// is numbered 0, 1, 2, ...; the rule fires on the first operation whose
-// number is >= `after_ops`, whose class matches `kind` (write kinds match
-// writes, kSyncError matches syncs, read kinds match reads), and whose
-// file path contains `path_substring`. It then fires on every further
-// matching op until `times` firings are spent.
+// operation (Append, WriteAt, Truncate, Sync, Read) on any file of the
+// wrapped Env is numbered 0, 1, 2, ...; the rule fires on the first
+// operation whose number is >= `after_ops`, whose class matches `kind`
+// (write kinds match writes and truncates, kSyncError matches syncs, read
+// kinds match reads), and whose file path contains `path_substring`. It
+// then fires on every further matching op until `times` firings are spent.
+// A truncate moves no data, so every write kind fails it whole.
 struct FaultRule {
   FaultKind kind = FaultKind::kWriteError;
   std::string path_substring;  // empty matches every file
@@ -61,8 +62,10 @@ struct FaultRule {
 // no randomness), so a failing fault-sweep point can be replayed exactly.
 // Metadata operations (open, rename, delete, list) always succeed if the
 // delegate succeeds; the write/sync/read kinds cover every failure this
-// engine's recovery protocol must survive, since all multi-file updates
-// funnel through temp-file-plus-rename.
+// engine's recovery protocol must survive. Only the CHECKPOINT metadata and
+// the log's prefix drop (LogManager::TruncateBefore) go through a temp file
+// and a rename; torn tails of the log and the journal are cut in place
+// (Env::CutFile: a numbered Truncate, then a Sync).
 //
 // File handles opened through this Env share its fault state and remain
 // valid for the Env's lifetime. Like the delegate Envs, not thread-safe.

@@ -94,7 +94,7 @@ class MemRandomWriteFile : public RandomWriteFile {
   }
 
   Status Truncate(uint64_t size) override {
-    if (data_->contents.size() < size) data_->contents.resize(size, '\0');
+    data_->contents.resize(size, '\0');
     return Status::OK();
   }
 
@@ -116,15 +116,7 @@ class MemEnv : public Env {
 
   StatusOr<std::unique_ptr<WritableFile>> NewAppendableFile(
       const std::string& path) override {
-    auto it = files_.find(path);
-    std::shared_ptr<MemFileData> data;
-    if (it == files_.end()) {
-      data = std::make_shared<MemFileData>();
-      files_[path] = data;
-    } else {
-      data = it->second;
-    }
-    return {std::make_unique<MemWritableFile>(std::move(data))};
+    return {std::make_unique<MemWritableFile>(FileAt(path))};
   }
 
   StatusOr<std::unique_ptr<RandomAccessFile>> NewRandomAccessFile(
@@ -136,15 +128,7 @@ class MemEnv : public Env {
 
   StatusOr<std::unique_ptr<RandomWriteFile>> NewRandomWriteFile(
       const std::string& path) override {
-    auto it = files_.find(path);
-    std::shared_ptr<MemFileData> data;
-    if (it == files_.end()) {
-      data = std::make_shared<MemFileData>();
-      files_[path] = data;
-    } else {
-      data = it->second;
-    }
-    return {std::make_unique<MemRandomWriteFile>(std::move(data))};
+    return {std::make_unique<MemRandomWriteFile>(FileAt(path))};
   }
 
   bool FileExists(const std::string& path) override {
@@ -190,6 +174,13 @@ class MemEnv : public Env {
   }
 
  private:
+  // The file at `path`, created empty if absent.
+  std::shared_ptr<MemFileData> FileAt(const std::string& path) {
+    std::shared_ptr<MemFileData>& data = files_[path];
+    if (data == nullptr) data = std::make_shared<MemFileData>();
+    return data;
+  }
+
   FileMap files_;
 };
 

@@ -48,6 +48,19 @@ Status PreadString(const std::string& path, int fd, uint64_t offset, size_t n,
   return Status::OK();
 }
 
+Status FdSync(const std::string& path, int fd) {
+  if (::fdatasync(fd) != 0) return PosixError(path, errno);
+  return Status::OK();
+}
+
+// Closes *fd once; later calls are no-ops.
+Status FdClose(const std::string& path, int* fd) {
+  const int closing = *fd;
+  *fd = -1;
+  if (closing >= 0 && ::close(closing) != 0) return PosixError(path, errno);
+  return Status::OK();
+}
+
 class PosixWritableFile : public WritableFile {
  public:
   PosixWritableFile(std::string path, int fd, uint64_t size)
@@ -73,19 +86,8 @@ class PosixWritableFile : public WritableFile {
     return Status::OK();
   }
 
-  Status Sync() override {
-    if (::fdatasync(fd_) != 0) return PosixError(path_, errno);
-    return Status::OK();
-  }
-
-  Status Close() override {
-    if (fd_ >= 0 && ::close(fd_) != 0) {
-      fd_ = -1;
-      return PosixError(path_, errno);
-    }
-    fd_ = -1;
-    return Status::OK();
-  }
+  Status Sync() override { return FdSync(path_, fd_); }
+  Status Close() override { return FdClose(path_, &fd_); }
 
   uint64_t Size() const override { return size_; }
 
@@ -155,28 +157,14 @@ class PosixRandomWriteFile : public RandomWriteFile {
   }
 
   Status Truncate(uint64_t size) override {
-    struct stat st;
-    if (::fstat(fd_, &st) != 0) return PosixError(path_, errno);
-    if (static_cast<uint64_t>(st.st_size) >= size) return Status::OK();
     if (::ftruncate(fd_, static_cast<off_t>(size)) != 0) {
       return PosixError(path_, errno);
     }
     return Status::OK();
   }
 
-  Status Sync() override {
-    if (::fdatasync(fd_) != 0) return PosixError(path_, errno);
-    return Status::OK();
-  }
-
-  Status Close() override {
-    if (fd_ >= 0 && ::close(fd_) != 0) {
-      fd_ = -1;
-      return PosixError(path_, errno);
-    }
-    fd_ = -1;
-    return Status::OK();
-  }
+  Status Sync() override { return FdSync(path_, fd_); }
+  Status Close() override { return FdClose(path_, &fd_); }
 
  private:
   std::string path_;

@@ -4,44 +4,37 @@
 #include <utility>
 
 #include "util/crc32c.h"
+#include "util/string_util.h"
 
 namespace mmdb {
 namespace {
 
-// Validates one complete journal line (no trailing newline): the crc member
-// must be present, must be the literal splice Append() wrote, and must
-// cover the line with that splice removed.
-bool ParseLine(std::string_view line, AuditEntry* out) {
-  size_t pos = line.rfind(",\"crc\":");
-  if (pos == std::string_view::npos) return false;
-  std::string body(line.substr(0, pos));
-  body += '}';
-  StatusOr<JsonValue> parsed = JsonValue::Parse(line);
-  if (!parsed.ok() || !parsed->is_object()) return false;
-  const JsonValue* crc = parsed->Find("crc");
-  const JsonValue* seq = parsed->Find("seq");
-  const JsonValue* t = parsed->Find("t");
-  const JsonValue* event = parsed->Find("event");
-  if (crc == nullptr || !crc->is_number() || seq == nullptr ||
-      !seq->is_number() || t == nullptr || !t->is_number() ||
-      event == nullptr || !event->is_string()) {
+// The one line check, shared by the reopen and the parser. A complete
+// journal line (no trailing newline) must open with its "seq" member and
+// close with the literal crc splice Append() wrote, and that crc must cover
+// the line with the splice removed. Sets *seq; builds no JSON tree.
+bool CheckLine(std::string_view line, uint64_t* seq) {
+  constexpr std::string_view kSeq = "{\"seq\":";
+  constexpr std::string_view kCrc = ",\"crc\":";
+  const size_t pos = line.rfind(kCrc);
+  if (pos == std::string_view::npos || !StartsWith(line, kSeq) ||
+      !EndsWith(line, "}")) {
     return false;
   }
-  if (crc32c::Value(body) != static_cast<uint32_t>(crc->number_value())) {
+  uint64_t crc;
+  const size_t digits = pos + kCrc.size();
+  if (!ParseNumber(line.substr(digits, line.size() - 1 - digits), &crc) ||
+      crc != crc32c::Extend(crc32c::Value(line.data(), pos), "}", 1)) {
     return false;
   }
-  out->seq = static_cast<uint64_t>(seq->number_value());
-  out->t = t->number_value();
-  out->event = event->string_value();
-  out->object = std::move(*parsed);
-  return true;
+  const size_t comma = line.find(',', kSeq.size());
+  return ParseNumber(line.substr(kSeq.size(), comma - kSeq.size()), seq);
 }
 
 // Reopens an existing journal for append and sets `*next_seq` past its
-// longest prefix of complete, CRC-clean, gap-free lines. Anything after the
-// first damaged line (a torn append from a crash or an injected fault) is
-// cut by writing the prefix to "<path>.tmp" (synced) and renaming it over
-// the journal, so a failure leaves the original file, every line intact.
+// valid prefix: the complete lines that pass CheckLine, numbered 1, 2, 3,
+// ... Anything after it (a line torn by a crash or an injected fault) is
+// cut in place, so a failed cut leaves every line before the damage intact.
 StatusOr<std::unique_ptr<WritableFile>> ReopenJournal(Env* env,
                                                       const std::string& path,
                                                       uint64_t* next_seq) {
@@ -49,24 +42,17 @@ StatusOr<std::unique_ptr<WritableFile>> ReopenJournal(Env* env,
   MMDB_RETURN_IF_ERROR(env->ReadFileToString(path, &existing));
   size_t kept = 0;
   uint64_t last_seq = 0;
-  while (kept < existing.size()) {
-    size_t nl = existing.find('\n', kept);
-    if (nl == std::string::npos) break;
-    AuditEntry e;
-    if (!ParseLine({existing.data() + kept, nl - kept}, &e) ||
-        e.seq != last_seq + 1) {
+  for (size_t nl; (nl = existing.find('\n', kept)) != std::string::npos;
+       kept = nl + 1) {
+    uint64_t seq;
+    if (!CheckLine({existing.data() + kept, nl - kept}, &seq) ||
+        seq != last_seq + 1) {
       break;
     }
-    last_seq = e.seq;
-    kept = nl + 1;
+    last_seq = seq;
   }
   *next_seq = last_seq + 1;
-  if (kept < existing.size()) {
-    const std::string tmp = path + ".tmp";
-    existing.resize(kept);
-    MMDB_RETURN_IF_ERROR(env->WriteStringToFile(tmp, existing, /*sync=*/true));
-    MMDB_RETURN_IF_ERROR(env->RenameFile(tmp, path));
-  }
+  if (kept < existing.size()) MMDB_RETURN_IF_ERROR(env->CutFile(path, kept));
   return env->NewAppendableFile(path);
 }
 
@@ -160,26 +146,32 @@ void WriteLineageJson(const std::vector<SegmentLineage>& lineage,
 
 StatusOr<std::vector<AuditEntry>> ParseAuditJournal(std::string_view text) {
   std::vector<AuditEntry> entries;
-  size_t pos = 0;
-  uint64_t line_no = 0;
-  while (pos < text.size()) {
-    size_t nl = text.find('\n', pos);
-    if (nl == std::string_view::npos) break;  // torn trailing append: legal
-    ++line_no;
+  // A torn trailing append (no newline) is legal: the walk stops before it.
+  for (size_t pos = 0, nl; (nl = text.find('\n', pos)) != text.npos;
+       pos = nl + 1) {
+    const std::string_view line = text.substr(pos, nl - pos);
+    const uint64_t want = entries.size() + 1;
+    auto fail = [want](const std::string& why) {
+      return CorruptionError("audit journal line " + std::to_string(want) +
+                             ": " + why);
+    };
     AuditEntry e;
-    if (!ParseLine(text.substr(pos, nl - pos), &e)) {
-      return CorruptionError("audit journal line " + std::to_string(line_no) +
-                             ": bad checksum or malformed entry");
+    StatusOr<JsonValue> parsed = JsonValue::Parse(line);
+    const JsonValue* t = parsed.ok() ? parsed->Find("t") : nullptr;
+    const JsonValue* event = parsed.ok() ? parsed->Find("event") : nullptr;
+    if (!CheckLine(line, &e.seq) || t == nullptr || !t->is_number() ||
+        event == nullptr || !event->is_string()) {
+      return fail("bad checksum or malformed entry");
     }
-    if (e.seq != entries.size() + 1) {
-      return CorruptionError(
-          "audit journal line " + std::to_string(line_no) + ": sequence " +
-          std::to_string(e.seq) + " where " +
-          std::to_string(entries.size() + 1) +
-          " was expected (lost or reordered entries)");
+    if (e.seq != want) {
+      return fail("sequence " + std::to_string(e.seq) + " where " +
+                  std::to_string(want) +
+                  " was expected (lost or reordered entries)");
     }
+    e.t = t->number_value();
+    e.event = event->string_value();
+    e.object = std::move(*parsed);
     entries.push_back(std::move(e));
-    pos = nl + 1;
   }
   return entries;
 }

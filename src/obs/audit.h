@@ -46,13 +46,14 @@ class AuditJournal {
   // Does not touch the filesystem; call Open() once before recording.
   AuditJournal(Env* env, std::string path);
 
-  // `fresh` truncates. Otherwise the existing journal is loaded and
-  // sequence numbering resumes after its valid prefix (complete, CRC-clean
-  // lines). A clean journal is reopened for append as it is; one with a
-  // line torn by a crash or an injected fault has its valid prefix written
-  // to "<path>.tmp" (synced) and renamed over it. Open failure counts an
-  // append error, leaves the journal disabled (Append writes nothing) and
-  // the file as it was.
+  // `fresh` truncates. Otherwise the existing journal is read and
+  // sequence numbering resumes after its valid prefix (complete lines whose
+  // crc splice checks, numbered 1, 2, 3, ...; no JSON is parsed). A clean
+  // journal is reopened for append as it is; one with a line torn by a
+  // crash or an injected fault is cut in place to its valid prefix and
+  // synced (Env::CutFile). Open failure counts an append error and leaves
+  // the journal disabled (Append writes nothing); a failed cut leaves the
+  // valid prefix intact.
   void Open(bool fresh);
 
   bool enabled() const { return file_ != nullptr; }
@@ -106,9 +107,10 @@ void WriteLineageJson(const std::vector<SegmentLineage>& lineage,
                       JsonWriter* w);
 
 // Splits `text` into entries, checking per-line CRCs and that sequence
-// numbers run 1,2,3,... without gaps. An incomplete final line (no trailing
-// newline — a torn append) is ignored; a complete line that fails its CRC or
-// does not parse is CORRUPTION.
+// numbers run 1,2,3,... without gaps (the reopen's line check), then
+// parsing each line's JSON. An incomplete final line (no trailing newline —
+// a torn append) is ignored; a complete line that fails its CRC or does not
+// parse is CORRUPTION.
 StatusOr<std::vector<AuditEntry>> ParseAuditJournal(std::string_view text);
 
 // Structural verification: every event's required fields are present and

@@ -61,40 +61,38 @@ Status LogManager::PersistRewrite(const std::string& contents) {
 
 Status LogManager::Repair() {
   // A failed append may have deposited an arbitrary prefix of the batch.
-  // Close may itself fail on a hosed device; the rewrite supersedes
-  // whatever state the handle left behind.
+  // Close may itself fail on a hosed device; the cut supersedes whatever
+  // state the handle left behind.
   if (file_ != nullptr) (void)file_->Close();
   file_.reset();
-  std::string contents;
-  MMDB_RETURN_IF_ERROR(env_->ReadFileToString(path_, &contents));
-  uint64_t keep = kLogFileHeaderBytes + (written_bytes_ - base_offset_);
-  if (contents.size() < keep) {
+  const uint64_t keep = kLogFileHeaderBytes + (written_bytes_ - base_offset_);
+  MMDB_ASSIGN_OR_RETURN(uint64_t size, env_->FileSize(path_));
+  if (size < keep) {
     return CorruptionError("log file lost bytes that were already flushed");
   }
-  contents.resize(keep);
-  Status rewrite = PersistRewrite(contents);
-  // Reopen even if the rewrite failed (the original file is intact — temp
-  // plus rename) so the manager stays usable; damaged_ then remains set
-  // and the next Flush retries the repair.
+  Status cut = env_->CutFile(path_, keep);
+  // Reopen even if the cut failed so the manager stays usable; damaged_
+  // then remains set and the next Flush retries the repair.
   MMDB_ASSIGN_OR_RETURN(file_, env_->NewAppendableFile(path_));
-  MMDB_RETURN_IF_ERROR(rewrite);
+  MMDB_RETURN_IF_ERROR(cut);
   damaged_ = false;
   return Status::OK();
 }
 
 Status LogManager::OpenExisting(uint64_t base, uint64_t valid_bytes,
                                 Lsn next_lsn) {
-  std::string contents;
-  MMDB_RETURN_IF_ERROR(env_->ReadFileToString(path_, &contents));
   // The file's header already reads `base` (LogReader::Open checked it);
-  // keep it and the valid frames.
-  if (valid_bytes < base ||
-      contents.size() < kLogFileHeaderBytes + (valid_bytes - base)) {
+  // keep it and the valid frames, and cut whatever follows them in place.
+  MMDB_ASSIGN_OR_RETURN(uint64_t size, env_->FileSize(path_));
+  const uint64_t keep = kLogFileHeaderBytes + (valid_bytes - base);
+  if (valid_bytes < base || size < keep) {
     return CorruptionError("log file shorter than its valid prefix");
   }
-  contents.resize(kLogFileHeaderBytes + (valid_bytes - base));
-  MMDB_RETURN_IF_ERROR(PersistRewrite(contents));
+  if (size > keep) MMDB_RETURN_IF_ERROR(env_->CutFile(path_, keep));
   MMDB_ASSIGN_OR_RETURN(file_, env_->NewAppendableFile(path_));
+  // The reopen is where the recovered prefix becomes durable; a cut has
+  // synced it already.
+  if (size == keep) MMDB_RETURN_IF_ERROR(file_->Sync());
   damaged_ = false;
   tail_.clear();
   base_offset_ = base;
@@ -253,14 +251,14 @@ Status LogManager::Crash(double now) {
     MMDB_RETURN_IF_ERROR(file_->Close());
     file_.reset();
   }
-  std::string contents;
-  MMDB_RETURN_IF_ERROR(env_->ReadFileToString(path_, &contents));
-  uint64_t physical_keep =
+  const uint64_t physical_keep =
       kLogFileHeaderBytes +
       (surviving > base_offset_ ? surviving - base_offset_ : 0);
-  if (contents.size() > physical_keep) {
-    contents.resize(physical_keep);
-    MMDB_RETURN_IF_ERROR(PersistRewrite(contents));
+  // A file already shorter than what survives (a torn append that reported
+  // success) is left as it is.
+  MMDB_ASSIGN_OR_RETURN(uint64_t size, env_->FileSize(path_));
+  if (size > physical_keep) {
+    MMDB_RETURN_IF_ERROR(env_->CutFile(path_, physical_keep));
   }
   return Status::OK();
 }

@@ -38,7 +38,7 @@ namespace mmdb {
 //
 // Crash semantics: Crash(now) discards whatever would not have survived —
 // unflushed tail bytes and batches whose modeled completion lies after
-// `now` — and rewrites the on-Env file to exactly its surviving prefix, so
+// `now` — and cuts the on-Env file in place to its surviving prefix, so
 // recovery reads precisely what a real machine would have found.
 class LogManager {
  public:
@@ -58,7 +58,8 @@ class LogManager {
 
   // Reopens the existing file after recovery, keeping its well-formed
   // prefix through logical offset `valid_bytes` (base-inclusive; anything
-  // beyond it is cut off) and continuing the LSN sequence from `next_lsn`.
+  // beyond it is cut off in place) and continuing the LSN sequence from
+  // `next_lsn`. Reads no byte of the file; the prefix is synced either way.
   // `base` and `valid_bytes` are what LogReader::Open read from the file.
   Status OpenExisting(uint64_t base, uint64_t valid_bytes, Lsn next_lsn);
 
@@ -86,7 +87,7 @@ class LogManager {
   // from memory and no durability promise is made), the file is
   // remembered as possibly holding trailing garbage, and the error is
   // returned so commit callers see that durability did not advance. The
-  // next Flush first rewrites the file back to its known-good prefix, then
+  // next Flush first cuts the file back to its known-good prefix, then
   // retries the whole batch.
   StatusOr<double> Flush(double now);
 
@@ -132,10 +133,11 @@ class LogManager {
  private:
   // Rewrites the log file atomically (temp file + rename), so a fault
   // mid-rewrite leaves the original — which holds every durable byte —
-  // untouched.
+  // untouched. Only TruncateBefore needs it: dropping a prefix writes a new
+  // header. Every tail is cut in place (Env::CutFile).
   Status PersistRewrite(const std::string& contents);
   // Cuts trailing garbage left by a failed append back to the flushed
-  // prefix and reopens the file for appending.
+  // prefix in place and reopens the file for appending.
   Status Repair();
 
   struct PendingFlush {

@@ -134,7 +134,8 @@ TEST_F(AuditJournalTest, FirstAppendErrorDisablesTheJournal) {
 
 // A reopen faulted on its first journal write must not lose a line an
 // earlier Sync() made durable: a clean journal is reopened without any
-// write, and a torn tail is cut through a synced temp file and a rename.
+// write, and a torn tail is cut in place, where a failed cut changes no
+// byte.
 TEST_F(AuditJournalTest, FaultedReopenKeepsACleanJournal) {
   std::string text = WriteEvents(2);
   FaultInjectionEnv fenv(env_.get());

@@ -278,6 +278,25 @@ TEST_F(EngineTest, ApplyRetriesTwoColorAborts) {
   EXPECT_GT(engine_->txns().color_aborts(), 0u);
 }
 
+// A retry budget below one runs no attempt: Apply and ApplyDelta refuse it
+// before any transaction begins, instead of returning a StatusOr that holds
+// neither a value nor an error.
+TEST_F(EngineTest, ApplyRejectsAnAttemptBudgetBelowOne) {
+  EngineOptions opt = TinyOptions();
+  opt.algorithm = Algorithm::kCouCopy;  // accepts deltas
+  Open(opt);
+  const Lsn next = engine_->log()->NextLsn();
+  for (int attempts : {0, -1}) {
+    SCOPED_TRACE(attempts);
+    auto applied = engine_->Apply({{3, Image(3, 1)}}, attempts);
+    EXPECT_TRUE(applied.status().IsInvalidArgument()) << applied.status();
+    auto delta = engine_->ApplyDelta(3, 0, 1, attempts);
+    EXPECT_TRUE(delta.status().IsInvalidArgument()) << delta.status();
+    EXPECT_EQ(engine_->txns().num_active(), 0u);
+    EXPECT_EQ(engine_->log()->NextLsn(), next);
+  }
+}
+
 // ReadRecordRaw bounds-checks its id in every build (the primary's own
 // assert compiles out under NDEBUG): past the last record it returns an
 // empty view, and mid-drain it materializes nothing.

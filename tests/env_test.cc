@@ -2,9 +2,12 @@
 // through a shared parameterized suite.
 
 #include <cstdlib>
+#include <filesystem>
 #include <memory>
 #include <span>
 #include <string>
+#include <system_error>
+#include <vector>
 
 #include "env/env.h"
 #include "gtest/gtest.h"
@@ -30,6 +33,13 @@ class EnvTest : public testing::TestWithParam<EnvKind> {
       dir_ = d;
     }
     MMDB_ASSERT_OK(env_->CreateDirIfMissing(dir_));
+  }
+
+  void TearDown() override {
+    std::error_code ignored;
+    if (GetParam() == EnvKind::kPosix && !dir_.empty()) {
+      std::filesystem::remove_all(dir_, ignored);
+    }
   }
 
   std::string Path(const std::string& name) { return dir_ + "/" + name; }
@@ -130,14 +140,35 @@ TEST_P(EnvTest, ReadIntoFillsTheCallersBuffer) {
   EXPECT_EQ(buf, "789???");
 }
 
-TEST_P(EnvTest, TruncateNeverShrinks) {
+TEST_P(EnvTest, TruncateSetsTheSize) {
   auto file = env_->NewRandomWriteFile(Path("g"));
   MMDB_ASSERT_OK(file);
   MMDB_ASSERT_OK((*file)->WriteAt(0, "0123456789"));
+  // Shrinks...
   MMDB_ASSERT_OK((*file)->Truncate(4));
+  MMDB_ASSERT_OK((*file)->Sync());
   std::string out;
   MMDB_ASSERT_OK((*file)->Read(0, 10, &out));
-  EXPECT_EQ(out, "0123456789");
+  EXPECT_EQ(out, "0123");
+  auto size = env_->FileSize(Path("g"));
+  MMDB_ASSERT_OK(size);
+  EXPECT_EQ(*size, 4u);
+  // ...and grows, zero-filled: the cut bytes do not come back.
+  MMDB_ASSERT_OK((*file)->Truncate(8));
+  MMDB_ASSERT_OK((*file)->Read(0, 10, &out));
+  EXPECT_EQ(out, std::string("0123") + std::string(4, '\0'));
+  MMDB_ASSERT_OK((*file)->Close());
+}
+
+TEST_P(EnvTest, CutFileSetsTheSizeInPlace) {
+  MMDB_ASSERT_OK(env_->WriteStringToFile(Path("h"), "0123456789", true));
+  MMDB_ASSERT_OK(env_->CutFile(Path("h"), 6));
+  std::string out;
+  MMDB_ASSERT_OK(env_->ReadFileToString(Path("h"), &out));
+  EXPECT_EQ(out, "012345");
+  std::vector<std::string> children;
+  MMDB_ASSERT_OK(env_->ListDir(dir_, &children));
+  EXPECT_EQ(children, std::vector<std::string>{"h"});  // no second copy
 }
 
 TEST_P(EnvTest, FileExistsDeleteRename) {

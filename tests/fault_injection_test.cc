@@ -138,6 +138,35 @@ TEST_F(FaultEnvTest, RandomWriteFaultShapes) {
   EXPECT_EQ(out, std::string("abcd") + std::string(4, '\0'));
 }
 
+TEST_F(FaultEnvTest, TruncateIsANumberedWriteOpThatMovesNoData) {
+  MMDB_EXPECT_OK(base_->WriteStringToFile("a", "0123456789", false));
+  auto f = fenv_.NewRandomWriteFile("a");
+  MMDB_ASSERT_OK(f);
+  // Every write kind fails the cut with IoError and the size stays: a
+  // truncate moves no data, so no prefix of it can land, torn or not.
+  for (FaultKind kind : {FaultKind::kWriteError, FaultKind::kShortWrite,
+                         FaultKind::kTornWrite}) {
+    SCOPED_TRACE(FaultKindName(kind));
+    const uint64_t op = fenv_.op_count();
+    fenv_.InjectFault({kind, "a", op, 1});
+    EXPECT_TRUE((*f)->Truncate(4).IsIoError());
+    EXPECT_EQ(fenv_.op_count(), op + 1);
+    EXPECT_EQ(Contents("a"), "0123456789");
+  }
+  EXPECT_EQ(fenv_.faults_fired(), 3u);
+  // A sync rule does not match it; once the rules are spent it cuts.
+  fenv_.InjectFault({FaultKind::kSyncError, "", fenv_.op_count(), 1});
+  MMDB_EXPECT_OK((*f)->Truncate(4));
+  EXPECT_EQ(Contents("a"), "0123");
+  EXPECT_TRUE((*f)->Sync().IsIoError());
+  // Env::CutFile is that truncate plus a sync, both faultable.
+  fenv_.InjectFault({FaultKind::kWriteError, "a", fenv_.op_count(), 1});
+  EXPECT_TRUE(fenv_.CutFile("a", 2).IsIoError());
+  EXPECT_EQ(Contents("a"), "0123");
+  MMDB_EXPECT_OK(fenv_.CutFile("a", 2));
+  EXPECT_EQ(Contents("a"), "01");
+}
+
 // The injected file only overrides Read; RandomWriteFile's default
 // ReadInto goes through it, so a corrupt read still lands in the caller's
 // buffer (and a backup restore reading in place still sees the flip).
@@ -829,8 +858,10 @@ TEST_F(RecoveryFallbackTest, FailedLogReopenJournalsErrorAndRetrySucceeds) {
     const Lsn durable = engine_->DurableLsn();
     MMDB_ASSERT_OK(engine_->Crash());
 
+    // The reopen cuts nothing here (the crash left a clean log); its sync,
+    // which makes the recovered prefix durable, is the op that fails.
     fenv_.InjectFault(
-        {FaultKind::kWriteError, "wal.log.tmp", fenv_.op_count(), 1});
+        {FaultKind::kSyncError, "wal.log", fenv_.op_count(), 1});
     auto failed = engine_->Recover();
     EXPECT_TRUE(failed.status().IsIoError()) << failed.status();
     EXPECT_TRUE(engine_->crashed());

@@ -1,11 +1,12 @@
-// Logical (operation) logging: compact delta REDO records, their safety
+// Logical (operation) logging: compact delta REDO records and their safety
 // constraint (copy-on-update checkpoints only — the backup must be an
-// exact snapshot at the replay start point), and demonstrations of the
-// corruption that replaying non-idempotent records against fuzzy or
-// boundary-consistent backups produces. This is the paper's Section 3.2
-// remark — "consistent backups permit the use of logical logging" — made
-// executable, with the sharper observation that among the paper's TC
-// algorithms only COU's consistency point lines up with the log marker.
+// exact snapshot at the replay start point; replaying non-idempotent
+// records against a fuzzy or boundary-consistent backup would apply some
+// of them twice, so every other algorithm refuses deltas). This is the
+// paper's Section 3.2 remark — "consistent backups permit the use of
+// logical logging" — made executable, with the sharper observation that
+// among the paper's TC algorithms only COU's consistency point lines up
+// with the log marker.
 
 #include <memory>
 #include <string>
@@ -24,10 +25,9 @@ int64_t FieldAt(std::string_view image, uint32_t offset) {
 
 class LogicalLoggingTest : public testing::Test {
  protected:
-  void Open(Algorithm a, bool unsafe = false) {
+  void Open(Algorithm a) {
     EngineOptions opt = TinyOptions();
     opt.algorithm = a;
-    opt.unsafe_allow_logical_logging = unsafe;
     env_ = NewMemEnv();
     auto engine = Engine::Open(opt, env_.get());
     MMDB_ASSERT_OK(engine);
@@ -174,40 +174,6 @@ TEST_F(LogicalLoggingTest, RepeatedCrashesNeverDoubleApply) {
     ASSERT_EQ(FieldAt(engine_->ReadRecordRaw(3), 0), expected)
         << "round " << round;
   }
-}
-
-// The demonstration the safety rule exists for: force deltas under a FUZZY
-// checkpoint and catch the double-apply. The fuzzy backup may already
-// contain a delta's effect (segment flushed after the install) while the
-// delta's log record sits after the begin marker — replay applies it
-// again.
-TEST_F(LogicalLoggingTest, UnsafeFuzzyDeltasDoubleApplyOnRecovery) {
-  Open(Algorithm::kFuzzyCopy, /*unsafe=*/true);
-  // Deltas spread across every segment so some land before their segment
-  // flushes (those get double-applied on replay).
-  const uint32_t rps = engine_->params().db.records_per_segment();
-  const uint64_t n_seg = engine_->db().num_segments();
-  int64_t expected_total = 0;
-  MMDB_ASSERT_OK(engine_->StartCheckpoint());
-  for (SegmentId s = 0; s < n_seg; ++s) {
-    MMDB_ASSERT_OK(engine_->ApplyDelta(s * rps, 0, 10).status());
-    expected_total += 10;
-    MMDB_ASSERT_OK(engine_->StepCheckpoint());
-  }
-  MMDB_ASSERT_OK(engine_->RunCheckpointToCompletion());
-  engine_->FlushLog();
-  MMDB_ASSERT_OK(engine_->AdvanceTime(1.0));
-  MMDB_ASSERT_OK(engine_->Crash());
-  MMDB_ASSERT_OK(engine_->Recover());
-
-  int64_t recovered_total = 0;
-  for (SegmentId s = 0; s < n_seg; ++s) {
-    recovered_total += FieldAt(engine_->ReadRecordRaw(s * rps), 0);
-  }
-  EXPECT_GT(recovered_total, expected_total)
-      << "expected the fuzzy backup to double-apply at least one delta; "
-         "if this ever fails the interleaving needs adjusting, not the "
-         "safety rule";
 }
 
 }  // namespace

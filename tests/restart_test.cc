@@ -1,13 +1,22 @@
 // Cold-restart (Engine::OpenExisting) and log-truncation tests: a new
-// engine process picking up the files an earlier one left behind, and
-// bounded log growth across checkpoints.
+// engine process picking up the files an earlier one left behind (torn
+// tails included, on MemEnv and on real files), and bounded log growth
+// across checkpoints.
 
+#include <cstdlib>
+#include <filesystem>
 #include <memory>
 #include <string>
+#include <string_view>
+#include <system_error>
 #include <vector>
 
+#include "env/fault_injection_env.h"
 #include "gtest/gtest.h"
 #include "tests/test_util.h"
+#include "util/coding.h"
+#include "util/string_util.h"
+#include "wal/log_manager.h"
 #include "wal/log_reader.h"
 
 namespace mmdb {
@@ -309,6 +318,128 @@ TEST_P(RestartTest, TruncatedPrefixIsGoneFromTheReader) {
   auto first = reader->FrameIndexAt(base);
   MMDB_ASSERT_OK(first);
   EXPECT_EQ(*first, 0u);
+}
+
+// ---------------------------------------------------------------------------
+// Torn tails are cut in place: no restart copies a file.
+// ---------------------------------------------------------------------------
+
+// What a crash may leave after the last whole frame or journal line.
+struct Tear {
+  bool log = false;      // a frame header promising 64 bytes, then 20 of them
+  bool journal = false;  // half a journal line, with no newline
+};
+
+void AppendBytes(Env* env, const std::string& path, std::string_view bytes) {
+  auto file = env->NewAppendableFile(path);
+  MMDB_ASSERT_OK(file);
+  MMDB_ASSERT_OK((*file)->Append(bytes));
+  MMDB_ASSERT_OK((*file)->Close());
+}
+
+// Runs a short workload in `opt.dir`, crashes, appends the torn tails
+// `tear` names, and restarts. With `faults` (a wrapper of `env`) the
+// engine runs on it, and every write to a ".tmp" file fails from the crash
+// on. The restart must succeed with no fault fired; the oracle and the
+// journal must verify; wal.log must end at its valid prefix, exactly where
+// the crash left it; audit.log must hold the crash's lines followed
+// directly by the restart's; and no ".tmp" file may be left.
+void CrashTearAndRestart(Env* env, FaultInjectionEnv* faults,
+                         EngineOptions opt, bool instant, Tear tear) {
+  SCOPED_TRACE(testing::Message()
+               << (instant ? "instant" : "blocking") << ", torn log "
+               << tear.log << ", torn journal " << tear.journal);
+  Env* engine_env = faults != nullptr ? faults : env;
+  opt.instant_recovery = instant;
+  auto engine = Engine::Open(opt, engine_env);
+  MMDB_ASSERT_OK(engine);
+  WorkloadOptions wopt;
+  wopt.duration = 0.5;
+  wopt.seed = 61;
+  WorkloadDriver driver(engine->get(), wopt);
+  MMDB_ASSERT_OK(driver.Run());
+  const Lsn durable = (*engine)->DurableLsn();
+  MMDB_ASSERT_OK((*engine)->Crash());
+  const std::string log_path = (*engine)->LogPath();
+  const std::string journal_path = (*engine)->AuditLogPath();
+  engine->reset();
+
+  std::string log, journal;
+  MMDB_ASSERT_OK(env->ReadFileToString(log_path, &log));
+  MMDB_ASSERT_OK(env->ReadFileToString(journal_path, &journal));
+  if (tear.log) {
+    std::string frame;
+    PutFixed32(&frame, 64);
+    frame.append(20, 'x');
+    AppendBytes(env, log_path, frame);
+  }
+  if (tear.journal) {
+    AppendBytes(env, journal_path, "{\"seq\":9999,\"t\":9.0,\"event\":\"ckp");
+  }
+  if (faults != nullptr) {
+    faults->InjectFault(
+        {FaultKind::kWriteError, ".tmp", faults->op_count(), /*times=*/0});
+  }
+
+  auto reopened = Engine::OpenExisting(opt, engine_env);
+  MMDB_ASSERT_OK(reopened);
+  MMDB_ASSERT_OK((*reopened)->DrainRecovery());
+  if (faults != nullptr) {
+    EXPECT_EQ(faults->faults_fired(), 0u);
+  }
+  VerifyRecovered(**reopened, driver, durable);
+  VerifyAuditTrail(reopened->get());
+
+  std::string log_after, journal_after;
+  MMDB_ASSERT_OK(env->ReadFileToString(log_path, &log_after));
+  EXPECT_EQ(log_after.size(), log.size());
+  EXPECT_TRUE(log_after == log);
+  auto reader = LogReader::Open(env, log_path);
+  MMDB_ASSERT_OK(reader);
+  EXPECT_FALSE(reader->truncated_tail());
+  EXPECT_EQ(kLogFileHeaderBytes + reader->valid_bytes() -
+                reader->base_offset(),
+            log_after.size());
+  MMDB_ASSERT_OK(env->ReadFileToString(journal_path, &journal_after));
+  ASSERT_GT(journal_after.size(), journal.size());
+  EXPECT_TRUE(journal_after.compare(0, journal.size(), journal) == 0);
+  EXPECT_EQ(journal_after.back(), '\n');
+  std::vector<std::string> children;
+  MMDB_ASSERT_OK(env->ListDir(opt.dir, &children));
+  for (const std::string& child : children) {
+    EXPECT_FALSE(EndsWith(child, ".tmp")) << child;
+  }
+}
+
+// The reopen cuts each torn tail in place, so a restart over any mix of
+// clean and torn tails, blocking or instant, goes through even when every
+// write to a temp file fails.
+TEST(CutInPlaceTest, NoRestartWritesATempFile) {
+  for (bool instant : {false, true}) {
+    for (Tear tear : {Tear{}, Tear{true, false}, Tear{false, true},
+                      Tear{true, true}}) {
+      auto env = NewMemEnv();
+      FaultInjectionEnv faults(env.get());
+      CrashTearAndRestart(env.get(), &faults, TinyOptions(), instant, tear);
+      if (HasFatalFailure()) return;
+    }
+  }
+}
+
+// The same on real files, in a fresh temporary directory.
+TEST(CutInPlaceTest, PosixRestartCutsTornTails) {
+  char tmpl[] = "/tmp/mmdb_restart_test_XXXXXX";
+  ASSERT_NE(mkdtemp(tmpl), nullptr);
+  const std::string root = tmpl;
+  for (bool instant : {false, true}) {
+    EngineOptions opt = TinyOptions();
+    opt.dir = root + (instant ? "/instant" : "/blocking");
+    CrashTearAndRestart(Env::Posix(), nullptr, opt, instant,
+                        Tear{true, true});
+    if (HasFatalFailure()) break;
+  }
+  std::error_code ignored;
+  std::filesystem::remove_all(root, ignored);
 }
 
 INSTANTIATE_TEST_SUITE_P(
